@@ -25,7 +25,7 @@ from .postdiscovery import (
     rank_feature_relevance,
     single_substitution_sweep,
 )
-from .scan import ScanConfig, ScanResult, exhaustive_scan, scan
+from .scan import ScanConfig, ScanResult, evaluate, scan
 from .scoring import (
     EffectMeasures,
     ScorePanel,
@@ -80,7 +80,7 @@ __all__ = [
     "cross_substitute_greedy",
     "empirical_p_value",
     "enumerate_substitutions",
-    "exhaustive_scan",
+    "evaluate",
     "generate_synthetic",
     "load_csv",
     "membership",

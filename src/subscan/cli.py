@@ -19,7 +19,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Any
+from typing import Any, get_args, get_type_hints
 
 import numpy as np
 
@@ -28,13 +28,12 @@ from .errors import BudgetError, ContractError, DegenerateDataError, LoadError
 from .postdiscovery import (
     RelevanceConfig,
     RelevanceEntry,
-    _evaluate_descriptor,
     cross_substitute_greedy,
     enumerate_substitutions,
     rank_feature_relevance,
     single_substitution_sweep,
 )
-from .scan import ScanConfig, ScanResult, scan
+from .scan import ScanConfig, ScanResult, evaluate, scan
 from .significance import BootstrapConfig, null_score_distribution, p_from_null_scores
 from .tabular import (
     Dataset,
@@ -93,46 +92,53 @@ class PipelineConfig:
         if self.top_k is not None and self.delta_threshold is not None:
             raise ContractError("--top-k and --delta-threshold are mutually exclusive")
         if self.top_k is not None:
-            return RelevanceConfig(
-                reference_expectation=self.reference,  # type: ignore[arg-type]
-                ranking_mode=self.ranking_mode,  # type: ignore[arg-type]
-                selection="top_k",
-                top_k=self.top_k,
-            )
-        if self.delta_threshold is not None:
-            return RelevanceConfig(
-                reference_expectation=self.reference,  # type: ignore[arg-type]
-                ranking_mode=self.ranking_mode,  # type: ignore[arg-type]
-                selection="threshold",
-                threshold=self.delta_threshold,
-            )
+            selection = "top_k"
+        elif self.delta_threshold is not None:
+            selection = "threshold"
+        else:
+            selection = "all"
         return RelevanceConfig(
             reference_expectation=self.reference,  # type: ignore[arg-type]
             ranking_mode=self.ranking_mode,  # type: ignore[arg-type]
+            selection=selection,  # type: ignore[arg-type]
+            top_k=self.top_k,
+            threshold=self.delta_threshold,
         )
 
     def echo(self) -> dict[str, Any]:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
+def _read_json_object(path: Path, kind: str) -> dict[str, Any]:
+    """The JSON object stored at ``path``, or LoadError naming the file."""
+    if not path.exists():
+        raise LoadError(f"no such {kind}: {path}")
+    try:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as e:  # also a file that is not UTF-8
+        raise LoadError(f"{path}: invalid JSON ({e})") from None
+    if not isinstance(payload, dict):
+        raise LoadError(f"{path}: {kind} must be a JSON object")
+    return payload
+
+
 def _merged_config(args: argparse.Namespace) -> PipelineConfig:
     cfg = PipelineConfig()
-    valid = {f.name for f in fields(PipelineConfig)}
+    hints = get_type_hints(PipelineConfig)  # field name -> declared type
     if getattr(args, "config", None):
-        path = Path(args.config)
-        if not path.exists():
-            raise LoadError(f"no such config file: {path}")
-        try:
-            file_cfg = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as e:
-            raise LoadError(f"{path}: invalid JSON ({e})") from None
-        if not isinstance(file_cfg, dict):
-            raise LoadError(f"{path}: config must be a JSON object")
+        file_cfg = _read_json_object(Path(args.config), "config file")
         for key, value in file_cfg.items():
-            if key not in valid:
+            if key not in hints:
                 raise ContractError(f"unknown config key {key!r}")
+            allowed = get_args(hints[key]) or (hints[key],)
+            # exact types, so a JSON bool is no int; a float field takes an int
+            if type(value) not in allowed and not (float in allowed and type(value) is int):
+                names = " or ".join("null" if t is type(None) else t.__name__ for t in allowed)
+                raise ContractError(
+                    f"config key {key!r} must be {names}, got {type(value).__name__}"
+                )
             setattr(cfg, key, value)
-    for key in valid:
+    for key in hints:
         value = getattr(args, key, None)
         if value is not None:
             setattr(cfg, key, value)
@@ -250,13 +256,7 @@ def cmd_synth(cfg: PipelineConfig) -> int:
             "synth",
             cfg.echo(),
             timer.seconds,
-            dataset_block={
-                "path": str(out / "cohort.csv"),
-                "outcome_column": cfg.outcome,
-                "n_records": dataset.n_records,
-                "n_positive": dataset.n_positive,
-                "global_mean": dataset.global_mean,
-            },
+            dataset_block=rep.dataset_summary(dataset, str(out / "cohort.csv"), cfg.outcome),
         )
         payload["planted_descriptor"] = rep.descriptor_to_json(descriptor, dataset.schema)
         rep.write_json(out / "planted.json", payload)
@@ -297,45 +297,46 @@ def _load_scan_report(cfg: PipelineConfig, dataset: Dataset) -> ScanResult:
     if not cfg.scan_report:
         raise ContractError("--scan-report is required")
     path = Path(cfg.scan_report)
-    if not path.exists():
-        raise LoadError(f"no such scan report: {path}")
-    payload = json.loads(path.read_text(encoding="utf-8"))
-    block = payload.get("scan")
+    block = _read_json_object(path, "scan report").get("scan")
     if block is None:
         raise LoadError(f"{path}: no scan block in report")
-    descriptor = rep.descriptor_from_json(block["descriptor"], dataset.schema)
-    panel, effects = _evaluate_descriptor(dataset, descriptor)
-    if panel is None:
+    try:
+        descriptor = rep.descriptor_from_json(block["descriptor"], dataset.schema)
+        stored = float(block["score"])
+        restart_index = int(block.get("restart_index", 0))
+    except (KeyError, TypeError, ValueError, AttributeError) as e:
+        raise LoadError(f"{path}: malformed scan block ({e!r})") from None
+    panel, effects = evaluate(dataset, descriptor)
+    if panel.n_subset == 0:
         raise LoadError(f"{path}: descriptor matches no record of the dataset")
-    stored = float(block["score"])
     if abs(panel.score - stored) > 1e-9 * (1.0 + abs(stored)):
         raise LoadError(
             f"{path}: stored score {stored} does not match the dataset "
             f"(recomputed {panel.score}); wrong input file?"
         )
-    return ScanResult(descriptor, panel, effects, int(block.get("restart_index", 0)))
+    return ScanResult(descriptor, panel, effects, restart_index)
 
 
 def _ranking_from_report(path_str: str) -> list[RelevanceEntry]:
     path = Path(path_str)
-    if not path.exists():
-        raise LoadError(f"no such rank report: {path}")
-    payload = json.loads(path.read_text(encoding="utf-8"))
-    rows = payload.get("relevance")
+    rows = _read_json_object(path, "rank report").get("relevance")
     if rows is None:
         raise LoadError(f"{path}: no relevance block in report")
-    return [
-        RelevanceEntry(
-            feature=r["feature"],
-            value=r["value"],
-            e_value=r["e_value"],
-            subset_deviation=r["subset_deviation"],
-            global_deviation=r["global_deviation"],
-            deviation_ratio=r["deviation_ratio"],
-            rank=r["rank"],
-        )
-        for r in rows
-    ]
+    try:
+        return [
+            RelevanceEntry(
+                feature=r["feature"],
+                value=r["value"],
+                e_value=r["e_value"],
+                subset_deviation=r["subset_deviation"],
+                global_deviation=r["global_deviation"],
+                deviation_ratio=r["deviation_ratio"],
+                rank=r["rank"],
+            )
+            for r in rows
+        ]
+    except (KeyError, TypeError, ValueError, AttributeError) as e:
+        raise LoadError(f"{path}: malformed relevance block ({e!r})") from None
 
 
 def cmd_rank(cfg: PipelineConfig) -> int:
@@ -365,34 +366,22 @@ def cmd_substitute(cfg: PipelineConfig) -> int:
         dataset = _require_input(cfg)
         result = _load_scan_report(cfg, dataset)
     out = _out_dir(cfg)
-
-    if not enumerate_substitutions(result.descriptor, dataset.schema):
-        payload = rep.build_report(
-            "substitute",
-            cfg.echo(),
-            timer.seconds,
-            dataset_block=rep.dataset_summary(dataset, str(cfg.input), cfg.outcome),
-            scan_block=rep.scan_to_json(result, dataset.schema),
-            substitutions_block=[],
-        )
-        rep.write_json(out / "substitutions.json", payload)
-        rep.write_substitutions_csv(out / "substitutions.csv", [])
-        return 0
-
-    with timer.stage("rank"):
-        if cfg.rank_report:
-            ranking = _ranking_from_report(cfg.rank_report)
-        else:
-            ranking = rank_feature_relevance(dataset, result, cfg.relevance_config())
-    with timer.stage("significance"):
-        nulls = null_score_distribution(
-            dataset, cfg.bootstrap_config(), workers=cfg.workers
-        )
-    with timer.stage("sweep"):
-        outcomes = single_substitution_sweep(
-            dataset, result, ranking, cfg.alpha, cfg.bootstrap_config(),
-            null_scores=nulls, workers=cfg.workers,
-        )
+    outcomes = []
+    if enumerate_substitutions(result.descriptor, dataset.schema):
+        with timer.stage("rank"):
+            if cfg.rank_report:
+                ranking = _ranking_from_report(cfg.rank_report)
+            else:
+                ranking = rank_feature_relevance(dataset, result, cfg.relevance_config())
+        with timer.stage("significance"):
+            nulls = null_score_distribution(
+                dataset, cfg.bootstrap_config(), workers=cfg.workers
+            )
+        with timer.stage("sweep"):
+            outcomes = single_substitution_sweep(
+                dataset, result, ranking, cfg.alpha, cfg.bootstrap_config(),
+                null_scores=nulls, workers=cfg.workers,
+            )
     payload = rep.build_report(
         "substitute",
         cfg.echo(),

@@ -28,10 +28,10 @@ from typing import Literal
 import numpy as np
 
 from .errors import ContractError
-from .scan import ScanResult
-from .scoring import EffectMeasures, ScorePanel, bernoulli_score, odds_ratio
+from .scan import ScanResult, evaluate
+from .scoring import EffectMeasures, ScorePanel
 from .significance import BootstrapConfig, null_score_distribution, p_from_null_scores
-from .tabular import Dataset, Schema, SubsetDescriptor, membership_mask
+from .tabular import Dataset, Schema, SubsetDescriptor
 
 
 @dataclass(frozen=True)
@@ -260,33 +260,6 @@ class SubstitutionOutcome:
     empty: bool = False
 
 
-def _evaluate_descriptor(
-    dataset: Dataset, descriptor: SubsetDescriptor
-) -> tuple[ScorePanel | None, EffectMeasures | None]:
-    """(panel, effects) of a descriptor; (None, None) when its member set is empty."""
-    mask = membership_mask(dataset, descriptor)
-    n_subset = int(mask.sum())
-    if n_subset == 0:
-        return None, None
-    n_positive = int(dataset.outcomes[mask].sum())
-    panel = bernoulli_score(n_positive, n_subset, dataset.global_mean)
-    n = dataset.n_records
-    effects = None
-    if n_subset < n:
-        total_pos = dataset.n_positive
-        effects = odds_ratio(
-            n_positive,
-            n_subset - n_positive,
-            total_pos - n_positive,
-            (n - n_subset) - (total_pos - n_positive),
-        )
-    return panel, effects
-
-
-def _rank_lookup(ranking: list[RelevanceEntry]) -> dict[tuple[str, str], int]:
-    return {(e.feature, e.value): e.rank for e in ranking}
-
-
 def _candidate_rank(
     candidate: SubstitutionCandidate, ranks: dict[tuple[str, str], int]
 ) -> float:
@@ -318,7 +291,7 @@ def single_substitution_sweep(
     if null_scores is None:
         null_scores = null_score_distribution(dataset, bootstrap, workers=workers)
     candidates = enumerate_substitutions(result.descriptor, dataset.schema)
-    ranks = _rank_lookup(ranking)
+    ranks = {(e.feature, e.value): e.rank for e in ranking}
     order = sorted(
         range(len(candidates)),
         key=lambda i: (_candidate_rank(candidates[i], ranks), i),
@@ -329,23 +302,11 @@ def single_substitution_sweep(
     outcomes = []
     for i in order:
         candidate = candidates[i]
-        panel, effects = _evaluate_descriptor(dataset, candidate.resulting_descriptor)
-        if panel is None:
-            outcomes.append(
-                SubstitutionOutcome(
-                    candidate=candidate,
-                    old_score=old_score,
-                    new_score=0.0,
-                    old_or=old_or,
-                    new_or=None,
-                    new_p=None,
-                    p_at_floor=False,
-                    significant=False,
-                    empty=True,
-                )
-            )
-            continue
-        new_p, at_floor = p_from_null_scores(panel.score, null_scores)
+        panel, effects = evaluate(dataset, candidate.resulting_descriptor)
+        empty = panel.n_subset == 0  # the zero panel: score 0, no effects
+        new_p, at_floor = (
+            (None, False) if empty else p_from_null_scores(panel.score, null_scores)
+        )
         outcomes.append(
             SubstitutionOutcome(
                 candidate=candidate,
@@ -355,7 +316,8 @@ def single_substitution_sweep(
                 new_or=effects.odds_ratio if effects is not None else None,
                 new_p=new_p,
                 p_at_floor=at_floor,
-                significant=new_p <= alpha,
+                significant=new_p is not None and new_p <= alpha,
+                empty=empty,
             )
         )
     return outcomes
@@ -416,10 +378,7 @@ def cross_substitute_greedy(
         return p > alpha
 
     applied: list[SubstitutionOutcome] = []
-    if stopped(panel.score, p_value):
-        if effects is not None:
-            effects = replace(effects, p_value=p_value)
-        return GreedyResult(current, panel, effects, p_value, at_floor, (), True)
+    done = stopped(panel.score, p_value)  # not anomalous to begin with: apply nothing
 
     # Queue of features in relevance order; each with its ranked values and
     # the complement values of the original descriptor.
@@ -441,7 +400,6 @@ def cross_substitute_greedy(
         complement = sorted(set(range(schema.cardinality(feature_idx))) - set(original))
         queue.append((entry.feature, feature_idx, ranked_values, complement))
 
-    done = False
     for name, feature_idx, ranked_values, complement in queue:
         if done:
             break
@@ -457,8 +415,8 @@ def cross_substitute_greedy(
                 if tuple(new_values) == current_values:
                     continue  # no-op pair
                 attempt = current.with_feature(feature_idx, new_values)
-                new_panel, new_effects = _evaluate_descriptor(dataset, attempt)
-                if new_panel is None:
+                new_panel, new_effects = evaluate(dataset, attempt)
+                if new_panel.n_subset == 0:
                     continue  # emptied the subgroup; revert
                 if not unconditional and not new_panel.score < panel.score:
                     continue

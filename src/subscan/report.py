@@ -166,13 +166,6 @@ def build_report(
     return report
 
 
-def mask_meta(report: dict[str, Any]) -> dict[str, Any]:
-    """Copy of a report with the run-varying meta block normalized away."""
-    masked = dict(report)
-    masked["meta"] = "MASKED"
-    return masked
-
-
 def write_json(path: str | Path, payload: dict[str, Any]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, allow_nan=False)

@@ -3,12 +3,12 @@
 Each restart starts from a random descriptor and repeatedly sweeps the
 features. A feature step relaxes that feature's constraint, aggregates
 (count, positives) per category over the records passing every other
-constraint, orders categories by positive rate, and scores every prefix of
-that ordering; the best prefix becomes the feature's new value set. For this
-score the best prefix matches the best of all value subsets (checkable via
-``validate_steps``), which is what keeps the step linear instead of
-exponential in the feature's cardinality. A restart has converged when a full
-sweep changes nothing.
+constraint, and hands those counts to ``best_prefix``: the LTSS step, which
+orders categories by positive rate and scores every prefix of that ordering.
+For this score the best prefix matches the best of all value subsets (the
+test suite audits every step against subset enumeration), which is what keeps
+the step linear instead of exponential in the feature's cardinality. A restart
+has converged when a full sweep changes nothing.
 
 Results are deterministic for a given seed and independent of the worker
 count: every restart draws from its own pre-spawned random stream and the
@@ -19,17 +19,31 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import combinations, product
-from typing import Literal
+from functools import partial
+from typing import Any, Callable, Literal, Sequence
 
 import numpy as np
 
-from .errors import BudgetError, ContractError, DegenerateDataError
+from .errors import ContractError, DegenerateDataError
 from .scoring import EffectMeasures, ScorePanel, bernoulli_score, odds_ratio, score_array
-from .tabular import Dataset, SubsetDescriptor, membership_mask
+from .tabular import Dataset, SubsetDescriptor, subset_counts
 
-_STEP_TOL = 1e-9          # slack for float-noise in ascent/LTSS assertions
-_LTSS_AUDIT_MAX_CARD = 12  # enumeration guard for validate_steps
+_STEP_TOL = 1e-9  # slack for float-noise in the ascent assertion
+
+
+def parallel_map(fn: Callable[[Any], Any], tasks: Sequence[Any], workers: int) -> list[Any]:
+    """``[fn(t) for t in tasks]``, spread over a process pool when workers > 1.
+
+    Results come back in task order and every task is computed the same way
+    on any worker, so the output does not depend on the worker count. ``fn``
+    must be picklable: a module-level function or a ``functools.partial`` of
+    one.
+    """
+    if workers > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunksize = max(1, len(tasks) // (workers * 2))
+            return list(pool.map(fn, tasks, chunksize=chunksize))
+    return [fn(t) for t in tasks]
 
 
 @dataclass(frozen=True)
@@ -66,6 +80,32 @@ class ScanResult:
     restart_index: int
 
 
+def evaluate(
+    dataset: Dataset, descriptor: SubsetDescriptor
+) -> tuple[ScorePanel, EffectMeasures | None]:
+    """Score panel and odds ratio of a descriptor's member set.
+
+    An empty member set gets the zero panel (``n_subset == 0``) and no
+    effects; a member set covering the whole dataset has no complement, so
+    its effects are None too.
+    """
+    n_subset, n_positive = subset_counts(dataset, descriptor)
+    if n_subset == 0:
+        return ScorePanel(0.0, 1.0, 0, 0, dataset.global_mean, 0.0), None
+    panel = bernoulli_score(n_positive, n_subset, dataset.global_mean)
+    n = dataset.n_records
+    if n_subset == n:
+        return panel, None
+    total_pos = dataset.n_positive
+    effects = odds_ratio(
+        n_positive,
+        n_subset - n_positive,
+        total_pos - n_positive,
+        (n - n_subset) - (total_pos - n_positive),
+    )
+    return panel, effects
+
+
 def _check_not_degenerate(dataset: Dataset) -> None:
     pos = dataset.n_positive
     if pos == 0 or pos == dataset.n_records:
@@ -82,33 +122,32 @@ def _random_nonempty_subset(rng: np.random.Generator, cardinality: int) -> np.nd
             return inc
 
 
-def _ltss_step_audit(
-    counts: np.ndarray, positives: np.ndarray, mu: float, best_prefix_score: float
-) -> None:
-    """Check the adopted prefix against brute-force enumeration of value subsets."""
+def best_prefix(
+    counts: np.ndarray, positives: np.ndarray, mu: float
+) -> tuple[np.ndarray, float]:
+    """The LTSS feature step: best value set of one feature from its per-category counts.
+
+    Orders categories by positive rate (ties: larger count first, then lower
+    index) and scores every prefix of that order; the first best prefix wins,
+    so the set is the smallest among equal scores. Returns the included-category
+    mask, never empty, and its score.
+    """
     cardinality = len(counts)
-    if cardinality > _LTSS_AUDIT_MAX_CARD:
-        return
-    best = 0.0
-    for size in range(1, cardinality + 1):
-        for subset in combinations(range(cardinality), size):
-            idx = list(subset)
-            tot = float(counts[idx].sum())
-            pos = float(positives[idx].sum())
-            s = float(score_array(pos, tot, mu))
-            if s > best:
-                best = s
-    if best > best_prefix_score + _STEP_TOL * (1.0 + abs(best)):
-        raise AssertionError(
-            f"prefix step missed the optimal value subset: {best_prefix_score} < {best}"
-        )
+    rates = np.where(counts > 0, positives / np.maximum(counts, 1), 0.0)
+    perm = np.lexsort((np.arange(cardinality), -counts, -rates))
+    cum_tot = counts[perm].cumsum().astype(np.float64)
+    cum_pos = positives[perm].cumsum().astype(np.float64)
+    prefix_scores = score_array(cum_pos, cum_tot, mu)
+    k = int(np.argmax(prefix_scores))  # first max -> fewest categories
+    included = np.zeros(cardinality, dtype=bool)
+    included[perm[: k + 1]] = True
+    return included, float(prefix_scores[k])
 
 
 def _run_restart(
     dataset: Dataset,
-    seed_seq: np.random.SeedSequence,
     config: ScanConfig,
-    validate_steps: bool,
+    seed_seq: np.random.SeedSequence,
 ) -> tuple[float, tuple[tuple[int, ...], ...]]:
     """One restart; returns (score, per-feature included-value tuples)."""
     rng = np.random.default_rng(seed_seq)
@@ -142,25 +181,11 @@ def _run_restart(
             rows_z = rows[others, z]
             counts = np.bincount(rows_z, minlength=cards[z])
             positives = np.bincount(rows_z[y_bool[others]], minlength=cards[z])
-
-            rates = np.where(counts > 0, positives / np.maximum(counts, 1), 0.0)
-            # priority: rate desc, then count desc, then category index asc
-            perm = np.lexsort((np.arange(cards[z]), -counts, -rates))
-            cum_tot = counts[perm].cumsum().astype(np.float64)
-            cum_pos = positives[perm].cumsum().astype(np.float64)
-            prefix_scores = score_array(cum_pos, cum_tot, mu)
-            k = int(np.argmax(prefix_scores))  # first max -> fewest categories
-            best_score = float(prefix_scores[k])
-
-            if validate_steps:
-                _ltss_step_audit(counts, positives, mu, best_score)
+            new_inc, best_score = best_prefix(counts, positives, mu)
             if best_score < current_score - _STEP_TOL * (1.0 + abs(current_score)):
                 raise AssertionError(
                     f"ascent step decreased the score: {current_score} -> {best_score}"
                 )
-
-            new_inc = np.zeros(cards[z], dtype=bool)
-            new_inc[perm[: k + 1]] = True
             if not np.array_equal(new_inc, included[z]):
                 included[z] = new_inc
                 changed = True
@@ -173,39 +198,16 @@ def _run_restart(
     )
 
 
-def _restart_task(
-    args: tuple[Dataset, np.random.SeedSequence, ScanConfig, bool],
-) -> tuple[float, tuple[tuple[int, ...], ...]]:
-    return _run_restart(*args)
-
-
 def _finalize(
     dataset: Dataset,
     included: tuple[tuple[int, ...], ...],
     restart_index: int,
 ) -> ScanResult:
     cards = dataset.schema.cardinalities()
-    constraints = tuple(
-        (z, vals) for z, vals in enumerate(included) if len(vals) < cards[z]
+    descriptor = SubsetDescriptor(
+        tuple((z, vals) for z, vals in enumerate(included) if len(vals) < cards[z])
     )
-    descriptor = SubsetDescriptor(constraints)
-    mask = membership_mask(dataset, descriptor)
-    n_subset = int(mask.sum())
-    n_positive = int(dataset.outcomes[mask].sum())
-    if n_subset == 0:
-        panel = ScorePanel(0.0, 1.0, 0, 0, dataset.global_mean, 0.0)
-        return ScanResult(descriptor, panel, None, restart_index)
-    panel = bernoulli_score(n_positive, n_subset, dataset.global_mean)
-    n = dataset.n_records
-    effects = None
-    if n_subset < n:
-        total_pos = dataset.n_positive
-        effects = odds_ratio(
-            n_positive,
-            n_subset - n_positive,
-            total_pos - n_positive,
-            (n - n_subset) - (total_pos - n_positive),
-        )
+    panel, effects = evaluate(dataset, descriptor)
     return ScanResult(descriptor, panel, effects, restart_index)
 
 
@@ -214,98 +216,16 @@ def scan(
     config: ScanConfig = ScanConfig(),
     *,
     workers: int = 1,
-    validate_steps: bool = False,
 ) -> ScanResult:
     """Find the highest-scoring subgroup over ``config.n_restarts`` restarts.
 
     Ties across restarts go to the lowest restart index; a feature whose
     adopted value set covers all of its categories is dropped from the
-    returned descriptor as vacuous. ``validate_steps`` audits every feature
-    step against subset enumeration (cardinality <= 12) and is meant for
-    tests.
+    returned descriptor as vacuous.
     """
     _check_not_degenerate(dataset)
     seeds = np.random.SeedSequence(config.seed).spawn(config.n_restarts)
-    tasks = [(dataset, seeds[r], config, validate_steps) for r in range(config.n_restarts)]
-    if workers > 1 and config.n_restarts > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_restart_task, tasks, chunksize=max(1, len(tasks) // (workers * 2))))
-    else:
-        outcomes = [_restart_task(t) for t in tasks]
-
-    best_index = 0
-    best_score = outcomes[0][0]
-    for r in range(1, len(outcomes)):
-        if outcomes[r][0] > best_score:
-            best_score = outcomes[r][0]
-            best_index = r
+    outcomes = parallel_map(partial(_run_restart, dataset, config), seeds, workers)
+    # max() keeps the first of equal scores: the lowest restart index
+    best_index = max(range(len(outcomes)), key=lambda r: outcomes[r][0])
     return _finalize(dataset, outcomes[best_index][1], best_index)
-
-
-def _descriptor_sort_key(
-    constraints: tuple[tuple[int, tuple[int, ...]], ...],
-) -> tuple[int, tuple[tuple[int, tuple[int, ...]], ...]]:
-    return (len(constraints), constraints)
-
-
-def exhaustive_scan(dataset: Dataset, limit: int = 1_000_000) -> ScanResult:
-    """Global maximum by full descriptor enumeration; the oracle for scan().
-
-    Refuses to run when the descriptor count (product over features of
-    2**cardinality) exceeds ``limit``. Ties resolve to the descriptor with the
-    fewest constrained features, then lexicographically.
-    """
-    _check_not_degenerate(dataset)
-    cards = dataset.schema.cardinalities()
-    total = 1
-    for card in cards:
-        total *= 2 ** card
-        if total > limit:
-            raise BudgetError(
-                f"descriptor space exceeds the evaluation budget ({limit})"
-            )
-
-    rows = dataset.rows
-    y = dataset.outcomes
-    mu = dataset.global_mean
-    n = dataset.n_records
-
-    # Per-feature choices: unconstrained, or any nonempty proper value subset
-    # (the full subset is identical to unconstrained).
-    choice_lists = []
-    for z, card in enumerate(cards):
-        choices: list[tuple[int, tuple[int, ...]] | None] = [None]
-        for size in range(1, card):
-            for vals in combinations(range(card), size):
-                choices.append((z, vals))
-        choice_lists.append(choices)
-
-    value_masks = [
-        [rows[:, z] == v for v in range(card)] for z, card in enumerate(cards)
-    ]
-
-    best_score = -1.0
-    best_key: tuple[int, tuple] | None = None
-    best_constraints: tuple[tuple[int, tuple[int, ...]], ...] = ()
-    for combo in product(*choice_lists):
-        constraints = tuple(c for c in combo if c is not None)
-        mask = np.ones(n, dtype=bool)
-        for z, vals in constraints:
-            allowed = value_masks[z][vals[0]].copy()
-            for v in vals[1:]:
-                allowed |= value_masks[z][v]
-            mask &= allowed
-        n_subset = float(mask.sum())
-        n_positive = float(y[mask].sum())
-        s = float(score_array(n_positive, n_subset, mu))
-        key = _descriptor_sort_key(constraints)
-        if s > best_score or (s == best_score and (best_key is None or key < best_key)):
-            best_score = s
-            best_key = key
-            best_constraints = constraints
-
-    included = tuple(
-        dict(best_constraints).get(z, tuple(range(card)))
-        for z, card in enumerate(cards)
-    )
-    return _finalize(dataset, included, 0)

@@ -25,7 +25,13 @@ from .errors import ContractError
 Z_95 = 1.96  # two-sided 95% normal quantile used for odds-ratio intervals
 
 
-def _check_counts(n_positive: float, n_subset: float, global_mean: float) -> None:
+def optimal_q(n_positive: float, n_subset: float, global_mean: float) -> float:
+    """Score-maximizing odds multiplier, clamped at 1.
+
+    Returns math.inf for an all-positive subset; bernoulli_score handles that
+    sentinel via the analytic limit. Rejects counts and means outside their
+    domains.
+    """
     if not 0.0 < global_mean < 1.0:
         raise ContractError(f"global_mean must lie in (0, 1), got {global_mean}")
     if n_subset < 1:
@@ -34,15 +40,6 @@ def _check_counts(n_positive: float, n_subset: float, global_mean: float) -> Non
         raise ContractError(
             f"n_positive must lie in [0, n_subset], got {n_positive} of {n_subset}"
         )
-
-
-def optimal_q(n_positive: float, n_subset: float, global_mean: float) -> float:
-    """Score-maximizing odds multiplier, clamped at 1.
-
-    Returns math.inf for an all-positive subset; bernoulli_score handles that
-    sentinel via the analytic limit.
-    """
-    _check_counts(n_positive, n_subset, global_mean)
     if n_positive == n_subset:
         return math.inf
     # the null decision uses the same division that produces subset rates, so
@@ -51,18 +48,6 @@ def optimal_q(n_positive: float, n_subset: float, global_mean: float) -> float:
         return 1.0
     q = (n_positive * (1.0 - global_mean)) / (global_mean * (n_subset - n_positive))
     return max(1.0, float(q))
-
-
-def score_value(n_positive: float, n_subset: float, global_mean: float) -> float:
-    """Scalar scan score; same arithmetic as the vectorized path bit for bit."""
-    _check_counts(n_positive, n_subset, global_mean)
-    return float(
-        score_array(
-            np.asarray(float(n_positive)),
-            np.asarray(float(n_subset)),
-            global_mean,
-        )
-    )
 
 
 def score_array(
@@ -104,11 +89,13 @@ class ScorePanel:
 
 
 def bernoulli_score(n_positive: int, n_subset: int, global_mean: float) -> ScorePanel:
-    """Score a subset from its counts; see the module docstring for the formula."""
-    q = optimal_q(n_positive, n_subset, global_mean)
-    score = score_value(n_positive, n_subset, global_mean)
+    """Score a subset from its counts; see the module docstring for the formula.
+
+    The score is ``score_array`` on the same counts, bit for bit.
+    """
+    q = optimal_q(n_positive, n_subset, global_mean)  # validates the counts
     return ScorePanel(
-        score=score,
+        score=float(score_array(float(n_positive), float(n_subset), global_mean)),
         q_mle=q,
         n_subset=int(n_subset),
         n_positive=int(n_positive),

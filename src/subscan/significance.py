@@ -13,13 +13,13 @@ identical floor values is not misread as insensitivity.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
 from .errors import ContractError, DegenerateDataError
-from .scan import ScanConfig, scan
+from .scan import ScanConfig, parallel_map, scan
 from .tabular import Dataset
 
 _MAX_REDRAWS = 100  # attempts before giving up on an all-0/all-1 replicate
@@ -72,10 +72,6 @@ def _replicate_score(
     )
 
 
-def _replicate_task(args: tuple[Dataset, BootstrapConfig, int]) -> float:
-    return _replicate_score(*args)
-
-
 def null_score_distribution(
     dataset: Dataset, config: BootstrapConfig, *, workers: int = 1
 ) -> np.ndarray:
@@ -84,14 +80,9 @@ def null_score_distribution(
     Replicate streams derive from (seed, replicate index), so results do not
     depend on the worker count.
     """
-    tasks = [(dataset, config, r) for r in range(config.n_replicates)]
-    if workers > 1 and config.n_replicates > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            scores = list(
-                pool.map(_replicate_task, tasks, chunksize=max(1, len(tasks) // (workers * 2)))
-            )
-    else:
-        scores = [_replicate_task(t) for t in tasks]
+    scores = parallel_map(
+        partial(_replicate_score, dataset, config), range(config.n_replicates), workers
+    )
     return np.asarray(scores, dtype=np.float64)
 
 

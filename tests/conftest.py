@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import importlib
+
 import numpy as np
 import pytest
 
+from oracles import StepAudit
 from subscan.scan import ScanConfig
 from subscan.tabular import (
     Dataset,
@@ -84,3 +87,17 @@ def tiny_dataset() -> Dataset:
 @pytest.fixture
 def fast_scan_config() -> ScanConfig:
     return ScanConfig(n_restarts=5, seed=123)
+
+
+@pytest.fixture
+def audit_steps(monkeypatch) -> StepAudit:
+    """Audit every feature step of scan() in this test against subset enumeration.
+
+    The package attribute ``subscan.scan`` is the scan function, which shadows
+    the submodule, so the module is looked up by name. Only in-process
+    restarts are audited (workers=1).
+    """
+    module = importlib.import_module("subscan.scan")
+    audit = StepAudit(module.best_prefix)
+    monkeypatch.setattr(module, "best_prefix", audit)
+    return audit

@@ -2,13 +2,23 @@
 
 Everything here deliberately avoids the code paths it checks: numeric
 maximization instead of the closed form, pure-Python row loops instead of
-vectorized masks, and full subset enumeration instead of prefix scans.
+vectorized masks, and full subset enumeration instead of prefix scans and
+coordinate ascent. ``exhaustive_scan`` checks the search, not the score, so it
+scores descriptors with the package's closed form.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import combinations
+from functools import lru_cache
+from itertools import combinations, product
+
+import numpy as np
+
+from subscan.errors import BudgetError
+from subscan.scan import ScanResult, _check_not_degenerate, _finalize
+from subscan.scoring import score_array
+from subscan.tabular import Dataset
 
 
 def objective(q: float, n_positive: float, n_subset: float, mu: float) -> float:
@@ -75,3 +85,119 @@ def best_category_subset_score(counts, positives, mu: float) -> float:
             best = max(best, numeric_max_score(pos, tot, mu) if pos < tot
                        else -tot * math.log(mu))
     return best
+
+
+_cached_numeric_max_score = lru_cache(maxsize=None)(numeric_max_score)
+_cached_best_subset_score = lru_cache(maxsize=None)(best_category_subset_score)
+
+
+class StepAudit:
+    """A feature step that checks each of its results against subset enumeration.
+
+    Wraps ``subscan.scan.best_prefix``: every step must return a nonempty
+    value set whose score is the returned score, and no value subset may
+    score higher. Steps over more than 12 categories are passed through
+    unchecked, since enumeration doubles per category; ``audited`` counts the steps that were checked.
+    Restarts revisit the same counts often, so the enumeration results are
+    cached per input; every step is still compared against them.
+    """
+
+    MAX_CARDINALITY = 12
+    TOL = 1e-9  # float noise allowed between prefix and enumeration scores
+
+    def __init__(self, step):
+        self.step = step
+        self.audited = 0
+
+    def __call__(self, counts, positives, mu: float):
+        included, score = self.step(counts, positives, mu)
+        if len(counts) > self.MAX_CARDINALITY:
+            return included, score
+        chosen = [i for i in range(len(counts)) if included[i]]
+        if not chosen:
+            raise AssertionError("feature step returned an empty value set")
+        tot = sum(int(counts[i]) for i in chosen)
+        pos = sum(int(positives[i]) for i in chosen)
+        own = _cached_numeric_max_score(pos, tot, mu) if tot else 0.0
+        if abs(own - score) > 1e-6 * abs(own) + 1e-9:
+            raise AssertionError(
+                f"feature step reported {score} for a value set scoring {own}"
+            )
+        best = _cached_best_subset_score(
+            tuple(int(c) for c in counts), tuple(int(p) for p in positives), mu
+        )
+        if best > score + self.TOL * (1.0 + abs(best)):
+            raise AssertionError(
+                f"prefix step missed the optimal value subset: {score} < {best}"
+            )
+        self.audited += 1
+        return included, score
+
+
+def _descriptor_sort_key(
+    constraints: tuple[tuple[int, tuple[int, ...]], ...],
+) -> tuple[int, tuple[tuple[int, tuple[int, ...]], ...]]:
+    return (len(constraints), constraints)
+
+
+def exhaustive_scan(dataset: Dataset, limit: int = 1_000_000) -> ScanResult:
+    """Global maximum by full descriptor enumeration; the oracle for scan().
+
+    Refuses to run when the descriptor count (product over features of
+    2**cardinality) exceeds ``limit``. Ties resolve to the descriptor with the
+    fewest constrained features, then lexicographically.
+    """
+    _check_not_degenerate(dataset)
+    cards = dataset.schema.cardinalities()
+    total = 1
+    for card in cards:
+        total *= 2 ** card
+        if total > limit:
+            raise BudgetError(
+                f"descriptor space exceeds the evaluation budget ({limit})"
+            )
+
+    rows = dataset.rows
+    y = dataset.outcomes
+    mu = dataset.global_mean
+    n = dataset.n_records
+
+    # Per-feature choices: unconstrained, or any nonempty proper value subset
+    # (the full subset is identical to unconstrained).
+    choice_lists = []
+    for z, card in enumerate(cards):
+        choices: list[tuple[int, tuple[int, ...]] | None] = [None]
+        for size in range(1, card):
+            for vals in combinations(range(card), size):
+                choices.append((z, vals))
+        choice_lists.append(choices)
+
+    value_masks = [
+        [rows[:, z] == v for v in range(card)] for z, card in enumerate(cards)
+    ]
+
+    best_score = -1.0
+    best_key: tuple[int, tuple] | None = None
+    best_constraints: tuple[tuple[int, tuple[int, ...]], ...] = ()
+    for combo in product(*choice_lists):
+        constraints = tuple(c for c in combo if c is not None)
+        mask = np.ones(n, dtype=bool)
+        for z, vals in constraints:
+            allowed = value_masks[z][vals[0]].copy()
+            for v in vals[1:]:
+                allowed |= value_masks[z][v]
+            mask &= allowed
+        n_subset = float(mask.sum())
+        n_positive = float(y[mask].sum())
+        s = float(score_array(n_positive, n_subset, mu))
+        key = _descriptor_sort_key(constraints)
+        if s > best_score or (s == best_score and (best_key is None or key < best_key)):
+            best_score = s
+            best_key = key
+            best_constraints = constraints
+
+    included = tuple(
+        dict(best_constraints).get(z, tuple(range(card)))
+        for z, card in enumerate(cards)
+    )
+    return _finalize(dataset, included, 0)

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from scipy.stats import binomtest
 
-from oracles import golden_section_max_q, numeric_max_score
+from oracles import exhaustive_scan, golden_section_max_q, numeric_max_score
 from subscan.cli import main as cli_main
 from subscan.postdiscovery import (
     cross_substitute_greedy,
@@ -27,8 +27,8 @@ from subscan.postdiscovery import (
     single_substitution_sweep,
     RelevanceEntry,
 )
-from subscan.scan import ScanConfig, exhaustive_scan, scan
-from subscan.scoring import optimal_q, score_value
+from subscan.scan import ScanConfig, scan
+from subscan.scoring import bernoulli_score, optimal_q
 from subscan.significance import (
     BootstrapConfig,
     empirical_p_value,
@@ -82,7 +82,7 @@ def test_criterion_1_score_formula_fidelity():
         n_positive = int(rng.integers(0, n_subset + 1))
         mu = float(rng.uniform(0.005, 0.99))
         q = optimal_q(n_positive, n_subset, mu)
-        score = score_value(n_positive, n_subset, mu)
+        score = bernoulli_score(n_positive, n_subset, mu).score
         oracle_score = numeric_max_score(n_positive, n_subset, mu)
         assert score == pytest.approx(oracle_score, rel=1e-6, abs=1e-9)
         if n_positive < n_subset and q > 1.0:
@@ -91,14 +91,14 @@ def test_criterion_1_score_formula_fidelity():
     for _ in range(100):
         n = int(rng.integers(10, 3000))
         c = int(rng.integers(1, n))
-        assert score_value(c, n, c / n) == 0.0  # the full dataset as its own subset
+        assert bernoulli_score(c, n, c / n).score == 0.0  # the full dataset as its own subset
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
     report(1, f"1000 closed-form q*/score pairs match numeric maximization "
               f"to 1e-6; 100 full-dataset subsets score exactly 0 ({elapsed:.1f}s)")
 
 
-def test_criterion_2_oracle_equivalence():
+def test_criterion_2_oracle_equivalence(audit_steps):
     start = time.perf_counter()
     matches = 0
     instances = 50
@@ -108,18 +108,17 @@ def test_criterion_2_oracle_equivalence():
         n_records = int(rng.integers(80, 201))
         dataset = random_dataset(rng, n_records, cards, positive_rate=0.25)
         truth = exhaustive_scan(dataset)
-        found = scan(
-            dataset, ScanConfig(n_restarts=50, seed=seed), validate_steps=True
-        )
+        found = scan(dataset, ScanConfig(n_restarts=50, seed=seed))
         assert found.panel.score <= truth.panel.score + 1e-9
         if found.panel.score == pytest.approx(truth.panel.score, rel=1e-9, abs=1e-12):
             matches += 1
     elapsed = time.perf_counter() - start
     assert matches >= 49, f"scan matched exhaustive on only {matches}/{instances}"
+    assert audit_steps.audited > 0
     assert elapsed < 60.0
     report(2, f"scan (50 restarts) matched the exhaustive optimum on "
-              f"{matches}/{instances} instances; prefix-step audit held on every "
-              f"feature step ({elapsed:.1f}s)")
+              f"{matches}/{instances} instances; prefix-step audit held on all "
+              f"{audit_steps.audited} feature steps ({elapsed:.1f}s)")
 
 
 def test_criterion_3_planted_subset_recovery(cohort_family):

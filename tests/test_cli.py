@@ -188,6 +188,33 @@ class TestRankAndSubstitute:
             assert list(csv.DictReader(fh)) == []
 
 
+MALFORMED_REPORTS = {
+    "scan_not_json": ("rank", "scan", "{nope"),
+    "scan_top_level_array": ("rank", "scan", "[1, 2]"),
+    "scan_block_without_descriptor_rank": ("rank", "scan", '{"scan": {"score": 1.0}}'),
+    "scan_block_without_descriptor_substitute": (
+        "substitute", "scan", '{"scan": {"score": 1.0}}'),
+    "rank_not_json": ("substitute", "rank", "{nope"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_REPORTS))
+def test_malformed_saved_report_exits_2(case, cohort_csv, scan_report, tmp_path, capsys):
+    command, which, text = MALFORMED_REPORTS[case]
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    argv = [command, "--input", str(cohort_csv), "--outcome", "y", "--out", str(tmp_path)]
+    if which == "scan":
+        argv += ["--scan-report", str(bad)]
+    else:
+        argv += ["--scan-report", str(scan_report), "--rank-report", str(bad)]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert str(bad) in err
+
+
 class TestPipeline:
     def test_end_to_end_denormalizes(self, cohort_csv, tmp_path, report_schema):
         out = tmp_path / "pipe"
@@ -247,6 +274,15 @@ class TestConfigFile:
         conf.write_text(json.dumps({"restart_count": 3}))
         assert run(["scan", "--config", str(conf), "--out", str(tmp_path)]) == 2
         assert "unknown config key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [("restarts", "10"), ("workers", "2")])
+    def test_wrongly_typed_value_rejected(self, cohort_csv, tmp_path, capsys, key, value):
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"input": str(cohort_csv), key: value}))
+        assert run(["scan", "--config", str(conf), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config key {key!r} must be int")
+        assert err.count("\n") == 1
 
     def test_invalid_json_rejected(self, tmp_path):
         conf = tmp_path / "conf.json"

@@ -2,9 +2,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import StepAudit, best_category_subset_score, exhaustive_scan
 from subscan.errors import BudgetError, DegenerateDataError
-from subscan.scan import ScanConfig, exhaustive_scan, scan
+from subscan.scan import ScanConfig, best_prefix, scan
 from subscan.scoring import bernoulli_score
 from subscan.tabular import Dataset, Schema, SubsetDescriptor, membership_mask
 
@@ -20,9 +23,10 @@ def concentrated_dataset() -> Dataset:
 
 
 class TestScan:
-    def test_concentrated_signal_recovered(self):
+    def test_concentrated_signal_recovered(self, audit_steps):
         ds = concentrated_dataset()
-        result = scan(ds, ScanConfig(n_restarts=8, seed=2), validate_steps=True)
+        result = scan(ds, ScanConfig(n_restarts=8, seed=2))
+        assert audit_steps.audited > 0
         assert result.descriptor == SubsetDescriptor.from_dict({0: [0]})
         oracle = exhaustive_scan(ds)
         assert result.panel.score == pytest.approx(oracle.panel.score, rel=1e-12)
@@ -67,10 +71,11 @@ class TestScan:
             for f, vs in result.descriptor.constraints:
                 assert len(vs) < ds.schema.cardinality(f)
 
-    def test_step_validation_passes_on_random_data(self):
+    def test_step_validation_passes_on_random_data(self, audit_steps):
         for seed in range(10):
             ds = random_dataset(np.random.default_rng(seed + 100), 120, (3, 4, 2))
-            scan(ds, ScanConfig(n_restarts=4, seed=seed), validate_steps=True)
+            scan(ds, ScanConfig(n_restarts=4, seed=seed))
+        assert audit_steps.audited > 0
 
     def test_degenerate_outcomes_rejected(self):
         schema = Schema((("a", ("x", "y")),))
@@ -89,6 +94,59 @@ class TestScan:
             ScanConfig(max_passes=0)
         with pytest.raises(Exception):
             ScanConfig(feature_order="sideways")
+
+
+@st.composite
+def category_counts(draw):
+    """Per-category (counts, positives) of one feature, zero-count categories included."""
+    cardinality = draw(st.integers(1, 8))
+    counts = draw(st.lists(st.integers(0, 60), min_size=cardinality, max_size=cardinality))
+    positives = [draw(st.integers(0, c)) for c in counts]
+    return np.array(counts, dtype=np.int64), np.array(positives, dtype=np.int64)
+
+
+class TestBestPrefix:
+    @given(category_counts(), st.floats(0.01, 0.99, exclude_min=True, exclude_max=True))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_subset_enumeration(self, counts_positives, mu):
+        counts, positives = counts_positives
+        included, score = best_prefix(counts, positives, mu)
+        assert included.dtype == bool and included.shape == counts.shape
+        assert included.any()
+        own = bernoulli_score_of(counts, positives, included, mu)
+        assert score == pytest.approx(own, rel=1e-12, abs=1e-12)
+        oracle = best_category_subset_score(counts, positives, mu)
+        assert score >= oracle - 1e-9 * abs(oracle) - 1e-12
+        assert score <= oracle + 1e-6 * abs(oracle) + 1e-9
+
+    def test_audit_rejects_a_wrong_step(self):
+        def first_category_only(counts, positives, mu):
+            included = np.zeros(len(counts), dtype=bool)
+            included[0] = True
+            _, score = best_prefix(counts[:1], positives[:1], mu)
+            return included, score
+
+        # category 1 carries most positives, so keeping category 0 alone is wrong
+        counts, positives = np.array([10, 10, 10]), np.array([0, 9, 1])
+        audit = StepAudit(first_category_only)
+        with pytest.raises(AssertionError, match="missed the optimal value subset"):
+            audit(counts, positives, 0.3)
+        assert audit.audited == 0
+
+    def test_audit_rejects_a_misreported_score(self):
+        def inflated(counts, positives, mu):
+            included, score = best_prefix(counts, positives, mu)
+            return included, score + 1.0
+
+        with pytest.raises(AssertionError, match="reported"):
+            StepAudit(inflated)(np.array([10, 10]), np.array([8, 1]), 0.3)
+
+
+def bernoulli_score_of(counts, positives, included, mu) -> float:
+    n_subset = int(counts[included].sum())
+    if n_subset == 0:
+        return 0.0
+    return bernoulli_score(int(positives[included].sum()), n_subset, mu).score
 
 
 class TestExhaustive:

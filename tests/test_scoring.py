@@ -15,7 +15,6 @@ from subscan.scoring import (
     odds_ratio,
     optimal_q,
     score_array,
-    score_value,
 )
 
 
@@ -81,7 +80,7 @@ class TestBernoulliScore:
 
     def test_panel_reproducible_from_counts(self):
         panel = bernoulli_score(17, 60, 0.13)
-        again = score_value(panel.n_positive, panel.n_subset, panel.global_mean)
+        again = bernoulli_score(panel.n_positive, panel.n_subset, panel.global_mean).score
         assert abs(again - panel.score) <= 1e-9
         assert panel.subset_mean == 17 / 60
 
@@ -103,7 +102,7 @@ class TestBernoulliScore:
     def test_zero_exactly_at_or_below_null(self, n_subset, n_positive, mu):
         n_positive = min(n_positive, n_subset)
         if n_positive / n_subset <= mu:
-            assert score_value(n_positive, n_subset, mu) == 0.0
+            assert bernoulli_score(n_positive, n_subset, mu).score == 0.0
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=100, deadline=None)
@@ -112,7 +111,7 @@ class TestBernoulliScore:
         n_subset = int(rng.integers(1, 2000))
         n_positive = int(rng.integers(0, n_subset + 1))
         mu = float(rng.uniform(0.01, 0.95))
-        score = score_value(n_positive, n_subset, mu)
+        score = bernoulli_score(n_positive, n_subset, mu).score
         oracle = numeric_max_score(n_positive, n_subset, mu)
         assert score == pytest.approx(oracle, rel=1e-6, abs=1e-9)
 
@@ -121,7 +120,7 @@ class TestBernoulliScore:
         tot = np.array([10.0, 10.0, 10.0, 10.0, 0.0])
         arr = score_array(pos, tot, 0.1)
         for i in range(4):
-            assert arr[i] == score_value(pos[i], tot[i], 0.1)
+            assert arr[i] == bernoulli_score(pos[i], tot[i], 0.1).score
         assert arr[4] == 0.0  # empty subsets score zero in the vectorized path
 
 
