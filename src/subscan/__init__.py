@@ -8,7 +8,6 @@ values that destroy it.
 """
 
 from .errors import (
-    BudgetError,
     ContractError,
     DegenerateDataError,
     LoadError,
@@ -45,6 +44,7 @@ from .tabular import (
     Schema,
     SubsetDescriptor,
     SyntheticSpec,
+    category_counts,
     generate_synthetic,
     load_csv,
     membership,
@@ -57,7 +57,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BootstrapConfig",
-    "BudgetError",
     "ContractError",
     "Dataset",
     "DegenerateDataError",
@@ -77,6 +76,7 @@ __all__ = [
     "SubstitutionOutcome",
     "SyntheticSpec",
     "bernoulli_score",
+    "category_counts",
     "cross_substitute_greedy",
     "empirical_p_value",
     "enumerate_substitutions",

@@ -24,7 +24,7 @@ from typing import Any, get_args, get_type_hints
 import numpy as np
 
 from . import report as rep
-from .errors import BudgetError, ContractError, DegenerateDataError, LoadError
+from .errors import ContractError, DegenerateDataError, LoadError
 from .postdiscovery import (
     RelevanceConfig,
     RelevanceEntry,
@@ -39,6 +39,7 @@ from .tabular import (
     Dataset,
     SubsetDescriptor,
     SyntheticSpec,
+    _synthetic_schema,
     generate_synthetic,
     load_csv,
     write_csv,
@@ -89,18 +90,9 @@ class PipelineConfig:
         )
 
     def relevance_config(self) -> RelevanceConfig:
-        if self.top_k is not None and self.delta_threshold is not None:
-            raise ContractError("--top-k and --delta-threshold are mutually exclusive")
-        if self.top_k is not None:
-            selection = "top_k"
-        elif self.delta_threshold is not None:
-            selection = "threshold"
-        else:
-            selection = "all"
         return RelevanceConfig(
             reference_expectation=self.reference,  # type: ignore[arg-type]
             ranking_mode=self.ranking_mode,  # type: ignore[arg-type]
-            selection=selection,  # type: ignore[arg-type]
             top_k=self.top_k,
             threshold=self.delta_threshold,
         )
@@ -146,6 +138,8 @@ def _merged_config(args: argparse.Namespace) -> PipelineConfig:
         raise ContractError("workers must be >= 1")
     if not 0.0 < cfg.alpha < 1.0:
         raise ContractError("alpha must lie in (0, 1)")
+    cfg.bootstrap_config()  # and the scan config: bad knobs fail before data is read
+    cfg.relevance_config()
     return cfg
 
 
@@ -176,35 +170,13 @@ def _parse_planted(
     spec_string: str, cardinalities: tuple[int, ...]
 ) -> SubsetDescriptor:
     """Parse 'f0=v0|v1;f2=v3' into a descriptor over synthetic feature names."""
-    constraints: dict[int, list[int]] = {}
+    labels: dict[str, list[str]] = {}
     for clause in spec_string.split(";"):
-        clause = clause.strip()
-        if not clause or "=" not in clause:
-            raise ContractError(f"bad planted clause {clause!r}; expected fK=vI|vJ")
-        name, values = clause.split("=", 1)
-        if not name.startswith("f"):
-            raise ContractError(f"bad planted feature {name!r}; expected fK")
-        try:
-            feature = int(name[1:])
-        except ValueError:
-            raise ContractError(f"bad planted feature {name!r}") from None
-        idxs = []
-        for v in values.split("|"):
-            v = v.strip()
-            if not v.startswith("v"):
-                raise ContractError(f"bad planted value {v!r}; expected vI")
-            try:
-                idxs.append(int(v[1:]))
-            except ValueError:
-                raise ContractError(f"bad planted value {v!r}") from None
-        constraints[feature] = idxs
-    descriptor = SubsetDescriptor.from_dict(constraints)
-    for f, vs in descriptor.constraints:
-        if not 0 <= f < len(cardinalities):
-            raise ContractError(f"planted feature f{f} out of range")
-        if any(not 0 <= v < cardinalities[f] for v in vs):
-            raise ContractError(f"planted value out of range for feature f{f}")
-    return descriptor
+        name, sep, values = clause.partition("=")
+        if not sep:
+            raise ContractError(f"bad planted clause {clause.strip()!r}; expected fK=vI|vJ")
+        labels[name.strip()] = [v.strip() for v in values.split("|")]
+    return SubsetDescriptor.from_labels(_synthetic_schema(cardinalities), labels)
 
 
 def _default_planted(cardinalities: tuple[int, ...]) -> SubsetDescriptor:
@@ -258,7 +230,7 @@ def cmd_synth(cfg: PipelineConfig) -> int:
             timer.seconds,
             dataset_block=rep.dataset_summary(dataset, str(out / "cohort.csv"), cfg.outcome),
         )
-        payload["planted_descriptor"] = rep.descriptor_to_json(descriptor, dataset.schema)
+        payload["planted_descriptor"] = descriptor.to_labels(dataset.schema)
         rep.write_json(out / "planted.json", payload)
     return 0
 
@@ -301,7 +273,7 @@ def _load_scan_report(cfg: PipelineConfig, dataset: Dataset) -> ScanResult:
     if block is None:
         raise LoadError(f"{path}: no scan block in report")
     try:
-        descriptor = rep.descriptor_from_json(block["descriptor"], dataset.schema)
+        descriptor = SubsetDescriptor.from_labels(dataset.schema, block["descriptor"])
         stored = float(block["score"])
         restart_index = int(block.get("restart_index", 0))
     except (KeyError, TypeError, ValueError, AttributeError) as e:
@@ -323,18 +295,7 @@ def _ranking_from_report(path_str: str) -> list[RelevanceEntry]:
     if rows is None:
         raise LoadError(f"{path}: no relevance block in report")
     try:
-        return [
-            RelevanceEntry(
-                feature=r["feature"],
-                value=r["value"],
-                e_value=r["e_value"],
-                subset_deviation=r["subset_deviation"],
-                global_deviation=r["global_deviation"],
-                deviation_ratio=r["deviation_ratio"],
-                rank=r["rank"],
-            )
-            for r in rows
-        ]
+        return [RelevanceEntry(**r) for r in rows]
     except (KeyError, TypeError, ValueError, AttributeError) as e:
         raise LoadError(f"{path}: malformed relevance block ({e!r})") from None
 
@@ -436,7 +397,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file; explicit flags win")
     parser.add_argument("--out", help="output directory (default .)")
     parser.add_argument("--seed", type=int, help="master seed for every stochastic stage")
-    parser.add_argument("--workers", type=int, help="parallel workers (default 1)")
+    parser.add_argument("--workers", type=int,
+                        help="parallel worker processes (default 1; capped at the CPU "
+                             "count and at the number of tasks)")
 
 
 def _add_data(parser: argparse.ArgumentParser) -> None:
@@ -521,7 +484,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _merged_config(args)
         return int(args.func(cfg))
-    except (ContractError, LoadError, BudgetError) as exc:
+    except (ContractError, LoadError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DegenerateDataError as exc:

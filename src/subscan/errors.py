@@ -15,7 +15,3 @@ class LoadError(SubscanError):
 
 class DegenerateDataError(SubscanError):
     """Outcomes are all 0 or all 1, so the scan statistic is undefined."""
-
-
-class BudgetError(SubscanError):
-    """Exhaustive enumeration would exceed the caller's evaluation budget."""

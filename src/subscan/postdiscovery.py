@@ -31,7 +31,7 @@ from .errors import ContractError
 from .scan import ScanResult, evaluate
 from .scoring import EffectMeasures, ScorePanel
 from .significance import BootstrapConfig, null_score_distribution, p_from_null_scores
-from .tabular import Dataset, Schema, SubsetDescriptor
+from .tabular import Dataset, Schema, SubsetDescriptor, category_counts
 
 
 @dataclass(frozen=True)
@@ -40,14 +40,13 @@ class RelevanceConfig:
 
     reference_expectation "subset_mean" uses the subgroup's own outcome rate;
     "unity" pins the reference at 1.0 (every subgroup member assumed positive).
-    Exactly one selection rule is active: "all" keeps everything, "top_k"
-    keeps the k best ranks, "threshold" keeps entries whose ranking statistic
-    exceeds the given bound.
+    The selection rule follows from the bound given: ``top_k`` keeps the k
+    best ranks, ``threshold`` keeps entries whose ranking statistic exceeds
+    it, and neither keeps everything. Both at once are rejected.
     """
 
     reference_expectation: Literal["subset_mean", "unity"] = "subset_mean"
     ranking_mode: Literal["deviation_ratio", "global_deviation"] = "deviation_ratio"
-    selection: Literal["all", "top_k", "threshold"] = "all"
     top_k: int | None = None
     threshold: float | None = None
 
@@ -56,21 +55,10 @@ class RelevanceConfig:
             raise ContractError("reference_expectation must be 'subset_mean' or 'unity'")
         if self.ranking_mode not in ("deviation_ratio", "global_deviation"):
             raise ContractError("ranking_mode must be 'deviation_ratio' or 'global_deviation'")
-        if self.selection == "top_k":
-            if self.top_k is None or self.top_k < 1:
-                raise ContractError("selection 'top_k' needs top_k >= 1")
-            if self.threshold is not None:
-                raise ContractError("only one selection rule may be active")
-        elif self.selection == "threshold":
-            if self.threshold is None:
-                raise ContractError("selection 'threshold' needs a threshold value")
-            if self.top_k is not None:
-                raise ContractError("only one selection rule may be active")
-        elif self.selection == "all":
-            if self.top_k is not None or self.threshold is not None:
-                raise ContractError("selection 'all' takes neither top_k nor threshold")
-        else:
-            raise ContractError("selection must be 'all', 'top_k' or 'threshold'")
+        if self.top_k is not None and self.threshold is not None:
+            raise ContractError("top_k and threshold are mutually exclusive selection rules")
+        if self.top_k is not None and self.top_k < 1:
+            raise ContractError("top_k must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -127,15 +115,16 @@ def order_relevance_entries(
 
 
 def _apply_selection(
-    entries: list[RelevanceEntry], config: RelevanceConfig, ranking_mode: str
+    entries: list[RelevanceEntry], config: RelevanceConfig
 ) -> list[RelevanceEntry]:
-    if config.selection == "all":
-        return entries
-    if config.selection == "top_k":
+    if config.top_k is not None:
         return entries[: config.top_k]
+    if config.threshold is None:
+        return entries
+    by_ratio = config.ranking_mode == "deviation_ratio"
     kept = []
     for e in entries:
-        stat = e.deviation_ratio if ranking_mode == "deviation_ratio" else e.global_deviation
+        stat = e.deviation_ratio if by_ratio else e.global_deviation
         if stat is not None and stat > config.threshold:
             kept.append(e)
     return kept
@@ -165,11 +154,10 @@ def rank_feature_relevance(
     entries = []
     for feature_idx, values in descriptor.constraints:
         name, cats = dataset.schema.features[feature_idx]
-        col = dataset.rows[:, feature_idx]
+        counts, positives = category_counts(dataset, {}, feature_idx)
         for v in values:
-            hits = col == v
-            count = int(hits.sum())
-            e_value = float(dataset.outcomes[hits].sum()) / count if count else 0.0
+            count = int(counts[v])
+            e_value = float(positives[v]) / count if count else 0.0
             subset_dev, global_dev, ratio = relevance_stats(
                 e_value, reference, dataset.global_mean
             )
@@ -185,7 +173,7 @@ def rank_feature_relevance(
                 )
             )
     ordered = order_relevance_entries(entries, config.ranking_mode)
-    return _apply_selection(ordered, config, config.ranking_mode)
+    return _apply_selection(ordered, config)
 
 
 @dataclass(frozen=True)
@@ -260,6 +248,35 @@ class SubstitutionOutcome:
     empty: bool = False
 
 
+def _score_substitution(
+    dataset: Dataset,
+    candidate: SubstitutionCandidate,
+    old_score: float,
+    old_effects: EffectMeasures | None,
+    alpha: float,
+    null_scores: np.ndarray,
+) -> tuple[SubstitutionOutcome, ScorePanel, EffectMeasures | None]:
+    """(outcome, panel, effects) of a candidate against the subgroup it perturbs.
+
+    An empty member set gets the zero panel, no odds ratio and no p-value.
+    """
+    panel, effects = evaluate(dataset, candidate.resulting_descriptor)
+    empty = panel.n_subset == 0
+    new_p, at_floor = (None, False) if empty else p_from_null_scores(panel.score, null_scores)
+    outcome = SubstitutionOutcome(
+        candidate=candidate,
+        old_score=old_score,
+        new_score=panel.score,
+        old_or=old_effects.odds_ratio if old_effects is not None else None,
+        new_or=effects.odds_ratio if effects is not None else None,
+        new_p=new_p,
+        p_at_floor=at_floor,
+        significant=new_p is not None and new_p <= alpha,
+        empty=empty,
+    )
+    return outcome, panel, effects
+
+
 def _candidate_rank(
     candidate: SubstitutionCandidate, ranks: dict[tuple[str, str], int]
 ) -> float:
@@ -296,31 +313,12 @@ def single_substitution_sweep(
         range(len(candidates)),
         key=lambda i: (_candidate_rank(candidates[i], ranks), i),
     )
-    old_score = result.panel.score
-    old_or = result.effects.odds_ratio if result.effects is not None else None
-
-    outcomes = []
-    for i in order:
-        candidate = candidates[i]
-        panel, effects = evaluate(dataset, candidate.resulting_descriptor)
-        empty = panel.n_subset == 0  # the zero panel: score 0, no effects
-        new_p, at_floor = (
-            (None, False) if empty else p_from_null_scores(panel.score, null_scores)
-        )
-        outcomes.append(
-            SubstitutionOutcome(
-                candidate=candidate,
-                old_score=old_score,
-                new_score=panel.score,
-                old_or=old_or,
-                new_or=effects.odds_ratio if effects is not None else None,
-                new_p=new_p,
-                p_at_floor=at_floor,
-                significant=new_p is not None and new_p <= alpha,
-                empty=empty,
-            )
-        )
-    return outcomes
+    return [
+        _score_substitution(
+            dataset, candidates[i], result.panel.score, result.effects, alpha, null_scores
+        )[0]
+        for i in order
+    ]
 
 
 @dataclass(frozen=True)
@@ -383,22 +381,18 @@ def cross_substitute_greedy(
     # Queue of features in relevance order; each with its ranked values and
     # the complement values of the original descriptor.
     queue: list[tuple[str, int, list[int], list[int]]] = []
-    seen: set[str] = set()
-    for entry in ranking:
-        if entry.feature in seen:
-            continue
-        seen.add(entry.feature)
-        feature_idx = schema.feature_index(entry.feature)
+    for name in dict.fromkeys(e.feature for e in ranking):
+        feature_idx = schema.feature_index(name)
         original = result.descriptor.values_for(feature_idx)
         if original is None:
             continue
         ranked_values = [
             schema.value_index(feature_idx, e.value)
             for e in ranking
-            if e.feature == entry.feature
+            if e.feature == name
         ]
         complement = sorted(set(range(schema.cardinality(feature_idx))) - set(original))
-        queue.append((entry.feature, feature_idx, ranked_values, complement))
+        queue.append((name, feature_idx, ranked_values, complement))
 
     for name, feature_idx, ranked_values, complement in queue:
         if done:
@@ -414,32 +408,22 @@ def cross_substitute_greedy(
                 new_values = sorted(set(current_values) - {v} | {v_new})
                 if tuple(new_values) == current_values:
                     continue  # no-op pair
-                attempt = current.with_feature(feature_idx, new_values)
-                new_panel, new_effects = evaluate(dataset, attempt)
-                if new_panel.n_subset == 0:
+                candidate = SubstitutionCandidate(
+                    feature=name,
+                    from_values=(cats[v],),
+                    to_value=cats[v_new],
+                    resulting_descriptor=current.with_feature(feature_idx, new_values),
+                )
+                outcome, new_panel, new_effects = _score_substitution(
+                    dataset, candidate, panel.score, effects, alpha, null_scores
+                )
+                if outcome.empty:
                     continue  # emptied the subgroup; revert
                 if not unconditional and not new_panel.score < panel.score:
                     continue
-                new_p, new_floor = p_from_null_scores(new_panel.score, null_scores)
-                applied.append(
-                    SubstitutionOutcome(
-                        candidate=SubstitutionCandidate(
-                            feature=name,
-                            from_values=(cats[v],),
-                            to_value=cats[v_new],
-                            resulting_descriptor=attempt,
-                        ),
-                        old_score=panel.score,
-                        new_score=new_panel.score,
-                        old_or=effects.odds_ratio if effects is not None else None,
-                        new_or=new_effects.odds_ratio if new_effects is not None else None,
-                        new_p=new_p,
-                        p_at_floor=new_floor,
-                        significant=new_p <= alpha,
-                    )
-                )
-                current, panel, effects = attempt, new_panel, new_effects
-                p_value, at_floor = new_p, new_floor
+                applied.append(outcome)
+                current, panel, effects = candidate.resulting_descriptor, new_panel, new_effects
+                p_value, at_floor = outcome.new_p, outcome.p_at_floor
                 if stopped(panel.score, p_value):
                     done = True
                     break

@@ -12,6 +12,7 @@ import csv
 import json
 import math
 import socket
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any
@@ -19,17 +20,9 @@ from typing import Any
 from .postdiscovery import GreedyResult, RelevanceEntry, SubstitutionOutcome
 from .scan import ScanResult
 from .scoring import EffectMeasures, ScorePanel
-from .tabular import Dataset, Schema, SubsetDescriptor
+from .tabular import Dataset, Schema, _atomic_text
 
 TOOL_VERSION = "0.1.0"
-
-
-def descriptor_to_json(descriptor: SubsetDescriptor, schema: Schema) -> dict[str, list[str]]:
-    return descriptor.to_labels(schema)
-
-
-def descriptor_from_json(payload: dict[str, list[str]], schema: Schema) -> SubsetDescriptor:
-    return SubsetDescriptor.from_labels(schema, payload)
 
 
 def _number(x: float | None) -> float | None:
@@ -59,7 +52,7 @@ def scan_to_json(
 ) -> dict[str, Any]:
     panel: ScorePanel = result.panel
     return {
-        "descriptor": descriptor_to_json(result.descriptor, schema),
+        "descriptor": result.descriptor.to_labels(schema),
         "score": panel.score,
         "q_mle": _number(panel.q_mle),
         "n_subset": panel.n_subset,
@@ -74,18 +67,8 @@ def scan_to_json(
 
 
 def relevance_to_json(entries: list[RelevanceEntry]) -> list[dict[str, Any]]:
-    return [
-        {
-            "feature": e.feature,
-            "value": e.value,
-            "e_value": e.e_value,
-            "subset_deviation": e.subset_deviation,
-            "global_deviation": e.global_deviation,
-            "deviation_ratio": e.deviation_ratio,
-            "rank": e.rank,
-        }
-        for e in entries
-    ]
+    """One object per entry whose keys are the ``RelevanceEntry`` fields, in order."""
+    return [asdict(e) for e in entries]
 
 
 def substitution_to_json(outcome: SubstitutionOutcome, schema: Schema) -> dict[str, Any]:
@@ -93,9 +76,7 @@ def substitution_to_json(outcome: SubstitutionOutcome, schema: Schema) -> dict[s
         "feature": outcome.candidate.feature,
         "from_values": list(outcome.candidate.from_values),
         "to_value": outcome.candidate.to_value,
-        "resulting_descriptor": descriptor_to_json(
-            outcome.candidate.resulting_descriptor, schema
-        ),
+        "resulting_descriptor": outcome.candidate.resulting_descriptor.to_labels(schema),
         "old_score": outcome.old_score,
         "new_score": outcome.new_score,
         "old_or": _number(outcome.old_or),
@@ -110,7 +91,7 @@ def substitution_to_json(outcome: SubstitutionOutcome, schema: Schema) -> dict[s
 def greedy_to_json(result: GreedyResult, schema: Schema) -> dict[str, Any]:
     return {
         "denormalized": result.denormalized,
-        "final_descriptor": descriptor_to_json(result.descriptor, schema),
+        "final_descriptor": result.descriptor.to_labels(schema),
         "final_score": result.panel.score,
         "final_p": result.p_value,
         "p_at_floor": result.p_at_floor,
@@ -167,13 +148,13 @@ def build_report(
 
 
 def write_json(path: str | Path, payload: dict[str, Any]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with _atomic_text(path) as fh:
         json.dump(payload, fh, indent=2, allow_nan=False)
         fh.write("\n")
 
 
 def write_relevance_csv(path: str | Path, entries: list[RelevanceEntry]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with _atomic_text(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["feature", "value", "e_value", "subset_deviation",
@@ -190,7 +171,7 @@ def write_relevance_csv(path: str | Path, entries: list[RelevanceEntry]) -> None
 
 def write_substitutions_csv(path: str | Path, outcomes: list[SubstitutionOutcome]) -> None:
     """Plot-ready table; substitutions that emptied the subgroup are excluded."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with _atomic_text(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["feature", "from_value", "to_value", "new_score",

@@ -17,6 +17,7 @@ cross-restart reduction is an index-ordered max.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -26,7 +27,7 @@ import numpy as np
 
 from .errors import ContractError, DegenerateDataError
 from .scoring import EffectMeasures, ScorePanel, bernoulli_score, odds_ratio, score_array
-from .tabular import Dataset, SubsetDescriptor, subset_counts
+from .tabular import Dataset, SubsetDescriptor, category_counts, subset_counts
 
 _STEP_TOL = 1e-9  # slack for float-noise in the ascent assertion
 
@@ -34,12 +35,15 @@ _STEP_TOL = 1e-9  # slack for float-noise in the ascent assertion
 def parallel_map(fn: Callable[[Any], Any], tasks: Sequence[Any], workers: int) -> list[Any]:
     """``[fn(t) for t in tasks]``, spread over a process pool when workers > 1.
 
-    Results come back in task order and every task is computed the same way
-    on any worker, so the output does not depend on the worker count. ``fn``
-    must be picklable: a module-level function or a ``functools.partial`` of
-    one.
+    The pool has at most ``min(workers, len(tasks), os.cpu_count())``
+    processes. Results come back in task order and every task is computed the
+    same way on any worker, so the output does not depend on the worker
+    count. ``fn`` must be picklable: a module-level function or a
+    ``functools.partial`` of one.
     """
-    if workers > 1 and len(tasks) > 1:
+    # under the fork start method the pool starts max_workers processes at once
+    workers = min(workers, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunksize = max(1, len(tasks) // (workers * 2))
             return list(pool.map(fn, tasks, chunksize=chunksize))
@@ -151,36 +155,26 @@ def _run_restart(
 ) -> tuple[float, tuple[tuple[int, ...], ...]]:
     """One restart; returns (score, per-feature included-value tuples)."""
     rng = np.random.default_rng(seed_seq)
-    rows = dataset.rows
-    y = dataset.outcomes
-    y_bool = y.astype(bool)
     mu = dataset.global_mean
     n_features = dataset.schema.n_features
     cards = dataset.schema.cardinalities()
 
-    included = [_random_nonempty_subset(rng, card) for card in cards]
+    # feature -> included-category mask, the allowed masks of category_counts
+    included = {z: _random_nonempty_subset(rng, card) for z, card in enumerate(cards)}
     if config.feature_order == "shuffled":
         order = rng.permutation(n_features)
     else:
         order = np.arange(n_features)
 
-    full_mask = np.ones(dataset.n_records, dtype=bool)
-    for z in range(n_features):
-        full_mask &= included[z][rows[:, z]]
+    counts, positives = category_counts(dataset, included, 0)
     current_score = float(
-        score_array(float(y[full_mask].sum()), float(full_mask.sum()), mu)
+        score_array(float(positives[included[0]].sum()), float(counts[included[0]].sum()), mu)
     )
 
     for _ in range(config.max_passes):
         changed = False
         for z in order:
-            others = np.ones(dataset.n_records, dtype=bool)
-            for w in range(n_features):
-                if w != z:
-                    others &= included[w][rows[:, w]]
-            rows_z = rows[others, z]
-            counts = np.bincount(rows_z, minlength=cards[z])
-            positives = np.bincount(rows_z[y_bool[others]], minlength=cards[z])
+            counts, positives = category_counts(dataset, included, z)
             new_inc, best_score = best_prefix(counts, positives, mu)
             if best_score < current_score - _STEP_TOL * (1.0 + abs(current_score)):
                 raise AssertionError(
@@ -194,7 +188,7 @@ def _run_restart(
             break
 
     return current_score, tuple(
-        tuple(int(v) for v in np.flatnonzero(inc)) for inc in included
+        tuple(int(v) for v in np.flatnonzero(inc)) for inc in included.values()
     )
 
 
@@ -203,10 +197,7 @@ def _finalize(
     included: tuple[tuple[int, ...], ...],
     restart_index: int,
 ) -> ScanResult:
-    cards = dataset.schema.cardinalities()
-    descriptor = SubsetDescriptor(
-        tuple((z, vals) for z, vals in enumerate(included) if len(vals) < cards[z])
-    )
+    descriptor = SubsetDescriptor(tuple(enumerate(included))).normalized(dataset.schema)
     panel, effects = evaluate(dataset, descriptor)
     return ScanResult(descriptor, panel, effects, restart_index)
 

@@ -2,15 +2,20 @@
 
 Categories are encoded as dense integer indices per feature; human-readable
 labels live only in the Schema. Rows and outcomes are immutable numpy arrays,
-so datasets can be shared freely across parallel workers.
+so datasets can be shared freely across parallel workers. Only this module
+reads them: the other modules see the data through ``category_counts``,
+``subset_counts`` and ``membership_mask``.
 """
 
 from __future__ import annotations
 
 import csv
-from collections.abc import Iterable, Mapping
+import os
+from collections.abc import Iterable, Iterator, Mapping
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import IO
 
 import numpy as np
 
@@ -111,9 +116,6 @@ class SubsetDescriptor:
             by_index[f] = tuple(schema.value_index(f, lab) for lab in labels)
         return cls.from_dict(by_index)
 
-    def as_dict(self) -> dict[int, frozenset[int]]:
-        return {f: frozenset(vs) for f, vs in self.constraints}
-
     def to_labels(self, schema: Schema) -> dict[str, list[str]]:
         out: dict[str, list[str]] = {}
         for f, vs in self.constraints:
@@ -124,10 +126,6 @@ class SubsetDescriptor:
     @property
     def is_empty(self) -> bool:
         return not self.constraints
-
-    @property
-    def n_constrained(self) -> int:
-        return len(self.constraints)
 
     def values_for(self, feature: int) -> tuple[int, ...] | None:
         for f, vs in self.constraints:
@@ -228,15 +226,41 @@ class Dataset:
     __hash__ = None  # type: ignore[assignment]
 
 
+def _within(
+    dataset: Dataset, allowed: Mapping[int, np.ndarray | None], skip: int = -1
+) -> np.ndarray:
+    """Mask of the records whose features, ``skip`` aside, fall in their allowed masks."""
+    mask = np.ones(dataset.n_records, dtype=bool)
+    for f, ok in allowed.items():
+        if ok is not None and f != skip:
+            mask &= ok[dataset.rows[:, f]]
+    return mask
+
+
 def membership_mask(dataset: Dataset, descriptor: SubsetDescriptor) -> np.ndarray:
     """Boolean mask of records satisfying the descriptor."""
     descriptor.validate_against(dataset.schema)
-    mask = np.ones(dataset.n_records, dtype=bool)
+    allowed = {}
     for f, vs in descriptor.constraints:
-        allowed = np.zeros(dataset.schema.cardinality(f), dtype=bool)
-        allowed[list(vs)] = True
-        mask &= allowed[dataset.rows[:, f]]
-    return mask
+        allowed[f] = np.zeros(dataset.schema.cardinality(f), dtype=bool)
+        allowed[f][list(vs)] = True
+    return _within(dataset, allowed)
+
+
+def category_counts(
+    dataset: Dataset, allowed: Mapping[int, np.ndarray | None], feature: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-category (record counts, positive counts) of ``feature``.
+
+    Counts run over the records whose other features fall in their boolean
+    ``allowed`` category masks (feature index -> mask). A feature without a
+    mask, or with None, is unconstrained; ``feature``'s own mask is ignored.
+    """
+    mask = _within(dataset, allowed, skip=feature)
+    col = dataset.rows[mask, feature]
+    card = dataset.schema.cardinality(feature)
+    positive = dataset.outcomes.view(np.bool_)[mask]  # outcomes are 0/1 int8
+    return np.bincount(col, minlength=card), np.bincount(col[positive], minlength=card)
 
 
 def membership(dataset: Dataset, descriptor: SubsetDescriptor) -> np.ndarray:
@@ -280,19 +304,20 @@ class SyntheticSpec:
         if not self.odds_multiplier > 1.0:
             raise ContractError("odds_multiplier must exceed 1")
         object.__setattr__(self, "cardinalities", tuple(int(h) for h in self.cardinalities))
-        for f, vs in self.planted.constraints:
-            if not 0 <= f < len(self.cardinalities):
-                raise ContractError(f"planted feature index {f} out of range")
-            if any(not 0 <= v < self.cardinalities[f] for v in vs):
-                raise ContractError(f"planted value out of range for feature {f}")
+        self.planted.validate_against(self.schema())
 
     def schema(self) -> Schema:
-        return Schema(
-            tuple(
-                (f"f{z}", tuple(f"v{h}" for h in range(card)))
-                for z, card in enumerate(self.cardinalities)
-            )
+        return _synthetic_schema(self.cardinalities)
+
+
+def _synthetic_schema(cardinalities: Iterable[int]) -> Schema:
+    """Features f0, f1, ... whose categories are v0, v1, ...; the naming of synthetic cohorts."""
+    return Schema(
+        tuple(
+            (f"f{z}", tuple(f"v{h}" for h in range(card)))
+            for z, card in enumerate(cardinalities)
         )
+    )
 
 
 def planted_outcome_rate(spec: SyntheticSpec) -> float:
@@ -397,11 +422,22 @@ def write_csv(dataset: Dataset, path: str | Path, outcome_column: str = "y") -> 
     """Serialize a dataset back to CSV; load_csv on the result reproduces it."""
     if outcome_column in dataset.schema.feature_names:
         raise ContractError(f"outcome column {outcome_column!r} collides with a feature")
-    path = Path(path)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with _atomic_text(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(list(dataset.schema.feature_names) + [outcome_column])
         cats = [list(c) for _, c in dataset.schema.features]
         for i in range(dataset.n_records):
             row = [cats[z][dataset.rows[i, z]] for z in range(dataset.schema.n_features)]
             writer.writerow(row + [int(dataset.outcomes[i])])
+
+
+@contextmanager
+def _atomic_text(path: str | Path) -> Iterator[IO[str]]:
+    """Text file written beside ``path`` and moved onto it only if the block succeeds."""
+    tmp = Path(f"{path}.{os.urandom(6).hex()}.tmp")
+    try:
+        with open(tmp, "x", newline="", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)  # gone already after a successful replace

@@ -15,7 +15,6 @@ from itertools import combinations, product
 
 import numpy as np
 
-from subscan.errors import BudgetError
 from subscan.scan import ScanResult, _check_not_degenerate, _finalize
 from subscan.scoring import score_array
 from subscan.tabular import Dataset
@@ -138,6 +137,10 @@ def _descriptor_sort_key(
     constraints: tuple[tuple[int, tuple[int, ...]], ...],
 ) -> tuple[int, tuple[tuple[int, tuple[int, ...]], ...]]:
     return (len(constraints), constraints)
+
+
+class BudgetError(Exception):
+    """Exhaustive enumeration would exceed the caller's evaluation budget."""
 
 
 def exhaustive_scan(dataset: Dataset, limit: int = 1_000_000) -> ScanResult:

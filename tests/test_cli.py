@@ -9,6 +9,7 @@ import jsonschema
 import pytest
 
 from subscan.cli import main
+from subscan.report import write_json
 from subscan.tabular import load_csv
 
 
@@ -81,6 +82,15 @@ class TestSynth:
     def test_missing_required_knob_rejected(self, tmp_path):
         assert run(["synth", "--n", "100", "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("planted", ["f2=v0", "f0=v3", "f0", "g0=v0", "f0=v0;", "f0=v0|v0"])
+    def test_bad_planted_descriptor_rejected(self, tmp_path, capsys, planted):
+        code = run(["synth", "--n", "100", "--cardinalities", "2,3", "--base-rate", "0.1",
+                    "--odds-multiplier", "2", "--planted", planted, "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "cohort.csv").exists()
+
 
 class TestScan:
     def test_recovers_planted_descriptor(self, cohort_csv, tmp_path, report_schema):
@@ -106,6 +116,18 @@ class TestScan:
         p.write_text("a,y\n" + "x,0\n" * 5)
         code = run(["scan", "--input", str(p), "--outcome", "y", "--out", str(tmp_path)])
         assert code == 3
+
+    @pytest.mark.parametrize("argv, message", [
+        (["pipeline", "--replicates", "0"], "n_replicates"),
+        (["scan", "--max-passes", "0"], "max_passes"),
+        (["rank", "--top-k", "0"], "top_k"),
+        (["substitute", "--top-k", "1", "--delta-threshold", "0.1"], "mutually exclusive"),
+    ])
+    def test_bad_knob_rejected_before_data_is_read(self, tmp_path, capsys, argv, message):
+        code = run(argv + ["--input", str(tmp_path / "missing.csv"), "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert message in err and "no such file" not in err
 
     def test_zero_restarts_rejected_before_work(self, cohort_csv, tmp_path, capsys):
         code = run(["scan", "--input", str(cohort_csv), "--outcome", "y",
@@ -288,6 +310,17 @@ class TestConfigFile:
         conf = tmp_path / "conf.json"
         conf.write_text("{nope")
         assert run(["scan", "--config", str(conf), "--out", str(tmp_path)]) == 2
+
+
+class TestAtomicWrites:
+    def test_failed_json_write_keeps_the_old_file(self, tmp_path):
+        target = tmp_path / "report.json"
+        write_json(target, {"score": 1.0})
+        before = target.read_bytes()
+        with pytest.raises(ValueError):  # allow_nan=False rejects NaN mid-dump
+            write_json(target, {"a": 1, "score": float("nan")})
+        assert target.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
 
 class TestRoundTrip:

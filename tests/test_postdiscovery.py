@@ -144,29 +144,24 @@ class TestRankFeatureRelevance:
     def test_top_k_selection(self):
         dataset, result = discovery(seed=7)
         entries = rank_feature_relevance(
-            dataset, result, RelevanceConfig(selection="top_k", top_k=1)
+            dataset, result, RelevanceConfig(top_k=1)
         )
         assert len(entries) == 1
         assert entries[0].rank == 1
 
     def test_threshold_selection(self):
         dataset, result = discovery(seed=8)
-        config = RelevanceConfig(
-            ranking_mode="global_deviation", selection="threshold", threshold=0.0
-        )
+        config = RelevanceConfig(ranking_mode="global_deviation", threshold=0.0)
         entries = rank_feature_relevance(dataset, result, config)
         assert entries, "planted values deviate above the global mean"
         assert all(e.global_deviation > 0.0 for e in entries)
 
     def test_selection_rule_exclusivity(self):
-        with pytest.raises(ContractError):
-            RelevanceConfig(selection="top_k")
-        with pytest.raises(ContractError):
-            RelevanceConfig(selection="threshold")
-        with pytest.raises(ContractError):
-            RelevanceConfig(selection="all", top_k=3)
-        with pytest.raises(ContractError):
-            RelevanceConfig(selection="top_k", top_k=2, threshold=0.1)
+        with pytest.raises(ContractError, match="mutually exclusive"):
+            RelevanceConfig(top_k=2, threshold=0.1)
+        for k in (0, -1):
+            with pytest.raises(ContractError, match="top_k"):
+                RelevanceConfig(top_k=k)
 
     def test_value_at_global_mean_flagged_undefined_and_ranked_last(self):
         # both values of feature b sit exactly at the global mean (undefined

@@ -1,13 +1,16 @@
 from __future__ import annotations
 
+import importlib
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import StepAudit, best_category_subset_score, exhaustive_scan
-from subscan.errors import BudgetError, DegenerateDataError
-from subscan.scan import ScanConfig, best_prefix, scan
+from oracles import BudgetError, StepAudit, best_category_subset_score, exhaustive_scan
+from subscan.errors import DegenerateDataError
+from subscan.scan import ScanConfig, best_prefix, parallel_map, scan
 from subscan.scoring import bernoulli_score
 from subscan.tabular import Dataset, Schema, SubsetDescriptor, membership_mask
 
@@ -103,6 +106,44 @@ def category_counts(draw):
     counts = draw(st.lists(st.integers(0, 60), min_size=cardinality, max_size=cardinality))
     positives = [draw(st.integers(0, c)) for c in counts]
     return np.array(counts, dtype=np.int64), np.array(positives, dtype=np.int64)
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch) -> list[int]:
+    """Swap the process pool for an in-process map; collects each pool's max_workers."""
+    sizes: list[int] = []
+
+    class SerialPool:
+        def __init__(self, max_workers: int) -> None:
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc) -> None:
+            return None
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(importlib.import_module("subscan.scan"), "ProcessPoolExecutor",
+                        SerialPool)
+    return sizes
+
+
+class TestParallelMap:
+    @pytest.mark.parametrize("cpus, expected", [(64, 3), (2, 2)])
+    def test_pool_size_is_capped(self, monkeypatch, pool_sizes, cpus, expected):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert parallel_map(abs, range(-1, 2), workers=10_000) == [1, 0, 1]
+        assert pool_sizes == [expected]
+
+    def test_one_cpu_or_one_task_runs_in_process(self, monkeypatch, pool_sizes):
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert parallel_map(abs, [-2, 3], workers=8) == [2, 3]
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert parallel_map(abs, [-2], workers=8) == [2]
+        assert pool_sizes == []
 
 
 class TestBestPrefix:

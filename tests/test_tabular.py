@@ -14,6 +14,7 @@ from subscan.tabular import (
     Schema,
     SubsetDescriptor,
     SyntheticSpec,
+    category_counts,
     generate_synthetic,
     load_csv,
     membership,
@@ -174,6 +175,40 @@ class TestMembership:
             assert total == ds.n_records
 
 
+class TestCategoryCounts:
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_row_loop(self, data):
+        cards = tuple(data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=4)))
+        dataset = random_dataset(
+            np.random.default_rng(data.draw(st.integers(0, 2**16))), 40, cards
+        )
+        feature = data.draw(st.integers(0, len(cards) - 1))
+        allowed = {}
+        for f, card in enumerate(cards):
+            kind = data.draw(st.sampled_from(["missing", "none", "mask"]))
+            if kind != "missing":
+                mask = data.draw(st.lists(st.booleans(), min_size=card, max_size=card))
+                allowed[f] = None if kind == "none" else np.array(mask)
+        counts, positives = category_counts(dataset, allowed, feature)
+
+        want_counts = [0] * cards[feature]
+        want_positives = [0] * cards[feature]
+        for row, y in zip(dataset.rows.tolist(), dataset.outcomes.tolist()):
+            if all(allowed.get(f) is None or allowed[f][row[f]]
+                   for f in range(len(cards)) if f != feature):
+                want_counts[row[feature]] += 1
+                want_positives[row[feature]] += y
+        assert counts.tolist() == want_counts
+        assert positives.tolist() == want_positives
+
+    def test_own_mask_is_ignored(self, tiny_dataset):
+        nothing = {0: np.zeros(2, dtype=bool), 1: np.array([True, False, True])}
+        counts, positives = category_counts(tiny_dataset, nothing, 0)
+        assert counts.tolist() == [4, 3]  # records of size s or l, by color
+        assert positives.tolist() == [2, 0]
+
+
 class TestLoadCsv:
     def test_four_row_file(self, tmp_path):
         p = tmp_path / "t.csv"
@@ -262,6 +297,11 @@ class TestSynthetic:
             SyntheticSpec(100, (2,), 0.0, SubsetDescriptor.from_dict({0: [0]}), 2.0, 0)
         with pytest.raises(ContractError):
             SyntheticSpec(100, (2,), 1.0, SubsetDescriptor.from_dict({0: [0]}), 2.0, 0)
+
+    def test_planted_outside_the_schema_rejected(self):
+        for planted in ({2: [0]}, {0: [2]}):
+            with pytest.raises(ContractError, match="out of range"):
+                SyntheticSpec(100, (2, 2), 0.1, SubsetDescriptor.from_dict(planted), 2.0, 0)
 
     def test_probability_overflow_rejected(self):
         spec = SyntheticSpec(
