@@ -175,6 +175,8 @@ def _parse_planted(
         name, sep, values = clause.partition("=")
         if not sep:
             raise ContractError(f"bad planted clause {clause.strip()!r}; expected fK=vI|vJ")
+        if name.strip() in labels:
+            raise ContractError(f"planted feature {name.strip()!r} given twice")
         labels[name.strip()] = [v.strip() for v in values.split("|")]
     return SubsetDescriptor.from_labels(_synthetic_schema(cardinalities), labels)
 

@@ -3,12 +3,14 @@
 Each restart starts from a random descriptor and repeatedly sweeps the
 features. A feature step relaxes that feature's constraint, aggregates
 (count, positives) per category over the records passing every other
-constraint, and hands those counts to ``best_prefix``: the LTSS step, which
-orders categories by positive rate and scores every prefix of that ordering.
-For this score the best prefix matches the best of all value subsets (the
-test suite audits every step against subset enumeration), which is what keeps
-the step linear instead of exponential in the feature's cardinality. A restart
-has converged when a full sweep changes nothing.
+constraint (a ``CategoryCounter`` over the dataset's cells, updated only when
+a feature's value set changes), and hands those counts to ``best_prefix``:
+the LTSS step, which orders categories by positive rate and scores every
+prefix of that ordering. For this score the best prefix matches the best of
+all value subsets (the test suite audits every step against subset
+enumeration), which is what keeps the step linear instead of exponential in
+the feature's cardinality. A restart has converged when a full sweep changes
+nothing.
 
 Results are deterministic for a given seed and independent of the worker
 count: every restart draws from its own pre-spawned random stream and the
@@ -27,26 +29,40 @@ import numpy as np
 
 from .errors import ContractError, DegenerateDataError
 from .scoring import EffectMeasures, ScorePanel, bernoulli_score, odds_ratio, score_array
-from .tabular import Dataset, SubsetDescriptor, category_counts, subset_counts
+from .tabular import CategoryCounter, Dataset, SubsetDescriptor, subset_counts
 
 _STEP_TOL = 1e-9  # slack for float-noise in the ascent assertion
+
+
+_installed: Callable[[Any], Any] | None = None  # the task function of a pool worker
+
+
+def _install(fn: Callable[[Any], Any]) -> None:
+    global _installed
+    _installed = fn
+
+
+def _call_installed(task: Any) -> Any:
+    return _installed(task)  # type: ignore[misc]
 
 
 def parallel_map(fn: Callable[[Any], Any], tasks: Sequence[Any], workers: int) -> list[Any]:
     """``[fn(t) for t in tasks]``, spread over a process pool when workers > 1.
 
     The pool has at most ``min(workers, len(tasks), os.cpu_count())``
-    processes. Results come back in task order and every task is computed the
-    same way on any worker, so the output does not depend on the worker
-    count. ``fn`` must be picklable: a module-level function or a
-    ``functools.partial`` of one.
+    processes. ``fn`` reaches each worker once, through the pool initializer,
+    so the chunks of tasks do not carry it (nor the dataset bound in it).
+    Results come back in task order and every task is computed the same way
+    on any worker, so the output does not depend on the worker count. ``fn``
+    must be picklable: a module-level function or a ``functools.partial`` of
+    one.
     """
     # under the fork start method the pool starts max_workers processes at once
     workers = min(workers, len(tasks), os.cpu_count() or 1)
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(workers, initializer=_install, initargs=(fn,)) as pool:
             chunksize = max(1, len(tasks) // (workers * 2))
-            return list(pool.map(fn, tasks, chunksize=chunksize))
+            return list(pool.map(_call_installed, tasks, chunksize=chunksize))
     return [fn(t) for t in tasks]
 
 
@@ -159,14 +175,15 @@ def _run_restart(
     n_features = dataset.schema.n_features
     cards = dataset.schema.cardinalities()
 
-    # feature -> included-category mask, the allowed masks of category_counts
+    # feature -> included-category mask, the allowed masks of the counter
     included = {z: _random_nonempty_subset(rng, card) for z, card in enumerate(cards)}
     if config.feature_order == "shuffled":
         order = rng.permutation(n_features)
     else:
         order = np.arange(n_features)
 
-    counts, positives = category_counts(dataset, included, 0)
+    counter = CategoryCounter(dataset, included)
+    counts, positives = counter.counts(0)
     current_score = float(
         score_array(float(positives[included[0]].sum()), float(counts[included[0]].sum()), mu)
     )
@@ -174,7 +191,7 @@ def _run_restart(
     for _ in range(config.max_passes):
         changed = False
         for z in order:
-            counts, positives = category_counts(dataset, included, z)
+            counts, positives = counter.counts(z)
             new_inc, best_score = best_prefix(counts, positives, mu)
             if best_score < current_score - _STEP_TOL * (1.0 + abs(current_score)):
                 raise AssertionError(
@@ -182,6 +199,7 @@ def _run_restart(
                 )
             if not np.array_equal(new_inc, included[z]):
                 included[z] = new_inc
+                counter.set_allowed(z, new_inc)
                 changed = True
             current_score = best_score
         if not changed:

@@ -3,8 +3,13 @@
 Categories are encoded as dense integer indices per feature; human-readable
 labels live only in the Schema. Rows and outcomes are immutable numpy arrays,
 so datasets can be shared freely across parallel workers. Only this module
-reads them: the other modules see the data through ``category_counts``,
-``subset_counts`` and ``membership_mask``.
+reads them: the other modules see the data through ``CategoryCounter``,
+``category_counts``, ``subset_counts`` and ``membership_mask``.
+
+Every count runs over cells, the distinct feature patterns of a dataset,
+weighted by their record and positive counts: the scan score depends on the
+data only through these aggregates, and a dataset usually has far fewer cells
+than records.
 """
 
 from __future__ import annotations
@@ -14,8 +19,9 @@ import os
 from collections.abc import Iterable, Iterator, Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
-from typing import IO
+from typing import IO, NamedTuple
 
 import numpy as np
 
@@ -168,7 +174,6 @@ class Dataset:
 
     def __post_init__(self) -> None:
         rows = np.array(self.rows, dtype=np.int32, order="C", copy=True)
-        outcomes = np.array(self.outcomes, dtype=np.int8, copy=True)
         if rows.ndim != 2 or rows.shape[0] < 1:
             raise ContractError("rows must be a non-empty (N, M) array")
         if rows.shape[1] != self.schema.n_features:
@@ -176,11 +181,7 @@ class Dataset:
                 f"rows have {rows.shape[1]} columns but schema has "
                 f"{self.schema.n_features} features"
             )
-        if outcomes.shape != (rows.shape[0],):
-            raise ContractError("outcomes must be a length-N vector")
-        bad = ~np.isin(outcomes, (0, 1))
-        if bad.any():
-            raise ContractError(f"outcome at row {int(np.argmax(bad))} is not 0/1")
+        outcomes = _checked_outcomes(self.outcomes, rows.shape[0])
         for z in range(self.schema.n_features):
             col = rows[:, z]
             card = self.schema.cardinality(z)
@@ -196,7 +197,6 @@ class Dataset:
         elif cached != mean:
             raise ContractError("cached global_mean does not match outcomes")
         rows.setflags(write=False)
-        outcomes.setflags(write=False)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "outcomes", outcomes)
         object.__setattr__(self, "global_mean", cached)
@@ -209,9 +209,34 @@ class Dataset:
     def n_positive(self) -> int:
         return int(self.outcomes.sum())
 
+    @cached_property
+    def cells(self) -> CellTable:
+        """The distinct feature patterns of the records, built on first use."""
+        return _cell_table(self.rows, self.schema.cardinalities())
+
+    @cached_property
+    def cell_positives(self) -> np.ndarray:
+        """(C,) positive records per cell."""
+        positive = self.outcomes.view(np.bool_)  # outcomes are 0/1 int8
+        return np.bincount(self.cells.index[positive], minlength=len(self.cells.n))
+
     def with_outcomes(self, outcomes: np.ndarray) -> "Dataset":
-        """Same feature table with replaced outcomes (used by bootstrap replicates)."""
-        return Dataset(self.schema, self.rows, outcomes)
+        """Same feature table with replaced outcomes (used by bootstrap replicates).
+
+        Only the new outcomes are validated: the replicate shares this
+        dataset's read-only rows and its cell table, which is built here if
+        it does not exist yet, so every replicate reuses it.
+        """
+        outcomes = _checked_outcomes(outcomes, self.n_records)
+        replicate = object.__new__(Dataset)
+        vars(replicate).update(
+            schema=self.schema,
+            rows=self.rows,
+            outcomes=outcomes,
+            global_mean=float(outcomes.sum()) / self.n_records,
+            cells=self.cells,
+        )
+        return replicate
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Dataset):
@@ -226,25 +251,116 @@ class Dataset:
     __hash__ = None  # type: ignore[assignment]
 
 
-def _within(
-    dataset: Dataset, allowed: Mapping[int, np.ndarray | None], skip: int = -1
-) -> np.ndarray:
-    """Mask of the records whose features, ``skip`` aside, fall in their allowed masks."""
-    mask = np.ones(dataset.n_records, dtype=bool)
+def _checked_outcomes(outcomes: np.ndarray, n_records: int) -> np.ndarray:
+    """A read-only int8 copy of a length-N vector of 0/1 outcomes."""
+    outcomes = np.array(outcomes, dtype=np.int8, copy=True)
+    if outcomes.shape != (n_records,):
+        raise ContractError("outcomes must be a length-N vector")
+    bad = ~np.isin(outcomes, (0, 1))
+    if bad.any():
+        raise ContractError(f"outcome at row {int(np.argmax(bad))} is not 0/1")
+    outcomes.setflags(write=False)
+    return outcomes
+
+
+class CellTable(NamedTuple):
+    """The cells of a dataset: its distinct feature patterns, in lexicographic order."""
+
+    columns: np.ndarray  # (M, C) int32 category indices, one contiguous row per feature
+    index: np.ndarray    # (N,) int32 cell of each record
+    n: np.ndarray        # (C,) records per cell
+
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _cell_table(rows: np.ndarray, cardinalities: tuple[int, ...]) -> CellTable:
+    """Group records by feature pattern through a mixed-radix int64 key per record."""
+    key = np.zeros(rows.shape[0], dtype=np.int64)
+    span = 1  # every key lies in [0, span)
+    for z, card in enumerate(cardinalities):
+        if span > _INT64_MAX // card:
+            # renumber densely first: key * card would wrap and merge distinct cells
+            distinct, key = np.unique(key, return_inverse=True)
+            span = len(distinct)
+        key *= card
+        key += rows[:, z]
+        span *= card
+    index = np.unique(key, return_inverse=True)[1].astype(np.int32)
+    n = np.bincount(index)  # every cell holds a record, so there are len(n) cells
+    representative = np.empty(len(n), dtype=np.intp)
+    representative[index] = np.arange(rows.shape[0])
+    # one feature at a time: a whole (C, M) gather and its transpose would
+    # add two table-sized temporaries to the peak memory
+    columns = np.empty((rows.shape[1], len(n)), dtype=np.int32)
+    for z in range(rows.shape[1]):
+        columns[z] = rows[representative, z]
+    return CellTable(columns, index, n)
+
+
+def _within(columns: np.ndarray, allowed: Mapping[int, np.ndarray | None]) -> np.ndarray:
+    """Mask of the entries whose feature values (``columns[f]``) fall in their allowed masks."""
+    mask = np.ones(columns.shape[1], dtype=bool)
     for f, ok in allowed.items():
-        if ok is not None and f != skip:
-            mask &= ok[dataset.rows[:, f]]
+        if ok is not None:
+            mask &= ok[columns[f]]
     return mask
+
+
+def _allowed_masks(schema: Schema, descriptor: SubsetDescriptor) -> dict[int, np.ndarray]:
+    """The descriptor as boolean category masks, feature index -> mask."""
+    descriptor.validate_against(schema)
+    allowed = {}
+    for f, vs in descriptor.constraints:
+        allowed[f] = np.zeros(schema.cardinality(f), dtype=bool)
+        allowed[f][list(vs)] = True
+    return allowed
 
 
 def membership_mask(dataset: Dataset, descriptor: SubsetDescriptor) -> np.ndarray:
     """Boolean mask of records satisfying the descriptor."""
-    descriptor.validate_against(dataset.schema)
-    allowed = {}
-    for f, vs in descriptor.constraints:
-        allowed[f] = np.zeros(dataset.schema.cardinality(f), dtype=bool)
-        allowed[f][list(vs)] = True
-    return _within(dataset, allowed)
+    return _within(dataset.rows.T, _allowed_masks(dataset.schema, descriptor))
+
+
+class CategoryCounter:
+    """Per-category counts of one feature over the records the other features allow.
+
+    Holds a boolean ``allowed`` category mask per feature (a missing or None
+    mask is unconstrained). For every cell it keeps which features reject it
+    and how many do, so counting a feature costs O(cells) and changing one
+    feature's mask updates one row of that bookkeeping.
+    """
+
+    def __init__(self, dataset: Dataset, allowed: Mapping[int, np.ndarray | None]) -> None:
+        cells = dataset.cells
+        self._columns = cells.columns
+        self._cardinalities = dataset.schema.cardinalities()
+        self._n = cells.n.astype(np.float64)  # bincount weights
+        self._positives = dataset.cell_positives.astype(np.float64)
+        self._fails = np.zeros(cells.columns.shape, dtype=np.uint8)
+        self._violations = np.zeros(cells.columns.shape[1], dtype=np.int32)
+        for f, ok in allowed.items():
+            self.set_allowed(f, ok)
+
+    def set_allowed(self, feature: int, allowed: np.ndarray | None) -> None:
+        """Replace ``feature``'s allowed category mask."""
+        fails = self._fails[feature]
+        self._violations -= fails
+        fails[:] = False if allowed is None else np.take(~allowed, self._columns[feature])
+        self._violations += fails
+
+    def counts(self, feature: int) -> tuple[np.ndarray, np.ndarray]:
+        """(record counts, positive counts) per category of ``feature``.
+
+        They run over the records that every other feature's mask allows;
+        ``feature``'s own mask is ignored.
+        """
+        inside = np.flatnonzero(self._violations == self._fails[feature])
+        col = self._columns[feature][inside]
+        card = self._cardinalities[feature]
+        counts = np.bincount(col, weights=self._n[inside], minlength=card)
+        positives = np.bincount(col, weights=self._positives[inside], minlength=card)
+        return counts.astype(np.int64), positives.astype(np.int64)
 
 
 def category_counts(
@@ -256,11 +372,7 @@ def category_counts(
     ``allowed`` category masks (feature index -> mask). A feature without a
     mask, or with None, is unconstrained; ``feature``'s own mask is ignored.
     """
-    mask = _within(dataset, allowed, skip=feature)
-    col = dataset.rows[mask, feature]
-    card = dataset.schema.cardinality(feature)
-    positive = dataset.outcomes.view(np.bool_)[mask]  # outcomes are 0/1 int8
-    return np.bincount(col, minlength=card), np.bincount(col[positive], minlength=card)
+    return CategoryCounter(dataset, allowed).counts(feature)
 
 
 def membership(dataset: Dataset, descriptor: SubsetDescriptor) -> np.ndarray:
@@ -274,8 +386,9 @@ def membership(dataset: Dataset, descriptor: SubsetDescriptor) -> np.ndarray:
 
 def subset_counts(dataset: Dataset, descriptor: SubsetDescriptor) -> tuple[int, int]:
     """(size, positive count) of the descriptor's member set."""
-    mask = membership_mask(dataset, descriptor)
-    return int(mask.sum()), int(dataset.outcomes[mask].sum())
+    cells = dataset.cells
+    inside = _within(cells.columns, _allowed_masks(dataset.schema, descriptor))
+    return int(cells.n[inside].sum()), int(dataset.cell_positives[inside].sum())
 
 
 @dataclass(frozen=True)
@@ -425,10 +538,11 @@ def write_csv(dataset: Dataset, path: str | Path, outcome_column: str = "y") -> 
     with _atomic_text(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(list(dataset.schema.feature_names) + [outcome_column])
-        cats = [list(c) for _, c in dataset.schema.features]
-        for i in range(dataset.n_records):
-            row = [cats[z][dataset.rows[i, z]] for z in range(dataset.schema.n_features)]
-            writer.writerow(row + [int(dataset.outcomes[i])])
+        columns = [
+            np.asarray(cats, dtype=object)[dataset.rows[:, z]]
+            for z, (_, cats) in enumerate(dataset.schema.features)
+        ]
+        writer.writerows(zip(*columns, dataset.outcomes.tolist()))
 
 
 @contextmanager

@@ -2,20 +2,31 @@
 
 Everything here deliberately avoids the code paths it checks: numeric
 maximization instead of the closed form, pure-Python row loops instead of
-vectorized masks, and full subset enumeration instead of prefix scans and
-coordinate ascent. ``exhaustive_scan`` checks the search, not the score, so it
-scores descriptors with the package's closed form.
+vectorized masks, full subset enumeration instead of prefix scans and
+coordinate ascent, and per-record masks instead of the cell table.
+``exhaustive_scan`` checks the search, not the score, so it scores descriptors
+with the package's closed form; ``record_run_restart`` checks the counting,
+not the step, so it takes its steps with the package's ``best_prefix``.
 """
 
 from __future__ import annotations
 
+import importlib
 import math
+from collections.abc import Mapping
 from functools import lru_cache
 from itertools import combinations, product
 
 import numpy as np
 
-from subscan.scan import ScanResult, _check_not_degenerate, _finalize
+from subscan.scan import (
+    _STEP_TOL,
+    ScanConfig,
+    ScanResult,
+    _check_not_degenerate,
+    _finalize,
+    _random_nonempty_subset,
+)
 from subscan.scoring import score_array
 from subscan.tabular import Dataset
 
@@ -204,3 +215,65 @@ def exhaustive_scan(dataset: Dataset, limit: int = 1_000_000) -> ScanResult:
         for z, card in enumerate(cards)
     )
     return _finalize(dataset, included, 0)
+
+
+def record_category_counts(
+    dataset: Dataset, allowed: Mapping[int, np.ndarray | None], feature: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``category_counts`` through a per-record mask, rebuilt on every call."""
+    mask = np.ones(dataset.n_records, dtype=bool)
+    for f, ok in allowed.items():
+        if ok is not None and f != feature:
+            mask &= ok[dataset.rows[:, f]]
+    col = dataset.rows[mask, feature]
+    card = dataset.schema.cardinality(feature)
+    positive = dataset.outcomes.view(np.bool_)[mask]  # outcomes are 0/1 int8
+    return np.bincount(col, minlength=card), np.bincount(col[positive], minlength=card)
+
+
+def record_run_restart(
+    dataset: Dataset,
+    config: ScanConfig,
+    seed_seq: np.random.SeedSequence,
+) -> tuple[float, tuple[tuple[int, ...], ...]]:
+    """``scan._run_restart`` on per-record masks: the engine the cell table replaced.
+
+    Draws the same random stream and takes the same steps, so patched in for
+    ``_run_restart`` it must reproduce every restart bit for bit.
+    """
+    best_prefix = importlib.import_module("subscan.scan").best_prefix
+    rng = np.random.default_rng(seed_seq)
+    mu = dataset.global_mean
+    n_features = dataset.schema.n_features
+    cards = dataset.schema.cardinalities()
+
+    included = {z: _random_nonempty_subset(rng, card) for z, card in enumerate(cards)}
+    if config.feature_order == "shuffled":
+        order = rng.permutation(n_features)
+    else:
+        order = np.arange(n_features)
+
+    counts, positives = record_category_counts(dataset, included, 0)
+    current_score = float(
+        score_array(float(positives[included[0]].sum()), float(counts[included[0]].sum()), mu)
+    )
+
+    for _ in range(config.max_passes):
+        changed = False
+        for z in order:
+            counts, positives = record_category_counts(dataset, included, z)
+            new_inc, best_score = best_prefix(counts, positives, mu)
+            if best_score < current_score - _STEP_TOL * (1.0 + abs(current_score)):
+                raise AssertionError(
+                    f"ascent step decreased the score: {current_score} -> {best_score}"
+                )
+            if not np.array_equal(new_inc, included[z]):
+                included[z] = new_inc
+                changed = True
+            current_score = best_score
+        if not changed:
+            break
+
+    return current_score, tuple(
+        tuple(int(v) for v in np.flatnonzero(inc)) for inc in included.values()
+    )

@@ -82,7 +82,9 @@ class TestSynth:
     def test_missing_required_knob_rejected(self, tmp_path):
         assert run(["synth", "--n", "100", "--out", str(tmp_path)]) == 2
 
-    @pytest.mark.parametrize("planted", ["f2=v0", "f0=v3", "f0", "g0=v0", "f0=v0;", "f0=v0|v0"])
+    @pytest.mark.parametrize(
+        "planted", ["f2=v0", "f0=v3", "f0", "g0=v0", "f0=v0;", "f0=v0|v0", "f0=v0;f0=v1"]
+    )
     def test_bad_planted_descriptor_rejected(self, tmp_path, capsys, planted):
         code = run(["synth", "--n", "100", "--cardinalities", "2,3", "--base-rate", "0.1",
                     "--odds-multiplier", "2", "--planted", planted, "--out", str(tmp_path)])
@@ -90,6 +92,13 @@ class TestSynth:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (tmp_path / "cohort.csv").exists()
+
+    def test_repeated_planted_feature_named(self, tmp_path, capsys):
+        code = run(["synth", "--n", "100", "--cardinalities", "2,3", "--base-rate", "0.1",
+                    "--odds-multiplier", "2", "--planted", "f1=v0;f0=v0; f0=v1",
+                    "--out", str(tmp_path)])
+        assert code == 2
+        assert "'f0'" in capsys.readouterr().err
 
 
 class TestScan:

@@ -2,16 +2,26 @@ from __future__ import annotations
 
 import importlib
 import os
+import pickle
+from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import BudgetError, StepAudit, best_category_subset_score, exhaustive_scan
+from oracles import (
+    BudgetError,
+    StepAudit,
+    best_category_subset_score,
+    exhaustive_scan,
+    record_run_restart,
+)
 from subscan.errors import DegenerateDataError
 from subscan.scan import ScanConfig, best_prefix, parallel_map, scan
 from subscan.scoring import bernoulli_score
+from subscan.significance import BootstrapConfig, _replicate_score, null_score_distribution
 from subscan.tabular import Dataset, Schema, SubsetDescriptor, membership_mask
 
 from conftest import make_recovery_cohort, random_dataset
@@ -108,14 +118,25 @@ def category_counts(draw):
     return np.array(counts, dtype=np.int64), np.array(positives, dtype=np.int64)
 
 
+@dataclass
+class PoolRecord:
+    sizes: list[int] = field(default_factory=list)     # max_workers of each pool
+    payloads: list[bytes] = field(default_factory=list)  # pickled (fn, tasks) of each map
+
+
 @pytest.fixture
-def pool_sizes(monkeypatch) -> list[int]:
-    """Swap the process pool for an in-process map; collects each pool's max_workers."""
-    sizes: list[int] = []
+def serial_pool(monkeypatch) -> PoolRecord:
+    """Swap the process pool for an in-process map that records what each pool receives.
+
+    The initializer runs in process, as it would in each real worker.
+    """
+    record = PoolRecord()
 
     class SerialPool:
-        def __init__(self, max_workers: int) -> None:
-            sizes.append(max_workers)
+        def __init__(self, max_workers: int, initializer=None, initargs=()) -> None:
+            record.sizes.append(max_workers)
+            if initializer is not None:
+                initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -124,11 +145,19 @@ def pool_sizes(monkeypatch) -> list[int]:
             return None
 
         def map(self, fn, tasks, chunksize=1):
+            tasks = list(tasks)
+            record.payloads.append(pickle.dumps((fn, tasks)))
             return map(fn, tasks)
 
     monkeypatch.setattr(importlib.import_module("subscan.scan"), "ProcessPoolExecutor",
                         SerialPool)
-    return sizes
+    return record
+
+
+@pytest.fixture
+def pool_sizes(serial_pool) -> list[int]:
+    """The max_workers of each pool started under ``serial_pool``."""
+    return serial_pool.sizes
 
 
 class TestParallelMap:
@@ -144,6 +173,64 @@ class TestParallelMap:
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
         assert parallel_map(abs, [-2], workers=8) == [2]
         assert pool_sizes == []
+
+    def test_tasks_do_not_carry_the_task_function(self, monkeypatch, serial_pool):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        dataset = random_dataset(np.random.default_rng(0), 50_000, (3, 4, 5, 2, 6, 3, 4))
+        config = BootstrapConfig(n_replicates=2, scan_config=ScanConfig(n_restarts=1))
+        fn = partial(_replicate_score, dataset, config)
+        assert len(pickle.dumps(fn)) > 1_000_000  # the dataset rides in the partial
+        assert parallel_map(fn, range(2), workers=2) == [fn(0), fn(1)]
+        assert serial_pool.sizes == [2]
+        assert [len(p) < 1024 for p in serial_pool.payloads] == [True]
+
+
+@st.composite
+def sparse_datasets(draw) -> Dataset:
+    """Small datasets in which some categories never occur (zero-count categories)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    n_records = draw(st.integers(20, 120))
+    cards = draw(st.lists(st.integers(1, 5), min_size=1, max_size=4))
+    used = [draw(st.integers(1, card)) for card in cards]
+    schema = Schema(tuple(
+        (f"f{z}", tuple(f"v{h}" for h in range(card))) for z, card in enumerate(cards)
+    ))
+    rows = np.column_stack([rng.integers(0, k, size=n_records) for k in used])
+    y = np.zeros(n_records, dtype=np.int8)
+    y[rng.choice(n_records, size=draw(st.integers(1, n_records - 1)), replace=False)] = 1
+    return Dataset(schema, rows, y)
+
+
+def with_record_engine(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` with every restart run on per-record masks."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(importlib.import_module("subscan.scan"), "_run_restart",
+                      record_run_restart)
+        return fn(*args, **kwargs)
+
+
+class TestCellEngine:
+    """The cell-table engine reproduces the per-record engine it replaced."""
+
+    @given(sparse_datasets(), st.integers(0, 2**16), st.sampled_from(["fixed", "shuffled"]))
+    @settings(max_examples=60, deadline=None)
+    def test_scan_matches_record_engine(self, dataset, seed, order):
+        config = ScanConfig(n_restarts=4, seed=seed, feature_order=order)
+        cells = scan(dataset, config)
+        records = with_record_engine(scan, dataset, config)
+        assert cells.descriptor == records.descriptor
+        assert cells.panel.score == records.panel.score
+        assert cells.restart_index == records.restart_index
+        assert cells == records
+
+    def test_null_distribution_matches_record_engine(self):
+        dataset = random_dataset(np.random.default_rng(5), 600, (3, 4, 2, 5), 0.1)
+        config = BootstrapConfig(
+            n_replicates=6, seed=2, scan_config=ScanConfig(n_restarts=3, seed=0)
+        )
+        cells = null_score_distribution(dataset, config)
+        records = with_record_engine(null_score_distribution, dataset, config)
+        assert cells.tolist() == records.tolist()
 
 
 class TestBestPrefix:

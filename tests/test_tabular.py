@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from oracles import brute_membership
 from subscan.errors import ContractError, LoadError
 from subscan.tabular import (
     TRUE_FALSE_ALIASES,
+    CategoryCounter,
     Dataset,
     Schema,
     SubsetDescriptor,
@@ -20,6 +23,7 @@ from subscan.tabular import (
     membership,
     membership_mask,
     planted_outcome_rate,
+    subset_counts,
     write_csv,
 )
 
@@ -84,6 +88,90 @@ class TestDataset:
         flipped = tiny_dataset.with_outcomes(1 - tiny_dataset.outcomes)
         assert np.array_equal(flipped.rows, tiny_dataset.rows)
         assert flipped.global_mean == 1 - tiny_dataset.global_mean
+
+    def test_with_outcomes_shares_rows_and_cells(self, tiny_dataset):
+        flipped = tiny_dataset.with_outcomes(1 - tiny_dataset.outcomes)
+        assert flipped.rows is tiny_dataset.rows
+        assert flipped.cells is tiny_dataset.cells
+        assert flipped == Dataset(tiny_dataset.schema, tiny_dataset.rows, flipped.outcomes)
+        assert flipped.cell_positives.tolist() == [
+            int(flipped.outcomes[tiny_dataset.cells.index == c].sum())
+            for c in range(len(tiny_dataset.cells.n))
+        ]
+        with pytest.raises(ValueError):
+            flipped.outcomes[0] = 0
+
+    @pytest.mark.parametrize("outcomes", [[1, 0], [2] * 10])
+    def test_with_outcomes_validates_outcomes(self, tiny_dataset, outcomes):
+        with pytest.raises(ContractError):
+            tiny_dataset.with_outcomes(np.array(outcomes))
+
+
+def assert_cell_table_invariants(dataset: Dataset) -> None:
+    cells = dataset.cells
+    n_cells = len(cells.n)
+    assert cells.columns.shape == (dataset.schema.n_features, n_cells)
+    assert cells.columns.dtype == np.int32 and cells.index.dtype == np.int32
+    assert all(row.flags.c_contiguous for row in cells.columns)
+    assert int(cells.n.sum()) == dataset.n_records
+    assert cells.n.min() >= 1
+    assert int(dataset.cell_positives.sum()) == dataset.n_positive
+    assert len({tuple(cell) for cell in cells.columns.T.tolist()}) == n_cells
+    assert np.array_equal(cells.columns[:, cells.index].T, dataset.rows)
+    assert np.bincount(cells.index, minlength=n_cells).tolist() == cells.n.tolist()
+
+
+def overflowing_dataset() -> Dataset:
+    """70 binary features: the product of cardinalities, 2**70, exceeds 2**63.
+
+    Only the first features vary much, so a key that wrapped (dropping the
+    leading features) would merge many distinct records into one cell.
+    """
+    rng = np.random.default_rng(70)
+    rows = (rng.random((300, 70)) < np.r_[np.full(8, 0.5), np.full(62, 0.03)]).astype(int)
+    schema = Schema(tuple((f"f{z}", ("v0", "v1")) for z in range(70)))
+    return Dataset(schema, rows, (rng.random(300) < 0.3).astype(np.int8))
+
+
+class TestCellTable:
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_invariants(self, data):
+        cards = tuple(data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=5)))
+        n_records = data.draw(st.integers(2, 200))
+        seed = data.draw(st.integers(0, 2**16))
+        assert_cell_table_invariants(random_dataset(np.random.default_rng(seed), n_records, cards))
+
+    def test_one_cell_per_pattern(self, tiny_dataset):
+        assert len(tiny_dataset.cells.n) == 6
+        assert tiny_dataset.cells.n.tolist() == [2, 1, 2, 2, 2, 1]  # lexicographic cells
+        assert tiny_dataset.cell_positives.tolist() == [2, 1, 0, 0, 0, 0]
+
+    def test_key_overflow_keeps_cells_apart(self):
+        dataset = overflowing_dataset()
+        assert_cell_table_invariants(dataset)
+        assert len(dataset.cells.n) == len({tuple(r) for r in dataset.rows.tolist()})
+
+    def test_counts_match_row_loop_past_key_overflow(self):
+        dataset = overflowing_dataset()
+        rng = np.random.default_rng(1)
+        for _ in range(5):
+            # v0 stays allowed, so the sparse features keep most records in
+            allowed = {
+                int(f): np.array([True, rng.random() < 0.5])
+                for f in rng.choice(70, size=6, replace=False)
+            }
+            for feature in (0, 1, 35, 69):
+                counts, positives = category_counts(dataset, allowed, feature)
+                want = row_loop_counts(dataset, allowed, feature)
+                assert (counts.tolist(), positives.tolist()) == want
+            descriptor = SubsetDescriptor.from_dict({
+                int(f): np.flatnonzero(ok).tolist() for f, ok in allowed.items() if ok.any()
+            })
+            mask = membership_mask(dataset, descriptor)
+            assert subset_counts(dataset, descriptor) == (
+                int(mask.sum()), int(dataset.outcomes[mask].sum())
+            )
 
 
 class TestDescriptor:
@@ -191,22 +279,51 @@ class TestCategoryCounts:
                 mask = data.draw(st.lists(st.booleans(), min_size=card, max_size=card))
                 allowed[f] = None if kind == "none" else np.array(mask)
         counts, positives = category_counts(dataset, allowed, feature)
-
-        want_counts = [0] * cards[feature]
-        want_positives = [0] * cards[feature]
-        for row, y in zip(dataset.rows.tolist(), dataset.outcomes.tolist()):
-            if all(allowed.get(f) is None or allowed[f][row[f]]
-                   for f in range(len(cards)) if f != feature):
-                want_counts[row[feature]] += 1
-                want_positives[row[feature]] += y
-        assert counts.tolist() == want_counts
-        assert positives.tolist() == want_positives
+        assert (counts.tolist(), positives.tolist()) == row_loop_counts(dataset, allowed, feature)
 
     def test_own_mask_is_ignored(self, tiny_dataset):
         nothing = {0: np.zeros(2, dtype=bool), 1: np.array([True, False, True])}
         counts, positives = category_counts(tiny_dataset, nothing, 0)
         assert counts.tolist() == [4, 3]  # records of size s or l, by color
         assert positives.tolist() == [2, 0]
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_counter_follows_set_allowed(self, data):
+        cards = tuple(data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=4)))
+        dataset = random_dataset(
+            np.random.default_rng(data.draw(st.integers(0, 2**16))), 60, cards
+        )
+
+        def draw_mask(f):
+            if data.draw(st.booleans()):
+                return None
+            return np.array(data.draw(st.lists(st.booleans(), min_size=cards[f],
+                                               max_size=cards[f])))
+
+        allowed = {f: draw_mask(f) for f in range(len(cards)) if data.draw(st.booleans())}
+        counter = CategoryCounter(dataset, allowed)
+        for _ in range(data.draw(st.integers(0, 8))):
+            f = data.draw(st.integers(0, len(cards) - 1))
+            allowed[f] = draw_mask(f)
+            counter.set_allowed(f, allowed[f])
+            for feature in range(len(cards)):
+                counts, positives = counter.counts(feature)
+                assert counts.dtype == positives.dtype == np.int64
+                want = row_loop_counts(dataset, allowed, feature)
+                assert (counts.tolist(), positives.tolist()) == want
+
+
+def row_loop_counts(dataset, allowed, feature) -> tuple[list[int], list[int]]:
+    """Per-category (counts, positives) of ``feature`` by a loop over the records."""
+    counts = [0] * dataset.schema.cardinality(feature)
+    positives = [0] * dataset.schema.cardinality(feature)
+    for row, y in zip(dataset.rows.tolist(), dataset.outcomes.tolist()):
+        if all(allowed.get(f) is None or allowed[f][row[f]]
+               for f in range(len(row)) if f != feature):
+            counts[row[feature]] += 1
+            positives[row[feature]] += y
+    return counts, positives
 
 
 class TestLoadCsv:
@@ -276,6 +393,24 @@ class TestLoadCsv:
         q = tmp_path / "rt.csv"
         write_csv(ds, q, "y")
         assert load_csv(q, "y") == ds
+
+    def test_write_csv_bytes_match_row_loop(self, tmp_path):
+        schema = Schema((
+            ("region", ("North, Central", 'Retiree "Unknown"', "<missing>")),
+            ("size", ("s", "m, l", "")),
+        ))
+        rows = [[0, 1], [1, 2], [2, 0], [0, 0], [1, 1], [2, 2]]
+        dataset = Dataset(schema, rows, [1, 0, 0, 1, 1, 0])
+        write_csv(dataset, tmp_path / "new.csv", "y")
+
+        with open(tmp_path / "old.csv", "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)  # the per-record loop write_csv replaced
+            writer.writerow(list(schema.feature_names) + ["y"])
+            cats = [list(c) for _, c in schema.features]
+            for i in range(dataset.n_records):
+                row = [cats[z][dataset.rows[i, z]] for z in range(schema.n_features)]
+                writer.writerow(row + [int(dataset.outcomes[i])])
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
     def test_round_trip_random(self, tmp_path):
         ds = random_dataset(np.random.default_rng(99), 120, (4, 2, 6))
