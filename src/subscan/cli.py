@@ -107,11 +107,20 @@ def _read_json_object(path: Path, kind: str) -> dict[str, Any]:
         raise LoadError(f"no such {kind}: {path}")
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as e:  # also a file that is not UTF-8
-        raise LoadError(f"{path}: invalid JSON ({e})") from None
+    except (ValueError, OSError) as e:  # not JSON, not UTF-8, or a directory
+        raise LoadError(f"{path}: cannot read {kind} ({e})") from None
     if not isinstance(payload, dict):
         raise LoadError(f"{path}: {kind} must be a JSON object")
     return payload
+
+
+def _check_type(hints: dict[str, Any], key: str, value: Any, what: str) -> None:
+    """ContractError unless a JSON ``value`` has the declared type ``hints[key]``."""
+    allowed = get_args(hints[key]) or (hints[key],)
+    # exact types, so a JSON bool is no int; a float field takes an int
+    if type(value) not in allowed and not (float in allowed and type(value) is int):
+        names = " or ".join("null" if t is type(None) else t.__name__ for t in allowed)
+        raise ContractError(f"{what} {key!r} must be {names}, got {type(value).__name__}")
 
 
 def _merged_config(args: argparse.Namespace) -> PipelineConfig:
@@ -122,13 +131,7 @@ def _merged_config(args: argparse.Namespace) -> PipelineConfig:
         for key, value in file_cfg.items():
             if key not in hints:
                 raise ContractError(f"unknown config key {key!r}")
-            allowed = get_args(hints[key]) or (hints[key],)
-            # exact types, so a JSON bool is no int; a float field takes an int
-            if type(value) not in allowed and not (float in allowed and type(value) is int):
-                names = " or ".join("null" if t is type(None) else t.__name__ for t in allowed)
-                raise ContractError(
-                    f"config key {key!r} must be {names}, got {type(value).__name__}"
-                )
+            _check_type(hints, key, value, "config key")
             setattr(cfg, key, value)
     for key in hints:
         value = getattr(args, key, None)
@@ -140,6 +143,13 @@ def _merged_config(args: argparse.Namespace) -> PipelineConfig:
         raise ContractError("alpha must lie in (0, 1)")
     cfg.bootstrap_config()  # and the scan config: bad knobs fail before data is read
     cfg.relevance_config()
+    if args.subcommand in ("pipeline", "substitute") and 1 / (cfg.replicates + 1) > cfg.alpha:
+        least = 1 / cfg.alpha - 1  # inf for a subnormal alpha
+        raise ContractError(
+            f"--replicates {cfg.replicates} cannot give a p-value at or below --alpha "
+            f"{cfg.alpha}: the smallest is 1/({cfg.replicates} + 1); use at least "
+            f"{math.ceil(least) if math.isfinite(least) else least} replicates"
+        )
     return cfg
 
 
@@ -278,8 +288,10 @@ def _load_scan_report(cfg: PipelineConfig, dataset: Dataset) -> ScanResult:
         descriptor = SubsetDescriptor.from_labels(dataset.schema, block["descriptor"])
         stored = float(block["score"])
         restart_index = int(block.get("restart_index", 0))
-    except (KeyError, TypeError, ValueError, AttributeError) as e:
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as e:
         raise LoadError(f"{path}: malformed scan block ({e!r})") from None
+    if not math.isfinite(stored):
+        raise LoadError(f"{path}: stored score {stored} is not a finite number")
     panel, effects = evaluate(dataset, descriptor)
     if panel.n_subset == 0:
         raise LoadError(f"{path}: descriptor matches no record of the dataset")
@@ -296,7 +308,11 @@ def _ranking_from_report(path_str: str) -> list[RelevanceEntry]:
     rows = _read_json_object(path, "rank report").get("relevance")
     if rows is None:
         raise LoadError(f"{path}: no relevance block in report")
+    hints = get_type_hints(RelevanceEntry)
     try:
+        for row in rows:
+            for key, value in row.items():
+                _check_type(hints, key, value, "relevance field")
         return [RelevanceEntry(**r) for r in rows]
     except (KeyError, TypeError, ValueError, AttributeError) as e:
         raise LoadError(f"{path}: malformed relevance block ({e!r})") from None

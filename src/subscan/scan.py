@@ -166,12 +166,13 @@ def best_prefix(
 
 def _run_restart(
     dataset: Dataset,
+    cell_positives: np.ndarray,
     config: ScanConfig,
     seed_seq: np.random.SeedSequence,
 ) -> tuple[float, tuple[tuple[int, ...], ...]]:
-    """One restart; returns (score, per-feature included-value tuples)."""
+    """One restart over ``cell_positives``: (score, per-feature included values)."""
     rng = np.random.default_rng(seed_seq)
-    mu = dataset.global_mean
+    mu = int(cell_positives.sum()) / dataset.n_records
     n_features = dataset.schema.n_features
     cards = dataset.schema.cardinalities()
 
@@ -182,7 +183,7 @@ def _run_restart(
     else:
         order = np.arange(n_features)
 
-    counter = CategoryCounter(dataset, included)
+    counter = CategoryCounter(dataset, cell_positives, included)
     counts, positives = counter.counts(0)
     current_score = float(
         score_array(float(positives[included[0]].sum()), float(counts[included[0]].sum()), mu)
@@ -220,6 +221,17 @@ def _finalize(
     return ScanResult(descriptor, panel, effects, restart_index)
 
 
+def _search(
+    dataset: Dataset, positives: np.ndarray, config: ScanConfig, workers: int
+) -> tuple[int, tuple[float, tuple[tuple[int, ...], ...]]]:
+    """The restarts over the cells' ``positives``: (best restart index, its (score, included))."""
+    seeds = np.random.SeedSequence(config.seed).spawn(config.n_restarts)
+    outcomes = parallel_map(partial(_run_restart, dataset, positives, config), seeds, workers)
+    # max() keeps the first of equal scores: the lowest restart index
+    best_index = max(range(len(outcomes)), key=lambda r: outcomes[r][0])
+    return best_index, outcomes[best_index]
+
+
 def scan(
     dataset: Dataset,
     config: ScanConfig = ScanConfig(),
@@ -233,8 +245,5 @@ def scan(
     returned descriptor as vacuous.
     """
     _check_not_degenerate(dataset)
-    seeds = np.random.SeedSequence(config.seed).spawn(config.n_restarts)
-    outcomes = parallel_map(partial(_run_restart, dataset, config), seeds, workers)
-    # max() keeps the first of equal scores: the lowest restart index
-    best_index = max(range(len(outcomes)), key=lambda r: outcomes[r][0])
-    return _finalize(dataset, outcomes[best_index][1], best_index)
+    best_index, (_, included) = _search(dataset, dataset.cell_positives, config, workers)
+    return _finalize(dataset, included, best_index)

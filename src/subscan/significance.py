@@ -1,9 +1,11 @@
 """Empirical significance of scan scores via parametric bootstrap.
 
 Each replicate redraws every outcome independently as Bernoulli(global mean)
-with the feature table fixed, reruns the full scan (restarts included, so the
-null distribution reflects the same maximization that produced the observed
-score), and records the replicate's best score. The empirical p-value is
+with the feature table fixed and sums the draws per cell (distinct feature
+pattern): the search reads outcomes only through these counts, so a replicate
+is a vector of per-cell positives, not a second dataset. It reruns every
+restart of the search (so the null distribution reflects the same maximization
+that produced the observed score) and records the best score. The p-value is
 
     p = (1 + #{replicate score >= observed}) / (1 + n_replicates)
 
@@ -19,7 +21,7 @@ from functools import partial
 import numpy as np
 
 from .errors import ContractError, DegenerateDataError
-from .scan import ScanConfig, parallel_map, scan
+from .scan import ScanConfig, _search, parallel_map
 from .tabular import Dataset
 
 _MAX_REDRAWS = 100  # attempts before giving up on an all-0/all-1 replicate
@@ -53,19 +55,17 @@ def _replicate_score(
     replicate_index: int,
     max_redraws: int = _MAX_REDRAWS,
 ) -> float:
-    """Best scan score of one null replicate; degenerate draws are redrawn."""
-    mu = dataset.global_mean
+    """Best restart score of one null replicate; degenerate draws are redrawn."""
+    cells = dataset.cells
     for attempt in range(max_redraws):
         seq = np.random.SeedSequence([config.seed, replicate_index, attempt])
         outcome_seq, scan_seq = seq.spawn(2)
         rng = np.random.default_rng(outcome_seq)
-        y = (rng.random(dataset.n_records) < mu).astype(np.int8)
-        total = int(y.sum())
-        if total == 0 or total == dataset.n_records:
-            continue
-        replicate = dataset.with_outcomes(y)
-        rep_config = replace(config.scan_config, seed=int(scan_seq.generate_state(1)[0]))
-        return scan(replicate, rep_config).panel.score
+        positive = rng.random(dataset.n_records) < dataset.global_mean
+        positives = np.bincount(cells.index[positive], minlength=len(cells.n))
+        if 0 < positives.sum() < dataset.n_records:  # else degenerate: redraw
+            rep_config = replace(config.scan_config, seed=int(scan_seq.generate_state(1)[0]))
+            return _search(dataset, positives, rep_config, workers=1)[1][0]
     raise DegenerateDataError(
         f"replicate {replicate_index} drew degenerate outcomes "
         f"{max_redraws} times in a row"

@@ -165,12 +165,13 @@ class SubsetDescriptor:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Immutable categorical table with a binary outcome per record."""
+    """Immutable categorical table with a binary outcome per record and its outcome totals."""
 
     schema: Schema
     rows: np.ndarray        # (N, M) int32 category indices
     outcomes: np.ndarray    # (N,) int8 in {0, 1}
-    global_mean: float = field(default=float("nan"))
+    n_positive: int = field(init=False)
+    global_mean: float = field(init=False)
 
     def __post_init__(self) -> None:
         rows = np.array(self.rows, dtype=np.int32, order="C", copy=True)
@@ -181,7 +182,12 @@ class Dataset:
                 f"rows have {rows.shape[1]} columns but schema has "
                 f"{self.schema.n_features} features"
             )
-        outcomes = _checked_outcomes(self.outcomes, rows.shape[0])
+        outcomes = np.array(self.outcomes, dtype=np.int8, copy=True)
+        if outcomes.shape != (rows.shape[0],):
+            raise ContractError("outcomes must be a length-N vector")
+        bad = ~np.isin(outcomes, (0, 1))
+        if bad.any():
+            raise ContractError(f"outcome at row {int(np.argmax(bad))} is not 0/1")
         for z in range(self.schema.n_features):
             col = rows[:, z]
             card = self.schema.cardinality(z)
@@ -190,24 +196,17 @@ class Dataset:
                     f"category index out of range in feature "
                     f"{self.schema.features[z][0]!r}"
                 )
-        mean = float(outcomes.sum()) / rows.shape[0]
-        cached = self.global_mean
-        if np.isnan(cached):
-            cached = mean
-        elif cached != mean:
-            raise ContractError("cached global_mean does not match outcomes")
         rows.setflags(write=False)
+        outcomes.setflags(write=False)
+        n_positive = int(outcomes.sum())
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "outcomes", outcomes)
-        object.__setattr__(self, "global_mean", cached)
+        object.__setattr__(self, "n_positive", n_positive)
+        object.__setattr__(self, "global_mean", n_positive / rows.shape[0])
 
     @property
     def n_records(self) -> int:
         return int(self.rows.shape[0])
-
-    @property
-    def n_positive(self) -> int:
-        return int(self.outcomes.sum())
 
     @cached_property
     def cells(self) -> CellTable:
@@ -220,24 +219,6 @@ class Dataset:
         positive = self.outcomes.view(np.bool_)  # outcomes are 0/1 int8
         return np.bincount(self.cells.index[positive], minlength=len(self.cells.n))
 
-    def with_outcomes(self, outcomes: np.ndarray) -> "Dataset":
-        """Same feature table with replaced outcomes (used by bootstrap replicates).
-
-        Only the new outcomes are validated: the replicate shares this
-        dataset's read-only rows and its cell table, which is built here if
-        it does not exist yet, so every replicate reuses it.
-        """
-        outcomes = _checked_outcomes(outcomes, self.n_records)
-        replicate = object.__new__(Dataset)
-        vars(replicate).update(
-            schema=self.schema,
-            rows=self.rows,
-            outcomes=outcomes,
-            global_mean=float(outcomes.sum()) / self.n_records,
-            cells=self.cells,
-        )
-        return replicate
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Dataset):
             return NotImplemented
@@ -245,22 +226,9 @@ class Dataset:
             self.schema == other.schema
             and np.array_equal(self.rows, other.rows)
             and np.array_equal(self.outcomes, other.outcomes)
-            and self.global_mean == other.global_mean
         )
 
     __hash__ = None  # type: ignore[assignment]
-
-
-def _checked_outcomes(outcomes: np.ndarray, n_records: int) -> np.ndarray:
-    """A read-only int8 copy of a length-N vector of 0/1 outcomes."""
-    outcomes = np.array(outcomes, dtype=np.int8, copy=True)
-    if outcomes.shape != (n_records,):
-        raise ContractError("outcomes must be a length-N vector")
-    bad = ~np.isin(outcomes, (0, 1))
-    if bad.any():
-        raise ContractError(f"outcome at row {int(np.argmax(bad))} is not 0/1")
-    outcomes.setflags(write=False)
-    return outcomes
 
 
 class CellTable(NamedTuple):
@@ -325,18 +293,22 @@ def membership_mask(dataset: Dataset, descriptor: SubsetDescriptor) -> np.ndarra
 class CategoryCounter:
     """Per-category counts of one feature over the records the other features allow.
 
-    Holds a boolean ``allowed`` category mask per feature (a missing or None
-    mask is unconstrained). For every cell it keeps which features reject it
-    and how many do, so counting a feature costs O(cells) and changing one
-    feature's mask updates one row of that bookkeeping.
+    Counts the given ``positives`` per cell (``dataset.cell_positives``, or a
+    bootstrap replicate's). Holds a boolean ``allowed`` category mask per
+    feature (a missing or None mask is unconstrained). For every cell it keeps
+    which features reject it and how many do, so counting a feature costs
+    O(cells) and changing one feature's mask updates one row of that
+    bookkeeping.
     """
 
-    def __init__(self, dataset: Dataset, allowed: Mapping[int, np.ndarray | None]) -> None:
+    def __init__(
+        self, dataset: Dataset, positives: np.ndarray, allowed: Mapping[int, np.ndarray | None]
+    ) -> None:
         cells = dataset.cells
         self._columns = cells.columns
         self._cardinalities = dataset.schema.cardinalities()
         self._n = cells.n.astype(np.float64)  # bincount weights
-        self._positives = dataset.cell_positives.astype(np.float64)
+        self._positives = positives.astype(np.float64)
         self._fails = np.zeros(cells.columns.shape, dtype=np.uint8)
         self._violations = np.zeros(cells.columns.shape[1], dtype=np.int32)
         for f, ok in allowed.items():
@@ -372,7 +344,7 @@ def category_counts(
     ``allowed`` category masks (feature index -> mask). A feature without a
     mask, or with None, is unconstrained; ``feature``'s own mask is ignored.
     """
-    return CategoryCounter(dataset, allowed).counts(feature)
+    return CategoryCounter(dataset, dataset.cell_positives, allowed).counts(feature)
 
 
 def membership(dataset: Dataset, descriptor: SubsetDescriptor) -> np.ndarray:
@@ -457,8 +429,7 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, SubsetDescriptor]:
     for z, card in enumerate(spec.cardinalities):
         rows[:, z] = rng.integers(0, card, size=spec.n_records, dtype=np.int32)
 
-    probe = Dataset(schema, rows, np.zeros(spec.n_records, dtype=np.int8))
-    inside = membership_mask(probe, spec.planted)
+    inside = _within(rows.T, _allowed_masks(schema, spec.planted))
     p = np.where(inside, p_in, spec.base_rate)
     outcomes = (rng.random(spec.n_records) < p).astype(np.int8)
     return Dataset(schema, rows, outcomes), spec.planted
@@ -478,47 +449,50 @@ def load_csv(
     path = Path(path)
     if not path.exists():
         raise LoadError(f"no such file: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise LoadError(f"{path}: file is empty, header row required") from None
-        if outcome_column not in header:
-            raise LoadError(f"{path}: outcome column {outcome_column!r} not in header")
-        y_col = header.index(outcome_column)
-        feature_cols = [i for i in range(len(header)) if i != y_col]
-        if not feature_cols:
-            raise LoadError(f"{path}: no feature columns besides the outcome")
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise LoadError(f"{path}: file is empty, header row required") from None
+            if outcome_column not in header:
+                raise LoadError(f"{path}: outcome column {outcome_column!r} not in header")
+            y_col = header.index(outcome_column)
+            feature_cols = [i for i in range(len(header)) if i != y_col]
+            if not feature_cols:
+                raise LoadError(f"{path}: no feature columns besides the outcome")
 
-        labels: list[dict[str, int]] = [{} for _ in feature_cols]
-        ordered: list[list[str]] = [[] for _ in feature_cols]
-        rows: list[list[int]] = []
-        outcomes: list[int] = []
-        for r, record in enumerate(reader, start=1):
-            if len(record) != len(header):
-                raise LoadError(
-                    f"{path}: row {r} has {len(record)} cells, expected {len(header)}"
-                )
-            raw_y = record[y_col].strip()
-            if raw_y not in outcome_aliases:
-                raise LoadError(
-                    f"{path}: row {r}, column {outcome_column!r}: "
-                    f"non-binary outcome value {record[y_col]!r}"
-                )
-            outcomes.append(outcome_aliases[raw_y])
-            encoded = []
-            for j, col in enumerate(feature_cols):
-                cell = record[col]
-                if cell == "":
-                    cell = MISSING_LABEL
-                idx = labels[j].get(cell)
-                if idx is None:
-                    idx = len(ordered[j])
-                    labels[j][cell] = idx
-                    ordered[j].append(cell)
-                encoded.append(idx)
-            rows.append(encoded)
+            labels: list[dict[str, int]] = [{} for _ in feature_cols]
+            ordered: list[list[str]] = [[] for _ in feature_cols]
+            rows: list[list[int]] = []
+            outcomes: list[int] = []
+            for r, record in enumerate(reader, start=1):
+                if len(record) != len(header):
+                    raise LoadError(
+                        f"{path}: row {r} has {len(record)} cells, expected {len(header)}"
+                    )
+                raw_y = record[y_col].strip()
+                if raw_y not in outcome_aliases:
+                    raise LoadError(
+                        f"{path}: row {r}, column {outcome_column!r}: "
+                        f"non-binary outcome value {record[y_col]!r}"
+                    )
+                outcomes.append(outcome_aliases[raw_y])
+                encoded = []
+                for j, col in enumerate(feature_cols):
+                    cell = record[col]
+                    if cell == "":
+                        cell = MISSING_LABEL
+                    idx = labels[j].get(cell)
+                    if idx is None:
+                        idx = len(ordered[j])
+                        labels[j][cell] = idx
+                        ordered[j].append(cell)
+                    encoded.append(idx)
+                rows.append(encoded)
+    except (OSError, UnicodeDecodeError, csv.Error) as e:  # a directory, not UTF-8, bad CSV
+        raise LoadError(f"{path}: cannot read as a UTF-8 CSV file ({e})") from None
 
     if not rows:
         raise LoadError(f"{path}: no data rows")

@@ -233,14 +233,20 @@ def record_category_counts(
 
 def record_run_restart(
     dataset: Dataset,
+    positives: np.ndarray,
     config: ScanConfig,
     seed_seq: np.random.SeedSequence,
 ) -> tuple[float, tuple[tuple[int, ...], ...]]:
     """``scan._run_restart`` on per-record masks: the engine the cell table replaced.
 
     Draws the same random stream and takes the same steps, so patched in for
-    ``_run_restart`` it must reproduce every restart bit for bit.
+    ``_run_restart`` it must reproduce every restart bit for bit. It counts
+    the dataset's own outcomes, so it stands in only for restarts over
+    ``dataset.cell_positives``: a bootstrap replicate is checked on a full
+    Dataset that carries the replicate's outcomes.
     """
+    if positives is not dataset.cell_positives:
+        raise AssertionError("the record engine counts only the dataset's own outcomes")
     best_prefix = importlib.import_module("subscan.scan").best_prefix
     rng = np.random.default_rng(seed_seq)
     mu = dataset.global_mean

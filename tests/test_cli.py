@@ -138,6 +138,25 @@ class TestScan:
         err = capsys.readouterr().err
         assert message in err and "no such file" not in err
 
+    @pytest.mark.parametrize("name, content", [
+        ("latin1.csv", b"a,y\n\xff\xfe,1\n"),
+        ("long_field.csv", b"a,y\n" + b"x" * 131_073 + b",1\n"),
+    ], ids=["not_utf8", "field_over_csv_limit"])
+    def test_unreadable_csv_exits_2(self, tmp_path, capsys, name, content):
+        bad = tmp_path / name
+        bad.write_bytes(content)
+        code = run(["scan", "--input", str(bad), "--outcome", "y", "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(bad) in err
+
+    def test_directory_as_input_or_config_exits_2(self, tmp_path, capsys):
+        assert run(["scan", "--input", str(tmp_path), "--out", str(tmp_path)]) == 2
+        assert run(["scan", "--config", str(tmp_path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 2 and err.count(f"error: {tmp_path}: cannot read") == 2
+
     def test_zero_restarts_rejected_before_work(self, cohort_csv, tmp_path, capsys):
         code = run(["scan", "--input", str(cohort_csv), "--outcome", "y",
                     "--restarts", "0", "--out", str(tmp_path)])
@@ -226,6 +245,12 @@ MALFORMED_REPORTS = {
     "scan_block_without_descriptor_substitute": (
         "substitute", "scan", '{"scan": {"score": 1.0}}'),
     "rank_not_json": ("substitute", "rank", "{nope"),
+    # a score that is not finite compares false with anything, so it would
+    # pass the check against the recomputed score
+    "scan_score_nan": ("rank", "scan", '{"scan": {"descriptor": {"f0": ["v0"]}, "score": NaN}}'),
+    "scan_score_inf": ("rank", "scan", '{"scan": {"descriptor": {"f0": ["v0"]}, "score": 1e999}}'),
+    "scan_score_nan_string": (
+        "rank", "scan", '{"scan": {"descriptor": {"f0": ["v0"]}, "score": "nan"}}'),
 }
 
 
@@ -262,7 +287,7 @@ class TestPipeline:
 
     def test_reports_identical_modulo_meta(self, cohort_csv, tmp_path):
         args = ["pipeline", "--input", str(cohort_csv), "--outcome", "y",
-                "--restarts", "5", "--replicates", "15", "--seed", "4"]
+                "--restarts", "5", "--replicates", "15", "--seed", "4", "--alpha", "0.1"]
         out = tmp_path / "same"
         assert run(args + ["--out", str(out)]) == 0
         first = json.loads((out / "report.json").read_text())
@@ -274,7 +299,7 @@ class TestPipeline:
 
     def test_worker_counts_agree(self, cohort_csv, tmp_path):
         base = ["pipeline", "--input", str(cohort_csv), "--outcome", "y",
-                "--restarts", "5", "--replicates", "12", "--seed", "4"]
+                "--restarts", "5", "--replicates", "12", "--seed", "4", "--alpha", "0.1"]
         out1, out2 = tmp_path / "w1", tmp_path / "w2"
         assert run(base + ["--workers", "1", "--out", str(out1)]) == 0
         assert run(base + ["--workers", "2", "--out", str(out2)]) == 0
@@ -284,6 +309,35 @@ class TestPipeline:
         a["config"]["workers"] = b["config"]["workers"] = None
         a["config"]["out"] = b["config"]["out"] = None
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+class TestReplicatesAgainstAlpha:
+    """With R replicates no p-value is below 1/(R+1), so an alpha under that
+    floor could never find anything significant."""
+
+    @pytest.fixture(params=["pipeline", "substitute"])
+    def command(self, request, cohort_csv, scan_report) -> list[str]:
+        argv = [request.param, "--input", str(cohort_csv), "--outcome", "y", "--restarts", "2"]
+        if request.param == "substitute":
+            argv += ["--scan-report", str(scan_report)]
+        return argv
+
+    def test_too_few_replicates_rejected(self, command, tmp_path, capsys):
+        code = run(command + ["--replicates", "18", "--alpha", "0.05",
+                              "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --replicates 18 ") and err.count("\n") == 1
+        assert "at least 19 replicates" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_floor_at_alpha_accepted(self, command, tmp_path):
+        assert run(command + ["--replicates", "19", "--alpha", "0.05",
+                              "--out", str(tmp_path)]) == 0
+
+    def test_scan_unaffected(self, cohort_csv, tmp_path):
+        assert run(["scan", "--input", str(cohort_csv), "--outcome", "y", "--restarts", "2",
+                    "--replicates", "18", "--alpha", "0.05", "--out", str(tmp_path)]) == 0
 
 
 class TestConfigFile:

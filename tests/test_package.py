@@ -1,5 +1,6 @@
-"""Package-wide properties: the README's library example runs, and only the
-tabular module touches the record arrays."""
+"""Package-wide properties: the README's library example runs, only the
+tabular module touches the record arrays, and every Dataset is built through
+its constructor."""
 
 from __future__ import annotations
 
@@ -34,4 +35,26 @@ def test_only_tabular_reads_record_arrays():
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Attribute) and node.attr in ("rows", "outcomes"):
                 offenders.append(f"{path.name}:{node.lineno} .{node.attr}")
+    assert offenders == []
+
+
+def test_datasets_are_built_only_by_tabular():
+    """A Dataset is made only by ``Dataset(schema, rows, outcomes)``, whose
+    checks no caller can skip, and only in tabular.py: a bootstrap replicate is
+    a vector of per-cell positives, not a second dataset."""
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr == "__new__"
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "object"
+            ):
+                offenders.append(f"{path.name}:{node.lineno} object.__new__")
+            if path.name != "tabular.py" and isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name == "Dataset":
+                    offenders.append(f"{path.name}:{node.lineno} Dataset(...)")
     assert offenders == []

@@ -3,7 +3,7 @@ from __future__ import annotations
 import importlib
 import os
 import pickle
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -224,13 +224,21 @@ class TestCellEngine:
         assert cells == records
 
     def test_null_distribution_matches_record_engine(self):
+        """Each null score is the record engine's scan of a full Dataset that
+        carries the replicate's outcomes, drawn here from the replicate's stream."""
         dataset = random_dataset(np.random.default_rng(5), 600, (3, 4, 2, 5), 0.1)
         config = BootstrapConfig(
             n_replicates=6, seed=2, scan_config=ScanConfig(n_restarts=3, seed=0)
         )
-        cells = null_score_distribution(dataset, config)
-        records = with_record_engine(null_score_distribution, dataset, config)
-        assert cells.tolist() == records.tolist()
+        records = []
+        for r in range(config.n_replicates):
+            outcome_seq, scan_seq = np.random.SeedSequence([config.seed, r, 0]).spawn(2)
+            draws = np.random.default_rng(outcome_seq).random(dataset.n_records)
+            replicate = Dataset(dataset.schema, dataset.rows, draws < dataset.global_mean)
+            assert 0 < replicate.n_positive < replicate.n_records  # no redraw needed
+            rep_config = replace(config.scan_config, seed=int(scan_seq.generate_state(1)[0]))
+            records.append(with_record_engine(scan, replicate, rep_config).panel.score)
+        assert null_score_distribution(dataset, config).tolist() == records
 
 
 class TestBestPrefix:
