@@ -34,8 +34,6 @@ from .scoring import (
 )
 from .significance import (
     BootstrapConfig,
-    PValueResult,
-    empirical_p_value,
     null_score_distribution,
     p_from_null_scores,
 )
@@ -47,8 +45,6 @@ from .tabular import (
     category_counts,
     generate_synthetic,
     load_csv,
-    membership,
-    membership_mask,
     subset_counts,
     write_csv,
 )
@@ -63,7 +59,6 @@ __all__ = [
     "EffectMeasures",
     "GreedyResult",
     "LoadError",
-    "PValueResult",
     "RelevanceConfig",
     "RelevanceEntry",
     "ScanConfig",
@@ -78,13 +73,10 @@ __all__ = [
     "bernoulli_score",
     "category_counts",
     "cross_substitute_greedy",
-    "empirical_p_value",
     "enumerate_substitutions",
     "evaluate",
     "generate_synthetic",
     "load_csv",
-    "membership",
-    "membership_mask",
     "null_score_distribution",
     "odds_ratio",
     "optimal_q",

@@ -26,8 +26,10 @@ import numpy as np
 from . import report as rep
 from .errors import ContractError, DegenerateDataError, LoadError
 from .postdiscovery import (
+    GreedyResult,
     RelevanceConfig,
     RelevanceEntry,
+    SubstitutionOutcome,
     cross_substitute_greedy,
     enumerate_substitutions,
     rank_feature_relevance,
@@ -166,7 +168,10 @@ class _StageTimer:
 
 def _out_dir(cfg: PipelineConfig) -> Path:
     out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as e:  # a file in the way, or no permission
+        raise ContractError(f"--out {out}: cannot create the directory ({e.strerror})") from None
     return out
 
 
@@ -260,20 +265,37 @@ def _run_discovery(
     return result, nulls, p_value, at_floor
 
 
+def _write_reports(
+    cfg: PipelineConfig, command: str, report_file: str, timer: _StageTimer,
+    dataset: Dataset, result: ScanResult, p_value: float | None = None,
+    at_floor: bool | None = None, *, ranking: list[RelevanceEntry] | None = None,
+    outcomes: list[SubstitutionOutcome] | None = None, greedy: GreedyResult | None = None,
+) -> None:
+    """Write the JSON report, then a CSV table of the ranking and of the outcomes given."""
+    out, schema = _out_dir(cfg), dataset.schema
+    payload = rep.build_report(
+        command, cfg.echo(), timer.seconds,
+        dataset_block=rep.dataset_summary(dataset, str(cfg.input), cfg.outcome),
+        scan_block=rep.scan_to_json(result, schema, p_value, at_floor),
+        relevance_block=None if ranking is None else rep.relevance_to_json(ranking),
+        substitutions_block=(
+            None if outcomes is None else [rep.substitution_to_json(o, schema) for o in outcomes]
+        ),
+        greedy_block=None if greedy is None else rep.greedy_to_json(greedy, schema),
+    )
+    rep.write_json(out / report_file, payload)
+    if ranking is not None:
+        rep.write_relevance_csv(out / "relevance.csv", ranking)
+    if outcomes is not None:
+        rep.write_substitutions_csv(out / "substitutions.csv", outcomes)
+
+
 def cmd_scan(cfg: PipelineConfig) -> int:
     timer = _StageTimer()
     with timer.stage("load"):
         dataset = _require_input(cfg)
     result, _, p_value, at_floor = _run_discovery(cfg, dataset, timer)
-    out = _out_dir(cfg)
-    payload = rep.build_report(
-        "scan",
-        cfg.echo(),
-        timer.seconds,
-        dataset_block=rep.dataset_summary(dataset, str(cfg.input), cfg.outcome),
-        scan_block=rep.scan_to_json(result, dataset.schema, p_value, at_floor),
-    )
-    rep.write_json(out / "scan_report.json", payload)
+    _write_reports(cfg, "scan", "scan_report.json", timer, dataset, result, p_value, at_floor)
     return 0
 
 
@@ -325,17 +347,7 @@ def cmd_rank(cfg: PipelineConfig) -> int:
         result = _load_scan_report(cfg, dataset)
     with timer.stage("rank"):
         ranking = rank_feature_relevance(dataset, result, cfg.relevance_config())
-    out = _out_dir(cfg)
-    payload = rep.build_report(
-        "rank",
-        cfg.echo(),
-        timer.seconds,
-        dataset_block=rep.dataset_summary(dataset, str(cfg.input), cfg.outcome),
-        scan_block=rep.scan_to_json(result, dataset.schema),
-        relevance_block=rep.relevance_to_json(ranking),
-    )
-    rep.write_json(out / "rank_report.json", payload)
-    rep.write_relevance_csv(out / "relevance.csv", ranking)
+    _write_reports(cfg, "rank", "rank_report.json", timer, dataset, result, ranking=ranking)
     return 0
 
 
@@ -344,7 +356,6 @@ def cmd_substitute(cfg: PipelineConfig) -> int:
     with timer.stage("load"):
         dataset = _require_input(cfg)
         result = _load_scan_report(cfg, dataset)
-    out = _out_dir(cfg)
     outcomes = []
     if enumerate_substitutions(result.descriptor, dataset.schema):
         with timer.stage("rank"):
@@ -361,16 +372,9 @@ def cmd_substitute(cfg: PipelineConfig) -> int:
                 dataset, result, ranking, cfg.alpha, cfg.bootstrap_config(),
                 null_scores=nulls, workers=cfg.workers,
             )
-    payload = rep.build_report(
-        "substitute",
-        cfg.echo(),
-        timer.seconds,
-        dataset_block=rep.dataset_summary(dataset, str(cfg.input), cfg.outcome),
-        scan_block=rep.scan_to_json(result, dataset.schema),
-        substitutions_block=[rep.substitution_to_json(o, dataset.schema) for o in outcomes],
+    _write_reports(
+        cfg, "substitute", "substitutions.json", timer, dataset, result, outcomes=outcomes
     )
-    rep.write_json(out / "substitutions.json", payload)
-    rep.write_substitutions_csv(out / "substitutions.csv", outcomes)
     return 0
 
 
@@ -394,20 +398,10 @@ def cmd_pipeline(cfg: PipelineConfig) -> int:
             unconditional=cfg.unconditional,
             null_scores=nulls, workers=cfg.workers,
         )
-    out = _out_dir(cfg)
-    payload = rep.build_report(
-        "pipeline",
-        cfg.echo(),
-        timer.seconds,
-        dataset_block=rep.dataset_summary(dataset, str(cfg.input), cfg.outcome),
-        scan_block=rep.scan_to_json(result, dataset.schema, p_value, at_floor),
-        relevance_block=rep.relevance_to_json(ranking),
-        substitutions_block=[rep.substitution_to_json(o, dataset.schema) for o in outcomes],
-        greedy_block=rep.greedy_to_json(greedy, dataset.schema),
+    _write_reports(
+        cfg, "pipeline", "report.json", timer, dataset, result, p_value, at_floor,
+        ranking=ranking, outcomes=outcomes, greedy=greedy,
     )
-    rep.write_json(out / "report.json", payload)
-    rep.write_relevance_csv(out / "relevance.csv", ranking)
-    rep.write_substitutions_csv(out / "substitutions.csv", outcomes)
     return 0
 
 
@@ -501,6 +495,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _merged_config(args)
+        _out_dir(cfg)  # a bad --out fails before any data is read
         return int(args.func(cfg))
     except (ContractError, LoadError) as exc:
         print(f"error: {exc}", file=sys.stderr)

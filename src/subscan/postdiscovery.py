@@ -430,8 +430,6 @@ def cross_substitute_greedy(
                 if not unconditional:
                     break  # value v substituted; move to the next ranked value
 
-    if effects is not None:
-        effects = replace(effects, p_value=p_value)
     return GreedyResult(
         current, panel, effects, p_value, at_floor, tuple(applied), done
     )

@@ -106,23 +106,17 @@ def bernoulli_score(n_positive: int, n_subset: int, global_mean: float) -> Score
 
 @dataclass(frozen=True)
 class EffectMeasures:
-    """Odds ratio of the subset against its complement, with a 95% interval.
-
-    p_value stays None until a significance pass fills it in.
-    """
+    """Odds ratio of the subset against its complement, with a 95% interval."""
 
     odds_ratio: float
     ci_low: float
     ci_high: float
     subset_rate: float
     complement_rate: float
-    p_value: float | None = None
 
     def __post_init__(self) -> None:
         if not self.ci_low <= self.odds_ratio <= self.ci_high:
             raise ContractError("confidence interval must bracket the odds ratio")
-        if self.p_value is not None and not 0.0 < self.p_value <= 1.0:
-            raise ContractError("p_value must lie in (0, 1]")
 
 
 def odds_ratio(a: int, b: int, c: int, d: int) -> EffectMeasures:

@@ -29,7 +29,12 @@ _MAX_REDRAWS = 100  # attempts before giving up on an all-0/all-1 replicate
 
 @dataclass(frozen=True)
 class BootstrapConfig:
-    """Replicate count, seed, and the scan configuration reused per replicate."""
+    """Replicate count, seed, and the scan configuration reused per replicate.
+
+    Each replicate runs ``scan_config`` with its seed replaced by a stream of
+    its own, derived from (``seed``, replicate index), so ``scan_config.seed``
+    does not affect the null sample.
+    """
 
     n_replicates: int = 50
     seed: int = 0
@@ -40,13 +45,6 @@ class BootstrapConfig:
             raise ContractError("n_replicates must be >= 1")
         if self.seed < 0:
             raise ContractError("seed must be a non-negative integer")
-
-
-@dataclass(frozen=True)
-class PValueResult:
-    p_value: float
-    replicate_scores: tuple[float, ...]
-    at_floor: bool
 
 
 def _replicate_score(
@@ -95,18 +93,3 @@ def p_from_null_scores(
     exceed = int(np.count_nonzero(np.asarray(null_scores) >= observed_score))
     p = (1 + exceed) / (1 + len(null_scores))
     return p, exceed == 0
-
-
-def empirical_p_value(
-    dataset: Dataset,
-    observed_score: float,
-    config: BootstrapConfig,
-    *,
-    workers: int = 1,
-) -> PValueResult:
-    """Empirical p-value of an observed scan score on this dataset."""
-    if observed_score < 0:
-        raise ContractError("observed_score must be >= 0")
-    null_scores = null_score_distribution(dataset, config, workers=workers)
-    p, at_floor = p_from_null_scores(observed_score, null_scores)
-    return PValueResult(p, tuple(float(s) for s in null_scores), at_floor)

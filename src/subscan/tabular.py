@@ -4,7 +4,7 @@ Categories are encoded as dense integer indices per feature; human-readable
 labels live only in the Schema. Rows and outcomes are immutable numpy arrays,
 so datasets can be shared freely across parallel workers. Only this module
 reads them: the other modules see the data through ``CategoryCounter``,
-``category_counts``, ``subset_counts`` and ``membership_mask``.
+``category_counts`` and ``subset_counts``.
 
 Every count runs over cells, the distinct feature patterns of a dataset,
 weighted by their record and positive counts: the scan score depends on the
@@ -29,12 +29,7 @@ from .errors import ContractError, LoadError
 
 MISSING_LABEL = "<missing>"
 
-# Outcome-column aliases: {"0","1"} is the default; pass TRUE_FALSE_ALIASES to
-# accept boolean-style files instead.
-DEFAULT_OUTCOME_ALIASES: Mapping[str, int] = {"0": 0, "1": 1}
-TRUE_FALSE_ALIASES: Mapping[str, int] = {
-    "0": 0, "1": 1, "false": 0, "true": 1, "False": 0, "True": 1,
-}
+_OUTCOMES: Mapping[str, int] = {"0": 0, "1": 1}  # outcome label -> value
 
 
 @dataclass(frozen=True)
@@ -285,11 +280,6 @@ def _allowed_masks(schema: Schema, descriptor: SubsetDescriptor) -> dict[int, np
     return allowed
 
 
-def membership_mask(dataset: Dataset, descriptor: SubsetDescriptor) -> np.ndarray:
-    """Boolean mask of records satisfying the descriptor."""
-    return _within(dataset.rows.T, _allowed_masks(dataset.schema, descriptor))
-
-
 class CategoryCounter:
     """Per-category counts of one feature over the records the other features allow.
 
@@ -345,15 +335,6 @@ def category_counts(
     mask, or with None, is unconstrained; ``feature``'s own mask is ignored.
     """
     return CategoryCounter(dataset, dataset.cell_positives, allowed).counts(feature)
-
-
-def membership(dataset: Dataset, descriptor: SubsetDescriptor) -> np.ndarray:
-    """Sorted indices of records satisfying the descriptor.
-
-    An empty descriptor matches every record; a feature constrained to all of
-    its categories is vacuous.
-    """
-    return np.flatnonzero(membership_mask(dataset, descriptor))
 
 
 def subset_counts(dataset: Dataset, descriptor: SubsetDescriptor) -> tuple[int, int]:
@@ -435,22 +416,18 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, SubsetDescriptor]:
     return Dataset(schema, rows, outcomes), spec.planted
 
 
-def load_csv(
-    path: str | Path,
-    outcome_column: str,
-    outcome_aliases: Mapping[str, int] = DEFAULT_OUTCOME_ALIASES,
-) -> Dataset:
+def load_csv(path: str | Path, outcome_column: str) -> Dataset:
     """Ingest an RFC-4180 style CSV (header required, UTF-8) into a Dataset.
 
     Every column except the outcome is treated as categorical; category
     indices follow first appearance order. Empty cells become the
-    ``<missing>`` category.
+    ``<missing>`` category. A leading byte-order mark is skipped.
     """
     path = Path(path)
     if not path.exists():
         raise LoadError(f"no such file: {path}")
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             try:
                 header = next(reader)
@@ -473,12 +450,12 @@ def load_csv(
                         f"{path}: row {r} has {len(record)} cells, expected {len(header)}"
                     )
                 raw_y = record[y_col].strip()
-                if raw_y not in outcome_aliases:
+                if raw_y not in _OUTCOMES:
                     raise LoadError(
                         f"{path}: row {r}, column {outcome_column!r}: "
                         f"non-binary outcome value {record[y_col]!r}"
                     )
-                outcomes.append(outcome_aliases[raw_y])
+                outcomes.append(_OUTCOMES[raw_y])
                 encoded = []
                 for j, col in enumerate(feature_cols):
                     cell = record[col]
@@ -524,8 +501,11 @@ def _atomic_text(path: str | Path) -> Iterator[IO[str]]:
     """Text file written beside ``path`` and moved onto it only if the block succeeds."""
     tmp = Path(f"{path}.{os.urandom(6).hex()}.tmp")
     try:
-        with open(tmp, "x", newline="", encoding="utf-8") as fh:
-            yield fh
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)  # gone already after a successful replace
+        try:
+            with open(tmp, "x", newline="", encoding="utf-8") as fh:
+                yield fh
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)  # gone already after a successful replace
+    except OSError as e:  # a directory at ``path``, no permission, a full disk
+        raise ContractError(f"cannot write {path} ({e.strerror})") from None

@@ -28,7 +28,7 @@ from subscan.scan import (
     _random_nonempty_subset,
 )
 from subscan.scoring import score_array
-from subscan.tabular import Dataset
+from subscan.tabular import Dataset, SubsetDescriptor, _allowed_masks, _within
 
 
 def objective(q: float, n_positive: float, n_subset: float, mu: float) -> float:
@@ -71,6 +71,20 @@ def numeric_max_score(n_positive: float, n_subset: float, mu: float) -> float:
         return -n_subset * math.log(mu)
     q = golden_section_max_q(n_positive, n_subset, mu)
     return max(0.0, objective(q, n_positive, n_subset, mu))
+
+
+def membership_mask(dataset: Dataset, descriptor: SubsetDescriptor) -> np.ndarray:
+    """Boolean mask of records satisfying the descriptor."""
+    return _within(dataset.rows.T, _allowed_masks(dataset.schema, descriptor))
+
+
+def membership(dataset: Dataset, descriptor: SubsetDescriptor) -> np.ndarray:
+    """Sorted indices of records satisfying the descriptor.
+
+    An empty descriptor matches every record; a feature constrained to all of
+    its categories is vacuous.
+    """
+    return np.flatnonzero(membership_mask(dataset, descriptor))
 
 
 def brute_membership(rows, constraints: dict[int, set[int]]) -> set[int]:

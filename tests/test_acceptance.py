@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from scipy.stats import binomtest
 
-from oracles import exhaustive_scan, golden_section_max_q, numeric_max_score
+from oracles import exhaustive_scan, golden_section_max_q, membership_mask, numeric_max_score
 from subscan.cli import main as cli_main
 from subscan.postdiscovery import (
     cross_substitute_greedy,
@@ -31,7 +31,6 @@ from subscan.scan import ScanConfig, scan
 from subscan.scoring import bernoulli_score, optimal_q
 from subscan.significance import (
     BootstrapConfig,
-    empirical_p_value,
     null_score_distribution,
     p_from_null_scores,
 )
@@ -39,7 +38,6 @@ from subscan.tabular import (
     Schema,
     SubsetDescriptor,
     generate_synthetic,
-    membership_mask,
     write_csv,
 )
 
@@ -145,8 +143,8 @@ def test_criterion_4_p_value_floor_and_calibration(cohort_family):
     start = time.perf_counter()
 
     seed, dataset, _, result, boot, nulls = cohort_family[0]
-    zero = empirical_p_value(dataset, 0.0, boot)
-    assert zero.p_value == 1.0
+    zero, _ = p_from_null_scores(0.0, null_score_distribution(dataset, boot))
+    assert zero == 1.0
 
     p_floor, at_floor = p_from_null_scores(result.panel.score, nulls)
     assert at_floor and boot.n_replicates == 50
@@ -159,11 +157,10 @@ def test_criterion_4_p_value_floor_and_calibration(cohort_family):
         null_ds = random_dataset(rng, 240, (3, 3, 2), positive_rate=0.3)
         config = ScanConfig(n_restarts=3, seed=3000 + i)
         observed = scan(null_ds, config).panel.score
-        res = empirical_p_value(
-            null_ds, observed,
-            BootstrapConfig(n_replicates=99, seed=60_000 + i, scan_config=config),
+        null_scores = null_score_distribution(
+            null_ds, BootstrapConfig(n_replicates=99, seed=60_000 + i, scan_config=config)
         )
-        low += res.p_value <= 0.05
+        low += p_from_null_scores(observed, null_scores)[0] <= 0.05
     fraction = low / n_datasets
     elapsed = time.perf_counter() - start
     assert 0.01 <= fraction <= 0.12, f"null calibration off: P(p<=0.05) = {fraction}"

@@ -157,6 +157,30 @@ class TestScan:
         err = capsys.readouterr().err
         assert err.count("\n") == 2 and err.count(f"error: {tmp_path}: cannot read") == 2
 
+    @pytest.mark.parametrize("out, named", [
+        ("afile", "afile"),
+        ("afile/sub", "afile/sub"),
+        ("d", "d/scan_report.json"),
+    ], ids=["existing_file", "under_a_file", "report_path_is_a_directory"])
+    def test_unwritable_out_exits_2(self, cohort_csv, tmp_path, capsys, out, named):
+        (tmp_path / "afile").write_text("not a directory\n")
+        (tmp_path / "d" / "scan_report.json").mkdir(parents=True)
+        code = run(["scan", "--input", str(cohort_csv), "--restarts", "1",
+                    "--replicates", "1", "--out", str(tmp_path / out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(tmp_path / named) in err
+        assert not list(tmp_path.rglob("*.tmp"))
+
+    def test_out_under_a_file_rejected_before_data_is_read(self, tmp_path, capsys):
+        (tmp_path / "afile").write_text("not a directory\n")
+        code = run(["substitute", "--input", str(tmp_path / "missing.csv"),
+                    "--out", str(tmp_path / "afile")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--out" in err and "no such file" not in err
+
     def test_zero_restarts_rejected_before_work(self, cohort_csv, tmp_path, capsys):
         code = run(["scan", "--input", str(cohort_csv), "--outcome", "y",
                     "--restarts", "0", "--out", str(tmp_path)])

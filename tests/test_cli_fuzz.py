@@ -1,4 +1,4 @@
-"""CLI fuzz: malformed CSV bytes, --config files and saved reports.
+"""CLI fuzz: malformed CSV bytes, --config files, saved reports and --out paths.
 
 Whatever the input, the CLI exits 0, 2 (usage or input error) or 3
 (degenerate data); a nonzero exit prints exactly one ``error:`` line on
@@ -126,14 +126,16 @@ def test_malformed_csv(workdir, content):
 
 
 @FUZZ
-@given(content=config_file, command=st.sampled_from(["scan", "pipeline"]))
-def test_malformed_config(workdir, cohort, content, command):
+@given(content=config_file, command=st.sampled_from(["scan", "pipeline"]),
+       out=st.sampled_from(["out", "afile", "afile/sub"]))
+def test_malformed_config(workdir, cohort, content, command, out):
     path = workdir / "config.json"
     path.write_bytes(content)
+    (workdir / "afile").write_bytes(b"")  # an existing file as --out, or in its way
     # flags win over the file, so input, output and the work done stay bounded
     assert_clean_exit([command, "--config", str(path), "--input", str(cohort[0]),
                        "--restarts", "1", "--replicates", "19", "--workers", "1",
-                       "--out", str(workdir / "out")])
+                       "--out", str(workdir / out)])
 
 
 @FUZZ

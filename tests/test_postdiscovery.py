@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import binomtest
 
+from oracles import membership_mask
 from subscan.errors import ContractError
 from subscan.postdiscovery import (
     GreedyResult,
@@ -18,8 +19,8 @@ from subscan.postdiscovery import (
 )
 from subscan.scan import ScanConfig, ScanResult, scan
 from subscan.scoring import bernoulli_score
-from subscan.significance import BootstrapConfig, null_score_distribution
-from subscan.tabular import Dataset, Schema, SubsetDescriptor, membership_mask
+from subscan.significance import BootstrapConfig, null_score_distribution, p_from_null_scores
+from subscan.tabular import Dataset, Schema, SubsetDescriptor
 
 from conftest import make_recovery_cohort
 
@@ -368,7 +369,8 @@ class TestGreedy:
             int(dataset.outcomes[mask].sum()), int(mask.sum()), dataset.global_mean
         )
         assert again == g.panel
-        assert g.effects is not None and g.effects.p_value == g.p_value
+        assert g.effects is not None
+        assert g.p_value == p_from_null_scores(g.panel.score, nulls)[0]
 
     def test_score_threshold_stopping_rule(self):
         dataset, result = discovery(seed=5)

@@ -16,13 +16,14 @@ from oracles import (
     StepAudit,
     best_category_subset_score,
     exhaustive_scan,
+    membership_mask,
     record_run_restart,
 )
 from subscan.errors import DegenerateDataError
 from subscan.scan import ScanConfig, best_prefix, parallel_map, scan
 from subscan.scoring import bernoulli_score
 from subscan.significance import BootstrapConfig, _replicate_score, null_score_distribution
-from subscan.tabular import Dataset, Schema, SubsetDescriptor, membership_mask
+from subscan.tabular import Dataset, Schema, SubsetDescriptor
 
 from conftest import make_recovery_cohort, random_dataset
 

@@ -169,7 +169,3 @@ class TestOddsRatio:
     def test_interval_must_bracket_ratio(self):
         with pytest.raises(ContractError):
             EffectMeasures(2.0, 2.5, 3.0, 0.1, 0.05)
-
-    def test_p_value_domain(self):
-        with pytest.raises(ContractError):
-            EffectMeasures(2.0, 1.5, 3.0, 0.1, 0.05, p_value=0.0)

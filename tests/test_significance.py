@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,6 @@ from subscan.scan import ScanConfig, scan
 from subscan.significance import (
     BootstrapConfig,
     _replicate_score,
-    empirical_p_value,
     null_score_distribution,
     p_from_null_scores,
 )
@@ -62,9 +63,9 @@ class TestPFromNullScores:
 class TestEmpiricalPValue:
     def test_zero_score_floors_at_one(self):
         dataset, _ = make_recovery_cohort(seed=2, n_records=300)
-        result = empirical_p_value(dataset, 0.0, small_config())
-        assert result.p_value == 1.0
-        assert not result.at_floor
+        p, at_floor = p_from_null_scores(0.0, null_score_distribution(dataset, small_config()))
+        assert p == 1.0
+        assert not at_floor
 
     def test_planted_signal_hits_floor_r99(self):
         dataset, _ = make_recovery_cohort(seed=4)
@@ -72,19 +73,20 @@ class TestEmpiricalPValue:
         config = BootstrapConfig(
             n_replicates=99, seed=5, scan_config=ScanConfig(n_restarts=10, seed=7)
         )
-        result = empirical_p_value(dataset, observed, config)
-        assert max(result.replicate_scores) < observed  # zero exceedances
-        assert result.p_value == 1 / 100
-        assert result.at_floor
+        nulls = null_score_distribution(dataset, config)
+        p, at_floor = p_from_null_scores(observed, nulls)
+        assert max(nulls) < observed  # zero exceedances
+        assert p == 1 / 100
+        assert at_floor
 
     def test_floor_matches_fifty_replicate_default(self):
         dataset, _ = make_recovery_cohort(seed=7)
         observed = scan(dataset, ScanConfig(n_restarts=10, seed=3)).panel.score
         config = BootstrapConfig(seed=8, scan_config=ScanConfig(n_restarts=5, seed=3))
         assert config.n_replicates == 50
-        result = empirical_p_value(dataset, observed, config)
-        assert result.p_value == pytest.approx(1 / 51)
-        assert round(result.p_value, 6) == 0.019608
+        p, _ = p_from_null_scores(observed, null_score_distribution(dataset, config))
+        assert p == pytest.approx(1 / 51)
+        assert round(p, 6) == 0.019608
 
     def test_deterministic_and_worker_independent(self):
         dataset, _ = make_recovery_cohort(seed=9, n_records=400)
@@ -95,15 +97,24 @@ class TestEmpiricalPValue:
         assert np.array_equal(a, b)
         assert np.array_equal(a, c)
 
+    def test_scan_seed_does_not_move_the_null_sample(self):
+        # each replicate replaces scan_config.seed with its own stream
+        dataset, _ = make_recovery_cohort(seed=9, n_records=400)
+        config = small_config(replicates=6, seed=77)
+        reseeded = replace(config, scan_config=replace(config.scan_config, seed=12345))
+        assert np.array_equal(
+            null_score_distribution(dataset, config),
+            null_score_distribution(dataset, reseeded),
+        )
+
     def test_replicate_count_respected(self):
         dataset, _ = make_recovery_cohort(seed=12, n_records=300)
-        result = empirical_p_value(dataset, 1.0, small_config(replicates=7))
-        assert len(result.replicate_scores) == 7
+        assert len(null_score_distribution(dataset, small_config(replicates=7))) == 7
 
     def test_negative_observed_rejected(self):
         dataset, _ = make_recovery_cohort(seed=1, n_records=300)
         with pytest.raises(ContractError):
-            empirical_p_value(dataset, -1.0, small_config())
+            p_from_null_scores(-1.0, null_score_distribution(dataset, small_config()))
 
     def test_replicate_config_validation(self):
         with pytest.raises(ContractError):

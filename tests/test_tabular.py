@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import codecs
 import csv
 
 import numpy as np
@@ -8,10 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import binomtest
 
-from oracles import brute_membership
+from oracles import brute_membership, membership, membership_mask
 from subscan.errors import ContractError, LoadError
 from subscan.tabular import (
-    TRUE_FALSE_ALIASES,
     CategoryCounter,
     Dataset,
     Schema,
@@ -20,8 +20,6 @@ from subscan.tabular import (
     category_counts,
     generate_synthetic,
     load_csv,
-    membership,
-    membership_mask,
     planted_outcome_rate,
     subset_counts,
     write_csv,
@@ -350,10 +348,18 @@ class TestLoadCsv:
     def test_true_false_aliases(self, tmp_path):
         p = tmp_path / "t.csv"
         p.write_text("a,y\nx,true\nz,false\n")
-        ds = load_csv(p, "y", outcome_aliases=TRUE_FALSE_ALIASES)
-        assert ds.outcomes.tolist() == [1, 0]
         with pytest.raises(LoadError):
-            load_csv(p, "y")  # default aliases only accept 0/1
+            load_csv(p, "y")  # outcomes are 0/1 only
+
+    @pytest.mark.parametrize("text", ["y,a\n1,x\n0,z\n", "a,y\nx,1\nz,0\n"])
+    def test_utf8_byte_order_mark_skipped(self, tmp_path, text):
+        p = tmp_path / "t.csv"
+        p.write_bytes(codecs.BOM_UTF8 + text.encode("utf-8"))
+        ds = load_csv(p, "y")
+        assert ds.schema.features == (("a", ("x", "z")),)
+        assert ds.outcomes.tolist() == [1, 0]
+        write_csv(ds, tmp_path / "again.csv")  # written back without a mark
+        assert (tmp_path / "again.csv").read_bytes() == b"a,y\r\nx,1\r\nz,0\r\n"
 
     def test_empty_cell_becomes_missing_category(self, tmp_path):
         p = tmp_path / "t.csv"
