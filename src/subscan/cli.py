@@ -166,6 +166,19 @@ class _StageTimer:
         self.seconds[name] = time.perf_counter() - start
 
 
+# the files each subcommand writes into --out, by role
+_OUTPUTS: dict[str, dict[str, str]] = {
+    "synth": {"cohort": "cohort.csv", "planted": "planted.json"},
+    "scan": {"report": "scan_report.json"},
+    "rank": {"report": "rank_report.json", "relevance": "relevance.csv"},
+    "substitute": {"report": "substitutions.json", "substitutions": "substitutions.csv"},
+    "pipeline": {
+        "report": "report.json", "relevance": "relevance.csv",
+        "substitutions": "substitutions.csv",
+    },
+}
+
+
 def _out_dir(cfg: PipelineConfig) -> Path:
     out = Path(cfg.out)
     try:
@@ -238,17 +251,17 @@ def cmd_synth(cfg: PipelineConfig) -> int:
     timer = _StageTimer()
     with timer.stage("generate"):
         dataset, descriptor = generate_synthetic(spec)
-    out = _out_dir(cfg)
+    out, names = _out_dir(cfg), _OUTPUTS["synth"]
     with timer.stage("write"):
-        write_csv(dataset, out / "cohort.csv", cfg.outcome)
+        write_csv(dataset, out / names["cohort"], cfg.outcome)
         payload = rep.build_report(
             "synth",
             cfg.echo(),
             timer.seconds,
-            dataset_block=rep.dataset_summary(dataset, str(out / "cohort.csv"), cfg.outcome),
+            dataset_block=rep.dataset_summary(dataset, str(out / names["cohort"]), cfg.outcome),
         )
         payload["planted_descriptor"] = descriptor.to_labels(dataset.schema)
-        rep.write_json(out / "planted.json", payload)
+        rep.write_json(out / names["planted"], payload)
     return 0
 
 
@@ -266,13 +279,13 @@ def _run_discovery(
 
 
 def _write_reports(
-    cfg: PipelineConfig, command: str, report_file: str, timer: _StageTimer,
+    cfg: PipelineConfig, command: str, timer: _StageTimer,
     dataset: Dataset, result: ScanResult, p_value: float | None = None,
     at_floor: bool | None = None, *, ranking: list[RelevanceEntry] | None = None,
     outcomes: list[SubstitutionOutcome] | None = None, greedy: GreedyResult | None = None,
 ) -> None:
-    """Write the JSON report, then a CSV table of the ranking and of the outcomes given."""
-    out, schema = _out_dir(cfg), dataset.schema
+    """Write the command's JSON report, then CSV tables of the ranking and outcomes given."""
+    out, names, schema = _out_dir(cfg), _OUTPUTS[command], dataset.schema
     payload = rep.build_report(
         command, cfg.echo(), timer.seconds,
         dataset_block=rep.dataset_summary(dataset, str(cfg.input), cfg.outcome),
@@ -283,11 +296,11 @@ def _write_reports(
         ),
         greedy_block=None if greedy is None else rep.greedy_to_json(greedy, schema),
     )
-    rep.write_json(out / report_file, payload)
+    rep.write_json(out / names["report"], payload)
     if ranking is not None:
-        rep.write_relevance_csv(out / "relevance.csv", ranking)
+        rep.write_relevance_csv(out / names["relevance"], ranking)
     if outcomes is not None:
-        rep.write_substitutions_csv(out / "substitutions.csv", outcomes)
+        rep.write_substitutions_csv(out / names["substitutions"], outcomes)
 
 
 def cmd_scan(cfg: PipelineConfig) -> int:
@@ -295,7 +308,7 @@ def cmd_scan(cfg: PipelineConfig) -> int:
     with timer.stage("load"):
         dataset = _require_input(cfg)
     result, _, p_value, at_floor = _run_discovery(cfg, dataset, timer)
-    _write_reports(cfg, "scan", "scan_report.json", timer, dataset, result, p_value, at_floor)
+    _write_reports(cfg, "scan", timer, dataset, result, p_value, at_floor)
     return 0
 
 
@@ -347,7 +360,7 @@ def cmd_rank(cfg: PipelineConfig) -> int:
         result = _load_scan_report(cfg, dataset)
     with timer.stage("rank"):
         ranking = rank_feature_relevance(dataset, result, cfg.relevance_config())
-    _write_reports(cfg, "rank", "rank_report.json", timer, dataset, result, ranking=ranking)
+    _write_reports(cfg, "rank", timer, dataset, result, ranking=ranking)
     return 0
 
 
@@ -372,9 +385,7 @@ def cmd_substitute(cfg: PipelineConfig) -> int:
                 dataset, result, ranking, cfg.alpha, cfg.bootstrap_config(),
                 null_scores=nulls, workers=cfg.workers,
             )
-    _write_reports(
-        cfg, "substitute", "substitutions.json", timer, dataset, result, outcomes=outcomes
-    )
+    _write_reports(cfg, "substitute", timer, dataset, result, outcomes=outcomes)
     return 0
 
 
@@ -399,7 +410,7 @@ def cmd_pipeline(cfg: PipelineConfig) -> int:
             null_scores=nulls, workers=cfg.workers,
         )
     _write_reports(
-        cfg, "pipeline", "report.json", timer, dataset, result, p_value, at_floor,
+        cfg, "pipeline", timer, dataset, result, p_value, at_floor,
         ranking=ranking, outcomes=outcomes, greedy=greedy,
     )
     return 0
@@ -495,7 +506,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _merged_config(args)
-        _out_dir(cfg)  # a bad --out fails before any data is read
+        out = _out_dir(cfg)  # a bad --out fails before any data is read
+        for name in _OUTPUTS[args.subcommand].values():
+            if (out / name).is_dir():  # and so does an output path that cannot be replaced
+                raise ContractError(f"cannot write {out / name} (Is a directory)")
         return int(args.func(cfg))
     except (ContractError, LoadError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,16 +10,25 @@ Every count runs over cells, the distinct feature patterns of a dataset,
 weighted by their record and positive counts: the scan score depends on the
 data only through these aggregates, and a dataset usually has far fewer cells
 than records.
+
+``load_csv`` has two readers that give the same Dataset. A plain file (no
+``"``, LF or CRLF line ends, valid UTF-8, a 0/1 outcome in every row: what
+``write_csv`` writes for unquoted labels) is parsed with numpy over blocks of
+whole lines, one fixed-width byte key per field. Any other file, and every
+file the byte reader finds a fault in, is read through the csv module one
+record at a time, which accepts it or raises the LoadError.
 """
 
 from __future__ import annotations
 
+import codecs
 import csv
+import itertools
 import os
 from collections.abc import Iterable, Iterator, Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 from typing import IO, NamedTuple
 
@@ -422,10 +431,47 @@ def load_csv(path: str | Path, outcome_column: str) -> Dataset:
     Every column except the outcome is treated as categorical; category
     indices follow first appearance order. Empty cells become the
     ``<missing>`` category. A leading byte-order mark is skipped.
+
+    Two readers give the same Dataset. A plain file is parsed as blocks of
+    bytes with numpy (``_read_plain``). Every other file goes through the csv
+    module one record at a time (``_read_records``): a file with a ``"``
+    (quoted fields), and any file in which the byte reader meets what it does
+    not handle exactly. That reader accepts the file or raises the LoadError,
+    so every load error comes from it.
     """
     path = Path(path)
     if not path.exists():
         raise LoadError(f"no such file: {path}")
+    dataset = _read_plain(path, outcome_column)
+    return dataset if dataset is not None else _read_records(path, outcome_column)
+
+
+def _columns(path: Path, header: list[str], outcome_column: str) -> tuple[int, list[int]]:
+    """(outcome column, feature columns) named by a header, or LoadError naming the file."""
+    if outcome_column not in header:
+        raise LoadError(f"{path}: outcome column {outcome_column!r} not in header")
+    seen: set[str] = set()
+    for name in header:
+        if name in seen:
+            raise LoadError(f"{path}: column {name!r} appears more than once in the header")
+        seen.add(name)
+    y_col = header.index(outcome_column)
+    feature_cols = [i for i in range(len(header)) if i != y_col]
+    if not feature_cols:
+        raise LoadError(f"{path}: no feature columns besides the outcome")
+    return y_col, feature_cols
+
+
+def _code(codes: dict[str, int], label: str) -> int:
+    """The category index of a field, numbering labels by first appearance; "" is <missing>.
+
+    ``codes`` maps label -> index in insertion order, so it lists the categories.
+    """
+    return codes.setdefault(label or MISSING_LABEL, len(codes))
+
+
+def _read_records(path: Path, outcome_column: str) -> Dataset:
+    """load_csv through the csv module, one record at a time."""
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
@@ -433,15 +479,8 @@ def load_csv(path: str | Path, outcome_column: str) -> Dataset:
                 header = next(reader)
             except StopIteration:
                 raise LoadError(f"{path}: file is empty, header row required") from None
-            if outcome_column not in header:
-                raise LoadError(f"{path}: outcome column {outcome_column!r} not in header")
-            y_col = header.index(outcome_column)
-            feature_cols = [i for i in range(len(header)) if i != y_col]
-            if not feature_cols:
-                raise LoadError(f"{path}: no feature columns besides the outcome")
-
-            labels: list[dict[str, int]] = [{} for _ in feature_cols]
-            ordered: list[list[str]] = [[] for _ in feature_cols]
+            y_col, feature_cols = _columns(path, header, outcome_column)
+            codes: list[dict[str, int]] = [{} for _ in feature_cols]
             rows: list[list[int]] = []
             outcomes: list[int] = []
             for r, record in enumerate(reader, start=1):
@@ -456,30 +495,150 @@ def load_csv(path: str | Path, outcome_column: str) -> Dataset:
                         f"non-binary outcome value {record[y_col]!r}"
                     )
                 outcomes.append(_OUTCOMES[raw_y])
-                encoded = []
-                for j, col in enumerate(feature_cols):
-                    cell = record[col]
-                    if cell == "":
-                        cell = MISSING_LABEL
-                    idx = labels[j].get(cell)
-                    if idx is None:
-                        idx = len(ordered[j])
-                        labels[j][cell] = idx
-                        ordered[j].append(cell)
-                    encoded.append(idx)
-                rows.append(encoded)
+                rows.append([_code(codes[j], record[col]) for j, col in enumerate(feature_cols)])
     except (OSError, UnicodeDecodeError, csv.Error) as e:  # a directory, not UTF-8, bad CSV
         raise LoadError(f"{path}: cannot read as a UTF-8 CSV file ({e})") from None
 
     if not rows:
         raise LoadError(f"{path}: no data rows")
-    schema = Schema(
-        tuple(
-            (header[col], tuple(ordered[j]))
-            for j, col in enumerate(feature_cols)
-        )
-    )
+    schema = Schema(tuple((header[col], tuple(codes[j])) for j, col in enumerate(feature_cols)))
     return Dataset(schema, np.asarray(rows, dtype=np.int32), np.asarray(outcomes, dtype=np.int8))
+
+
+_BLOCK_BYTES = 1 << 20  # the byte reader reads the file this much at a time
+_COMMA, _LF, _CR, _ZERO = b",\n\r0"  # byte values
+
+
+class _NotPlain(Exception):
+    """The byte reader hands the file to the csv module."""
+
+
+def _read_plain(path: Path, outcome_column: str) -> Dataset | None:
+    """load_csv over blocks of whole lines with numpy; None if the file is not plain.
+
+    A plain file holds no ``"`` and no NUL byte, ends each line in LF or CRLF
+    (or at the end of the file), is valid UTF-8, has as many fields in every
+    row as in the header and at least one data row, no field over
+    ``csv.field_size_limit()`` bytes, a header that ``_columns`` accepts and
+    an outcome of exactly ``0`` or ``1``. Splitting such a file at commas and
+    line ends reads what the csv module reads. The file is read twice: once
+    to count its lines, so the codes go into one preallocated array, and
+    once to parse it.
+    """
+    try:
+        with open(path, "rb") as fh:
+            n_lines, last = 0, b"\n"
+            for chunk in iter(partial(fh.read, _BLOCK_BYTES), b""):
+                if b'"' in chunk or b"\0" in chunk:
+                    raise _NotPlain
+                n_lines += chunk.count(b"\n")
+                last = chunk[-1:]
+            n_records = n_lines + (last != b"\n") - 1  # a last line may lack its end
+            if n_records < 1:
+                raise _NotPlain
+            fh.seek(0)
+            return _parse_plain(path, _line_blocks(fh), n_records, outcome_column)
+    except (_NotPlain, LoadError, OSError, UnicodeDecodeError):
+        return None
+
+
+def _line_blocks(fh: IO[bytes]) -> Iterator[bytes]:
+    """The file in blocks of whole lines; an unended last line gets its LF."""
+    tail = b""
+    for chunk in iter(partial(fh.read, _BLOCK_BYTES), b""):
+        cut = chunk.rfind(b"\n") + 1
+        if cut:
+            yield _crlf_only(tail + memoryview(chunk)[:cut])
+            tail = chunk[cut:]
+        else:
+            tail += chunk
+    if tail:
+        yield _crlf_only(tail + b"\n")
+
+
+def _crlf_only(block: bytes) -> bytes:
+    """The block; _NotPlain at a CR outside a CRLF, where the csv module ends a record."""
+    if block.count(b"\r") != block.count(b"\r\n"):
+        raise _NotPlain
+    return block
+
+
+def _parse_plain(
+    path: Path, blocks: Iterator[bytes], n_records: int, outcome_column: str
+) -> Dataset:
+    """The Dataset of a plain file's line blocks; _NotPlain at the first fault."""
+    limit = csv.field_size_limit()
+    head, _, first = next(blocks).removeprefix(codecs.BOM_UTF8).partition(b"\n")
+    fields = head.removesuffix(b"\r").split(b",")
+    if max(map(len, fields)) > limit:
+        raise _NotPlain
+    header = [name.decode("utf-8") for name in fields]
+    y_col, feature_cols = _columns(path, header, outcome_column)
+
+    codes: list[dict[str, int]] = [{} for _ in feature_cols]
+    rows = np.empty((n_records, len(feature_cols)), dtype=np.int32)
+    outcomes = np.empty(n_records, dtype=np.int8)
+    done = 0
+    for block in itertools.chain([first] if first else [], blocks):  # after the header
+        buf = np.frombuffer(block, dtype=np.uint8)
+        # each row's field ends: the positions of its commas and of its LF
+        ends = np.flatnonzero((buf == _COMMA) | (buf == _LF))
+        n = block.count(b"\n")
+        if len(ends) != n * len(header) or done + n > n_records:
+            raise _NotPlain
+        ends = ends.reshape(n, len(header))
+        if not (buf[ends[:, -1]] == _LF).all():  # then every other end is a comma
+            raise _NotPlain
+        row_starts = np.r_[0, ends[:-1, -1] + 1]
+        ends[:, -1] -= buf[ends[:, -1] - 1] == _CR  # a CRLF line's field ends before its CR
+        for col in range(len(header)):
+            start = ends[:, col - 1] + 1 if col else row_starts
+            length = ends[:, col] - start
+            if length.max() > limit:
+                raise _NotPlain
+            if col == y_col:
+                y = buf[start] - _ZERO
+                if (length != 1).any() or (y > 1).any():
+                    raise _NotPlain  # the csv module strips the outcome or rejects it
+                outcomes[done:done + n] = y
+            else:
+                j = col - (col > y_col)
+                rows[done:done + n, j] = _block_codes(block, buf, start, length, codes[j])
+        done += n
+    if done != n_records:
+        raise _NotPlain
+    schema = Schema(tuple((header[col], tuple(codes[j])) for j, col in enumerate(feature_cols)))
+    return Dataset(schema, rows, outcomes)
+
+
+def _block_codes(
+    block: bytes, buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
+    codes: dict[str, int],
+) -> np.ndarray:
+    """The category index of each field of one column in a block, adding new labels to ``codes``.
+
+    Each field becomes a key of its bytes, zero-padded to whole 8-byte words
+    (a plain file has no NUL byte, so distinct fields keep distinct keys): one
+    uint64 for a field of up to 8 bytes, else a void scalar of several words.
+    The block's distinct keys join ``codes`` in the order they first appear.
+    Decoding one field of each key checks that the block is UTF-8, since the
+    rest of it is commas, CRs, LFs and 0/1 outcomes.
+    """
+    longest = int(lengths.max())
+    width = 8 * max(1, -(-longest // 8))
+    keys = np.zeros((len(starts), width), dtype=np.uint8)
+    for k in range(longest):
+        keys[:, k] = np.where(lengths > k, buf.take(starts + k, mode="clip"), 0)
+    keys = keys.view(np.uint64 if width == 8 else np.dtype((np.void, width)))[:, 0]
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    at = first[order]  # one field of each key, in order of first appearance
+    lut = np.empty(len(first), dtype=np.int32)
+    lut[order] = [
+        _code(codes, block[a:a + size].decode("utf-8"))
+        for a, size in zip(starts[at].tolist(), lengths[at].tolist())
+    ]
+    return lut[inverse]
 
 
 def write_csv(dataset: Dataset, path: str | Path, outcome_column: str = "y") -> None:

@@ -173,6 +173,27 @@ class TestScan:
         assert str(tmp_path / named) in err
         assert not list(tmp_path.rglob("*.tmp"))
 
+    @pytest.mark.parametrize("command, blocked, others", [
+        ("scan", "scan_report.json", ()),
+        ("pipeline", "relevance.csv", ("report.json", "substitutions.csv")),
+    ])
+    def test_output_path_that_is_a_directory_rejected_before_work(
+        self, cohort_csv, tmp_path, capsys, command, blocked, others
+    ):
+        out = tmp_path / "d"
+        (out / blocked).mkdir(parents=True)
+        for name in others:
+            (out / name).write_bytes(b"old\n")
+        before = {p: p.read_bytes() for p in out.iterdir() if p.is_file()}
+        for data in (tmp_path / "missing.csv", cohort_csv):  # it fails before data is read
+            code = run([command, "--input", str(data), "--restarts", "1",
+                        "--replicates", "19", "--out", str(out)])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert err == f"error: cannot write {out / blocked} (Is a directory)\n"
+        assert {p: p.read_bytes() for p in out.iterdir() if p.is_file()} == before
+        assert (out / blocked).is_dir() and len(list(out.iterdir())) == 1 + len(others)
+
     def test_out_under_a_file_rejected_before_data_is_read(self, tmp_path, capsys):
         (tmp_path / "afile").write_text("not a directory\n")
         code = run(["substitute", "--input", str(tmp_path / "missing.csv"),

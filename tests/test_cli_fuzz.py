@@ -46,7 +46,8 @@ def dumped(values: st.SearchStrategy) -> st.SearchStrategy[bytes]:
 
 
 CSV_TOKENS = [b"x", b"z", b"0", b"1", b"y", b",", b"\n", b"\r\n", b'"', b" ", b"\x00",
-              b"\xff", b"\xc3", b"true", b"<missing>"]
+              b"\xff", b"\xc3", b"true", b"<missing>", b"\r", b"label_longer_than_8",
+              "ñ".encode()]
 csv_bytes = st.one_of(
     st.binary(max_size=80),
     st.lists(st.sampled_from(CSV_TOKENS), max_size=40).map(lambda t: b"a,b,y\n" + b"".join(t)),

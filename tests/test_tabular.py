@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import codecs
 import csv
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.stats import binomtest
 
 from oracles import brute_membership, membership, membership_mask
+from subscan import tabular
 from subscan.errors import ContractError, LoadError
 from subscan.tabular import (
     CategoryCounter,
@@ -415,6 +417,128 @@ class TestLoadCsv:
         write_csv(again, tmp_path / "r2.csv", "outcome")
         assert again == load_csv(tmp_path / "r2.csv", "outcome")
         assert np.array_equal(again.outcomes, ds.outcomes)
+
+    @pytest.mark.parametrize("header, repeated", [
+        ("a,y,y\nx,1,0\n", "y"),
+        ("a,b,a,y\nx,p,z,1\n", "a"),
+        ('"a",b,"a",y\nx,p,z,1\n', "a"),
+    ], ids=["outcome", "feature", "quoted"])
+    def test_repeated_column_named(self, tmp_path, header, repeated):
+        p = tmp_path / "t.csv"
+        p.write_text(header)
+        with pytest.raises(LoadError) as err:
+            load_csv(p, "y")
+        assert str(err.value) == f"{p}: column {repeated!r} appears more than once in the header"
+
+
+# Fields of quote-free files: empty, padded, "<missing>" itself, non-ASCII and
+# longer than one 8-byte key word
+PLAIN_LABELS = ["", "x", "z", " x", "x ", "<missing>", "0", "1", "ñ", "日本",
+                "label_longer_than_8", "längeres_label_über_acht"]
+# what the csv module reads differently from a split at "," and line ends, or rejects
+FAULTS = [b"\r", b"\n", b",", b"\x00", b"\xff", b"\xc3", b" ", b"\r\r\n", b'"', "outcome",
+          "blank line"]
+
+
+@st.composite
+def plain_csv(draw) -> tuple[bytes, bool]:
+    """A quote-free CSV file with outcome column y, and whether it is free of faults."""
+    names = draw(st.lists(st.sampled_from(["a", "b", "ü", "feature_name_over_8"]),
+                          min_size=1, max_size=3, unique=True))
+    y_at = draw(st.integers(0, len(names)))
+    records = [names[:y_at] + ["y"] + names[y_at:]]
+    for _ in range(draw(st.integers(0, 25))):
+        record = [draw(st.sampled_from(PLAIN_LABELS)) for _ in names]
+        records.append(record[:y_at] + [draw(st.sampled_from(["0", "1"]))] + record[y_at:])
+    faults = draw(st.lists(st.sampled_from(FAULTS), min_size=1, max_size=2)
+                  if draw(st.booleans()) else st.just([]))
+    if "outcome" in faults and len(records) > 1:
+        r = draw(st.integers(1, len(records) - 1))
+        records[r][y_at] = draw(st.sampled_from([" 1", "0 ", "2", "", "10", "01"]))
+    lines = [",".join(r) + draw(st.sampled_from(["\n", "\r\n"])) for r in records]
+    if "blank line" in faults:
+        lines.insert(draw(st.integers(1, len(lines))), draw(st.sampled_from(["\n", "\r\n"])))
+    data = "".join(lines).encode()
+    if draw(st.booleans()):
+        data = data.removesuffix(b"\n").removesuffix(b"\r")  # no final line end
+    for fault in faults:
+        if isinstance(fault, bytes):
+            at = draw(st.integers(0, len(data)))
+            data = data[:at] + fault + data[at:]
+    if draw(st.booleans()):
+        data = codecs.BOM_UTF8 + data
+    return data, not faults
+
+
+def load_outcome(load, path):
+    """The Dataset a loader returns, or the message of the LoadError it raises."""
+    try:
+        return load(path, "y")
+    except LoadError as e:
+        return str(e)
+
+
+class TestPlainPath:
+    """The byte-block reader against the csv module's reader."""
+
+    @pytest.fixture(scope="class")
+    def workdir(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("plain")
+
+    @given(file=plain_csv(), block=st.sampled_from([1, 5, 16, 64, tabular._BLOCK_BYTES]),
+           limit=st.sampled_from([5, 20, csv.field_size_limit()]))
+    @settings(max_examples=500, deadline=None)
+    def test_matches_csv_module(self, workdir, file, block, limit):
+        data, clean = file
+        path = workdir / "t.csv"
+        path.write_bytes(data)
+        default_limit = csv.field_size_limit(limit)  # both readers refuse longer fields
+        try:
+            want = load_outcome(tabular._read_records, path)
+            with mock.patch.object(tabular, "_BLOCK_BYTES", block):  # blocks of a few lines
+                plain = tabular._read_plain(path, "y")
+                assert load_outcome(load_csv, path) == want
+        finally:
+            csv.field_size_limit(default_limit)
+        if clean and isinstance(want, Dataset) and limit == default_limit:
+            assert plain is not None  # a fault-free file never leaves the byte path
+        if plain is not None:
+            assert isinstance(want, Dataset) and plain == want
+
+    @pytest.mark.parametrize("data", [
+        b"a,y\nx\rz,1\n",          # the csv module ends a record at a lone CR
+        b"a,y\r\r\nx,1\n",
+        b"a,y\nx,10\n",            # an outcome that starts with 0 or 1
+        b"a,y\nx,0 \nz, 1\n",      # the csv module strips the outcome
+        b"a,y\nx,1\nx\x00,0\n",    # NUL: zero-padded keys would merge the two labels
+        b'a,y\n"x",1\nx,0\n',       # quoted
+        b"a,y\nx,1\n\nz,0\n",       # a blank line
+        b"a,y\n\xc3,1\n",          # not UTF-8
+        b"a,y\n" + b"x" * 131_073 + b",1\n",  # a field over csv.field_size_limit()
+    ], ids=["lone_cr", "lone_cr_header", "outcome_10", "outcome_padded", "nul", "quoted",
+            "blank_line", "not_utf8", "long_field"])
+    def test_faults_go_to_the_csv_module(self, tmp_path, data):
+        path = tmp_path / "t.csv"
+        path.write_bytes(data)
+        assert tabular._read_plain(path, "y") is None
+        assert load_outcome(load_csv, path) == load_outcome(tabular._read_records, path)
+
+    @pytest.mark.parametrize("block", [64, tabular._BLOCK_BYTES])
+    def test_reads_write_csv_output_without_the_csv_module(self, tmp_path, monkeypatch, block):
+        labels = ("ñ", "label_longer_than_8", "<missing>", "日本", "x")
+        schema = Schema((("a", labels), ("feature_name_over_8", ("p", "q")), ("c", ("0", "1"))))
+        rng = np.random.default_rng(3)
+        rows = np.c_[rng.integers(0, 5, 400), rng.integers(0, 2, 400), rng.integers(0, 2, 400)]
+        dataset = Dataset(schema, rows, rng.integers(0, 2, 400))
+        write_csv(dataset, tmp_path / "t.csv")
+        want = tabular._read_records(tmp_path / "t.csv", "y")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a quote-free file reached the csv module")
+
+        monkeypatch.setattr(csv, "reader", refuse)
+        monkeypatch.setattr(tabular, "_BLOCK_BYTES", block)
+        assert load_csv(tmp_path / "t.csv", "y") == want
 
 
 class TestSynthetic:
