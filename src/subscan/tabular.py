@@ -14,9 +14,11 @@ than records.
 ``load_csv`` has two readers that give the same Dataset. A plain file (no
 ``"``, LF or CRLF line ends, valid UTF-8, a 0/1 outcome in every row: what
 ``write_csv`` writes for unquoted labels) is parsed with numpy over blocks of
-whole lines, one fixed-width byte key per field. Any other file, and every
-file the byte reader finds a fault in, is read through the csv module one
-record at a time, which accepts it or raises the LoadError.
+whole lines, one fixed-width byte key per field; a column whose fields are
+too long for narrow keys is decoded one field at a time. Any other file, and
+every file the byte reader finds a fault in, is read through the csv module
+one record at a time, which accepts it or raises the LoadError. A fault found
+late costs the byte reader's work up to it on top of the csv module's read.
 """
 
 from __future__ import annotations
@@ -507,6 +509,8 @@ def _read_records(path: Path, outcome_column: str) -> Dataset:
 
 _BLOCK_BYTES = 1 << 20  # the byte reader reads the file this much at a time
 _COMMA, _LF, _CR, _ZERO = b",\n\r0"  # byte values
+_KEY_WORDS = 8  # fields of up to this many 8-byte words are keyed with numpy
+_LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype="<u8")  # masks of k low bytes
 
 
 class _NotPlain(Exception):
@@ -581,6 +585,8 @@ def _parse_plain(
     done = 0
     for block in itertools.chain([first] if first else [], blocks):  # after the header
         buf = np.frombuffer(block, dtype=np.uint8)
+        # the 8 bytes from each position of the block, as little-endian words
+        words = np.ndarray(len(block), dtype="<u8", buffer=block + bytes(7), strides=(1,))
         # each row's field ends: the positions of its commas and of its LF
         ends = np.flatnonzero((buf == _COMMA) | (buf == _LF))
         n = block.count(b"\n")
@@ -603,7 +609,7 @@ def _parse_plain(
                 outcomes[done:done + n] = y
             else:
                 j = col - (col > y_col)
-                rows[done:done + n, j] = _block_codes(block, buf, start, length, codes[j])
+                rows[done:done + n, j] = _block_codes(block, words, start, length, codes[j])
         done += n
     if done != n_records:
         raise _NotPlain
@@ -612,33 +618,48 @@ def _parse_plain(
 
 
 def _block_codes(
-    block: bytes, buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
+    block: bytes, words: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
     codes: dict[str, int],
-) -> np.ndarray:
+) -> np.ndarray | list[int]:
     """The category index of each field of one column in a block, adding new labels to ``codes``.
 
-    Each field becomes a key of its bytes, zero-padded to whole 8-byte words
-    (a plain file has no NUL byte, so distinct fields keep distinct keys): one
+    ``words[i]`` holds the 8 bytes of the block from position ``i``. Each
+    field becomes a key of its bytes, zero-padded to whole 8-byte words (a
+    plain file has no NUL byte, so distinct fields keep distinct keys): one
     uint64 for a field of up to 8 bytes, else a void scalar of several words.
     The block's distinct keys join ``codes`` in the order they first appear.
-    Decoding one field of each key checks that the block is UTF-8, since the
-    rest of it is commas, CRs, LFs and 0/1 outcomes.
+    Every key is as wide as the column's longest field in the block, and the
+    gather takes one pass per word, so a column with a field of over
+    ``_KEY_WORDS`` words, or whose keys would take more than 8 bytes per byte
+    of the block (one long label among many short ones), is decoded one field
+    at a time instead: time and memory stay linear in the block. Decoding
+    checks that the block is UTF-8, since the rest of it is commas, CRs, LFs
+    and 0/1 outcomes.
     """
-    longest = int(lengths.max())
-    width = 8 * max(1, -(-longest // 8))
-    keys = np.zeros((len(starts), width), dtype=np.uint8)
-    for k in range(longest):
-        keys[:, k] = np.where(lengths > k, buf.take(starts + k, mode="clip"), 0)
-    keys = keys.view(np.uint64 if width == 8 else np.dtype((np.void, width)))[:, 0]
+    n_words = max(1, -(-int(lengths.max()) // 8))
+    if n_words > _KEY_WORDS or n_words * len(starts) > len(block):
+        return _decoded_codes(block, starts, lengths, codes)
+    keys = np.empty((len(starts), n_words), dtype="<u8")
+    for k in range(n_words):
+        pos = np.minimum(starts + 8 * k, len(block) - 1)  # a word past a field's end is masked off
+        keys[:, k] = words[pos] & _LOW_BYTES[np.clip(lengths - 8 * k, 0, 8)]
+    keys = keys[:, 0] if n_words == 1 else keys.view(np.dtype((np.void, 8 * n_words)))[:, 0]
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     order = np.argsort(first)
     at = first[order]  # one field of each key, in order of first appearance
     lut = np.empty(len(first), dtype=np.int32)
-    lut[order] = [
-        _code(codes, block[a:a + size].decode("utf-8"))
-        for a, size in zip(starts[at].tolist(), lengths[at].tolist())
-    ]
+    lut[order] = _decoded_codes(block, starts[at], lengths[at], codes)
     return lut[inverse]
+
+
+def _decoded_codes(
+    block: bytes, starts: np.ndarray, lengths: np.ndarray, codes: dict[str, int]
+) -> list[int]:
+    """The category index of each field in turn, decoding it as UTF-8."""
+    return [
+        _code(codes, block[a:a + size].decode("utf-8"))
+        for a, size in zip(starts.tolist(), lengths.tolist())
+    ]
 
 
 def write_csv(dataset: Dataset, path: str | Path, outcome_column: str = "y") -> None:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import codecs
 import csv
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -431,10 +432,10 @@ class TestLoadCsv:
         assert str(err.value) == f"{p}: column {repeated!r} appears more than once in the header"
 
 
-# Fields of quote-free files: empty, padded, "<missing>" itself, non-ASCII and
-# longer than one 8-byte key word
+# Fields of quote-free files: empty, padded, "<missing>" itself, non-ASCII,
+# longer than one 8-byte key word and longer than the widest key
 PLAIN_LABELS = ["", "x", "z", " x", "x ", "<missing>", "0", "1", "ñ", "日本",
-                "label_longer_than_8", "längeres_label_über_acht"]
+                "label_longer_than_8", "längeres_label_über_acht", "w" * 65, "ü" * 40]
 # what the csv module reads differently from a split at "," and line ends, or rejects
 FAULTS = [b"\r", b"\n", b",", b"\x00", b"\xff", b"\xc3", b" ", b"\r\r\n", b'"', "outcome",
           "blank line"]
@@ -525,7 +526,7 @@ class TestPlainPath:
 
     @pytest.mark.parametrize("block", [64, tabular._BLOCK_BYTES])
     def test_reads_write_csv_output_without_the_csv_module(self, tmp_path, monkeypatch, block):
-        labels = ("ñ", "label_longer_than_8", "<missing>", "日本", "x")
+        labels = ("ñ", "label_longer_than_8", "<missing>", "日本", "x" * 100)
         schema = Schema((("a", labels), ("feature_name_over_8", ("p", "q")), ("c", ("0", "1"))))
         rng = np.random.default_rng(3)
         rows = np.c_[rng.integers(0, 5, 400), rng.integers(0, 2, 400), rng.integers(0, 2, 400)]
@@ -539,6 +540,24 @@ class TestPlainPath:
         monkeypatch.setattr(csv, "reader", refuse)
         monkeypatch.setattr(tabular, "_BLOCK_BYTES", block)
         assert load_csv(tmp_path / "t.csv", "y") == want
+
+    @pytest.mark.parametrize("data", [
+        b"a,y\n" + b"x,1\n" * 50_000 + b"z" * 4_000 + b",0\n" + b"x,1\n" * 100,
+        b"a,y\n" + b"".join(bytes([97 + i % 26]) * 20_000 + b",1\n" for i in range(60)),
+    ], ids=["one_long_label", "long_labels"])
+    def test_long_labels_in_bounded_memory(self, tmp_path, data):
+        # keys as wide as the 4 KB label for all 50k rows would take ~200 MB
+        path = tmp_path / "t.csv"
+        path.write_bytes(data)
+        want = tabular._read_records(path, "y")
+        tracemalloc.start()
+        try:
+            plain = tabular._read_plain(path, "y")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert plain == want
+        assert peak < 16 * 2**20
 
 
 class TestSynthetic:
