@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from contextlib import contextmanager
@@ -188,6 +189,19 @@ def _out_dir(cfg: PipelineConfig) -> Path:
     return out
 
 
+def _check_out(cfg: PipelineConfig, command: str) -> None:
+    """ContractError unless ``_out_dir`` could make --out and the command write its files there."""
+    out = Path(cfg.out)
+    base = next((p for p in (out, *out.parents) if os.path.exists(p)), out)
+    if not base.is_dir():
+        raise ContractError(f"--out {out}: cannot create the directory ({base} is not a directory)")
+    if not os.access(base, os.W_OK | os.X_OK):
+        raise ContractError(f"--out {out}: cannot write in {base} (Permission denied)")
+    for name in _OUTPUTS[command].values():
+        if (out / name).is_dir():
+            raise ContractError(f"cannot write {out / name} (Is a directory)")
+
+
 def _require_input(cfg: PipelineConfig) -> Dataset:
     if not cfg.input:
         raise ContractError("--input is required")
@@ -235,11 +249,7 @@ def cmd_synth(cfg: PipelineConfig) -> int:
         raise ContractError(
             f"bad --cardinalities {cfg.cardinalities!r}; expected e.g. 2,3,4"
         ) from None
-    planted = (
-        _parse_planted(cfg.planted, cards)
-        if cfg.planted
-        else _default_planted(cards)
-    )
+    planted = _parse_planted(cfg.planted, cards) if cfg.planted else _default_planted(cards)
     spec = SyntheticSpec(
         n_records=cfg.n,
         cardinalities=cards,
@@ -506,10 +516,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _merged_config(args)
-        out = _out_dir(cfg)  # a bad --out fails before any data is read
-        for name in _OUTPUTS[args.subcommand].values():
-            if (out / name).is_dir():  # and so does an output path that cannot be replaced
-                raise ContractError(f"cannot write {out / name} (Is a directory)")
+        _check_out(cfg, args.subcommand)  # a bad --out fails before any data is read
         return int(args.func(cfg))
     except (ContractError, LoadError) as exc:
         print(f"error: {exc}", file=sys.stderr)

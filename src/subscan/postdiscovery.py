@@ -98,19 +98,15 @@ def order_relevance_entries(
     non-negative ratios descending, undefined ratios last. global_deviation:
     descending deviation. Ties keep input order.
     """
-    indexed = list(enumerate(entries))
-    if ranking_mode == "deviation_ratio":
-        def key(item: tuple[int, RelevanceEntry]):
-            i, e = item
-            if e.deviation_ratio is None:
-                return (2, 0.0, i)
-            group = 0 if e.deviation_ratio < 0 else 1
-            return (group, -e.deviation_ratio, i)
-    else:
-        def key(item: tuple[int, RelevanceEntry]):
-            i, e = item
+    def key(item: tuple[int, RelevanceEntry]):
+        i, e = item
+        if ranking_mode != "deviation_ratio":
             return (0, -e.global_deviation, i)
-    ordered = [e for _, e in sorted(indexed, key=key)]
+        if e.deviation_ratio is None:
+            return (2, 0.0, i)
+        return (0 if e.deviation_ratio < 0 else 1, -e.deviation_ratio, i)
+
+    ordered = [e for _, e in sorted(enumerate(entries), key=key)]
     return [replace(e, rank=r) for r, e in enumerate(ordered, start=1)]
 
 
@@ -122,12 +118,8 @@ def _apply_selection(
     if config.threshold is None:
         return entries
     by_ratio = config.ranking_mode == "deviation_ratio"
-    kept = []
-    for e in entries:
-        stat = e.deviation_ratio if by_ratio else e.global_deviation
-        if stat is not None and stat > config.threshold:
-            kept.append(e)
-    return kept
+    stats = ((e, e.deviation_ratio if by_ratio else e.global_deviation) for e in entries)
+    return [e for e, stat in stats if stat is not None and stat > config.threshold]
 
 
 def rank_feature_relevance(
@@ -146,11 +138,8 @@ def rank_feature_relevance(
         raise ContractError("cannot rank relevance of an empty descriptor")
     descriptor.validate_against(dataset.schema)
 
-    reference = (
-        result.panel.subset_mean
-        if config.reference_expectation == "subset_mean"
-        else 1.0
-    )
+    by_subset = config.reference_expectation == "subset_mean"
+    reference = result.panel.subset_mean if by_subset else 1.0
     entries = []
     for feature_idx, values in descriptor.constraints:
         name, cats = dataset.schema.features[feature_idx]
@@ -161,17 +150,10 @@ def rank_feature_relevance(
             subset_dev, global_dev, ratio = relevance_stats(
                 e_value, reference, dataset.global_mean
             )
-            entries.append(
-                RelevanceEntry(
-                    feature=name,
-                    value=cats[v],
-                    e_value=e_value,
-                    subset_deviation=subset_dev,
-                    global_deviation=global_dev,
-                    deviation_ratio=ratio,
-                    rank=0,
-                )
-            )
+            entries.append(RelevanceEntry(
+                feature=name, value=cats[v], e_value=e_value, subset_deviation=subset_dev,
+                global_deviation=global_dev, deviation_ratio=ratio, rank=0,
+            ))
     ordered = order_relevance_entries(entries, config.ranking_mode)
     return _apply_selection(ordered, config)
 
@@ -281,12 +263,8 @@ def _candidate_rank(
     candidate: SubstitutionCandidate, ranks: dict[tuple[str, str], int]
 ) -> float:
     """A candidate inherits the best rank among its substituted values."""
-    found = [
-        ranks[(candidate.feature, v)]
-        for v in candidate.from_values
-        if (candidate.feature, v) in ranks
-    ]
-    return min(found) if found else math.inf
+    keys = ((candidate.feature, v) for v in candidate.from_values)
+    return min((ranks[key] for key in keys if key in ranks), default=math.inf)
 
 
 def single_substitution_sweep(
@@ -387,9 +365,7 @@ def cross_substitute_greedy(
         if original is None:
             continue
         ranked_values = [
-            schema.value_index(feature_idx, e.value)
-            for e in ranking
-            if e.feature == name
+            schema.value_index(feature_idx, e.value) for e in ranking if e.feature == name
         ]
         complement = sorted(set(range(schema.cardinality(feature_idx))) - set(original))
         queue.append((name, feature_idx, ranked_values, complement))

@@ -134,16 +134,11 @@ def build_report(
         "config": config_echo,
         "meta": meta_block(stage_seconds),
     }
-    if dataset_block is not None:
-        report["dataset"] = dataset_block
-    if scan_block is not None:
-        report["scan"] = scan_block
-    if relevance_block is not None:
-        report["relevance"] = relevance_block
-    if substitutions_block is not None:
-        report["substitutions"] = substitutions_block
-    if greedy_block is not None:
-        report["greedy"] = greedy_block
+    blocks = {
+        "dataset": dataset_block, "scan": scan_block, "relevance": relevance_block,
+        "substitutions": substitutions_block, "greedy": greedy_block,
+    }
+    report.update((key, block) for key, block in blocks.items() if block is not None)
     return report
 
 

@@ -116,12 +116,9 @@ def evaluate(
     n = dataset.n_records
     if n_subset == n:
         return panel, None
-    total_pos = dataset.n_positive
+    outside_positive = dataset.n_positive - n_positive
     effects = odds_ratio(
-        n_positive,
-        n_subset - n_positive,
-        total_pos - n_positive,
-        (n - n_subset) - (total_pos - n_positive),
+        n_positive, n_subset - n_positive, outside_positive, n - n_subset - outside_positive
     )
     return panel, effects
 
@@ -178,10 +175,8 @@ def _run_restart(
 
     # feature -> included-category mask, the allowed masks of the counter
     included = {z: _random_nonempty_subset(rng, card) for z, card in enumerate(cards)}
-    if config.feature_order == "shuffled":
-        order = rng.permutation(n_features)
-    else:
-        order = np.arange(n_features)
+    shuffled = config.feature_order == "shuffled"
+    order = rng.permutation(n_features) if shuffled else np.arange(n_features)
 
     counter = CategoryCounter(dataset, cell_positives, included)
     counts, positives = counter.counts(0)

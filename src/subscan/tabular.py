@@ -180,7 +180,7 @@ class Dataset:
     global_mean: float = field(init=False)
 
     def __post_init__(self) -> None:
-        rows = np.array(self.rows, dtype=np.int32, order="C", copy=True)
+        rows = _adopted(self.rows, np.int32)
         if rows.ndim != 2 or rows.shape[0] < 1:
             raise ContractError("rows must be a non-empty (N, M) array")
         if rows.shape[1] != self.schema.n_features:
@@ -188,10 +188,10 @@ class Dataset:
                 f"rows have {rows.shape[1]} columns but schema has "
                 f"{self.schema.n_features} features"
             )
-        outcomes = np.array(self.outcomes, dtype=np.int8, copy=True)
+        outcomes = _adopted(self.outcomes, np.int8)
         if outcomes.shape != (rows.shape[0],):
             raise ContractError("outcomes must be a length-N vector")
-        bad = ~np.isin(outcomes, (0, 1))
+        bad = outcomes.view(np.uint8) > 1  # a negative int8 is 128 or more as uint8
         if bad.any():
             raise ContractError(f"outcome at row {int(np.argmax(bad))} is not 0/1")
         for z in range(self.schema.n_features):
@@ -202,8 +202,6 @@ class Dataset:
                     f"category index out of range in feature "
                     f"{self.schema.features[z][0]!r}"
                 )
-        rows.setflags(write=False)
-        outcomes.setflags(write=False)
         n_positive = int(outcomes.sum())
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "outcomes", outcomes)
@@ -237,6 +235,24 @@ class Dataset:
     __hash__ = None  # type: ignore[assignment]
 
 
+def _adopted(array: object, dtype: type) -> np.ndarray:
+    """``array`` if no one can change it, else a read-only C-order copy of it as ``dtype``.
+
+    No one can change a read-only C array of ``dtype`` that owns its data, as
+    the loaders build; a writeable array, or a read-only view, is copied.
+    """
+    if type(array) is np.ndarray and array.dtype == dtype:
+        flags = array.flags
+        if flags.c_contiguous and flags.owndata and not flags.writeable:
+            return array
+    return _frozen(np.array(array, dtype=dtype, order="C"))
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
 class CellTable(NamedTuple):
     """The cells of a dataset: its distinct feature patterns, in lexicographic order."""
 
@@ -248,20 +264,28 @@ class CellTable(NamedTuple):
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
+def _renumbered(key: np.ndarray) -> tuple[np.ndarray, int]:
+    """(the keys renumbered densely in the same order, their span), through a sort."""
+    distinct, key = np.unique(key, return_inverse=True)
+    return key, len(distinct)
+
+
 def _cell_table(rows: np.ndarray, cardinalities: tuple[int, ...]) -> CellTable:
-    """Group records by feature pattern through a mixed-radix int64 key per record."""
+    """Group records by feature pattern: a mixed-radix int64 key per record, cells in key order."""
     key = np.zeros(rows.shape[0], dtype=np.int64)
     span = 1  # every key lies in [0, span)
     for z, card in enumerate(cardinalities):
         if span > _INT64_MAX // card:
-            # renumber densely first: key * card would wrap and merge distinct cells
-            distinct, key = np.unique(key, return_inverse=True)
-            span = len(distinct)
+            key, span = _renumbered(key)  # key * card would wrap and merge distinct cells
         key *= card
         key += rows[:, z]
         span *= card
-    index = np.unique(key, return_inverse=True)[1].astype(np.int32)
-    n = np.bincount(index)  # every cell holds a record, so there are len(n) cells
+    if span > len(key):
+        key, span = _renumbered(key)  # else the key table would outgrow the records
+    n = np.bincount(key, minlength=span)
+    present = n > 0
+    index = (np.cumsum(present, dtype=np.int32) - 1)[key]  # cell of each record
+    n = n[present]
     representative = np.empty(len(n), dtype=np.intp)
     representative[index] = np.arange(rows.shape[0])
     # one feature at a time: a whole (C, M) gather and its transpose would
@@ -424,7 +448,7 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, SubsetDescriptor]:
     inside = _within(rows.T, _allowed_masks(schema, spec.planted))
     p = np.where(inside, p_in, spec.base_rate)
     outcomes = (rng.random(spec.n_records) < p).astype(np.int8)
-    return Dataset(schema, rows, outcomes), spec.planted
+    return Dataset(schema, _frozen(rows), _frozen(outcomes)), spec.planted
 
 
 def load_csv(path: str | Path, outcome_column: str) -> Dataset:
@@ -504,7 +528,8 @@ def _read_records(path: Path, outcome_column: str) -> Dataset:
     if not rows:
         raise LoadError(f"{path}: no data rows")
     schema = Schema(tuple((header[col], tuple(codes[j])) for j, col in enumerate(feature_cols)))
-    return Dataset(schema, np.asarray(rows, dtype=np.int32), np.asarray(outcomes, dtype=np.int8))
+    rows_array, outcomes_array = np.array(rows, dtype=np.int32), np.array(outcomes, dtype=np.int8)
+    return Dataset(schema, _frozen(rows_array), _frozen(outcomes_array))
 
 
 _BLOCK_BYTES = 1 << 20  # the byte reader reads the file this much at a time
@@ -614,7 +639,7 @@ def _parse_plain(
     if done != n_records:
         raise _NotPlain
     schema = Schema(tuple((header[col], tuple(codes[j])) for j, col in enumerate(feature_cols)))
-    return Dataset(schema, rows, outcomes)
+    return Dataset(schema, _frozen(rows), _frozen(outcomes))
 
 
 def _block_codes(
@@ -644,7 +669,9 @@ def _block_codes(
         pos = np.minimum(starts + 8 * k, len(block) - 1)  # a word past a field's end is masked off
         keys[:, k] = words[pos] & _LOW_BYTES[np.clip(lengths - 8 * k, 0, 8)]
     keys = keys[:, 0] if n_words == 1 else keys.view(np.dtype((np.void, 8 * n_words)))[:, 0]
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    first = np.full(len(distinct), len(keys))  # each key's first field, found without a stable sort
+    np.minimum.at(first, inverse, np.arange(len(keys)))
     order = np.argsort(first)
     at = first[order]  # one field of each key, in order of first appearance
     lut = np.empty(len(first), dtype=np.int32)

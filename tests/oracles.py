@@ -87,6 +87,16 @@ def membership(dataset: Dataset, descriptor: SubsetDescriptor) -> np.ndarray:
     return np.flatnonzero(membership_mask(dataset, descriptor))
 
 
+def unique_rows_cells(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(columns, index, n) of a cell table: the distinct rows in lexicographic order.
+
+    ``columns`` holds one row per feature, ``index`` each record's cell and
+    ``n`` the records per cell, as ``np.unique`` over whole rows finds them.
+    """
+    distinct, index, n = np.unique(rows, axis=0, return_inverse=True, return_counts=True)
+    return distinct.T, index.reshape(-1), n
+
+
 def brute_membership(rows, constraints: dict[int, set[int]]) -> set[int]:
     """Row-by-row membership check: AND over features of OR over values."""
     members = set()

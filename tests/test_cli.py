@@ -202,6 +202,29 @@ class TestScan:
         err = capsys.readouterr().err
         assert "--out" in err and "no such file" not in err
 
+    @pytest.mark.parametrize("data", [None, b"a,y\nx,1\nz,2\n"], ids=["missing", "non_binary"])
+    def test_failed_command_creates_no_out_directory(self, tmp_path, capsys, data):
+        cohort = tmp_path / "cohort.csv"
+        if data is not None:
+            cohort.write_bytes(data)
+        code = run(["scan", "--input", str(cohort), "--out", str(tmp_path / "newdir" / "sub")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "newdir").exists()
+
+    def test_out_without_permission_rejected_before_data_is_read(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr("subscan.cli.os.access", lambda path, mode: False)
+        code = run(["scan", "--input", str(tmp_path / "missing.csv"),
+                    "--out", str(tmp_path / "newdir")])
+        assert code == 2
+        err = capsys.readouterr().err
+        out = tmp_path / "newdir"
+        assert err == f"error: --out {out}: cannot write in {tmp_path} (Permission denied)\n"
+        assert not (tmp_path / "newdir").exists()
+
     def test_zero_restarts_rejected_before_work(self, cohort_csv, tmp_path, capsys):
         code = run(["scan", "--input", str(cohort_csv), "--outcome", "y",
                     "--restarts", "0", "--out", str(tmp_path)])

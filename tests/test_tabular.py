@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import binomtest
 
-from oracles import brute_membership, membership, membership_mask
+from oracles import brute_membership, membership, membership_mask, unique_rows_cells
 from subscan import tabular
 from subscan.errors import ContractError, LoadError
 from subscan.tabular import (
@@ -86,6 +86,43 @@ class TestDataset:
         with pytest.raises(ValueError):
             tiny_dataset.outcomes[0] = 0
 
+    def test_writeable_input_is_copied(self):
+        rows, outcomes = np.array([[0], [1]], dtype=np.int32), np.array([1, 0], dtype=np.int8)
+        dataset = Dataset(Schema((("a", ("x", "y")),)), rows, outcomes)
+        rows[0, 0], outcomes[0] = 1, 0
+        assert dataset.rows.tolist() == [[0], [1]] and dataset.outcomes.tolist() == [1, 0]
+        assert not dataset.rows.flags.writeable and not dataset.outcomes.flags.writeable
+
+    def test_read_only_owned_arrays_are_adopted(self):
+        rows, outcomes = np.array([[0], [1]], dtype=np.int32), np.array([1, 0], dtype=np.int8)
+        rows.setflags(write=False)
+        outcomes.setflags(write=False)
+        dataset = Dataset(Schema((("a", ("x", "y")),)), rows, outcomes)
+        assert np.shares_memory(dataset.rows, rows) and np.shares_memory(dataset.outcomes, outcomes)
+
+    @pytest.mark.parametrize("make", [
+        lambda base: base[:2],        # a view of a writeable base
+        lambda base: base[::2],       # ... that is not C-contiguous either
+        lambda base: base[:2].astype(np.int64),  # owned, but not int32
+    ], ids=["view", "strided_view", "int64"])
+    def test_other_read_only_arrays_are_copied(self, make):
+        base = np.array([[0], [1], [1]], dtype=np.int32)
+        rows = make(base)
+        rows.setflags(write=False)
+        dataset = Dataset(Schema((("a", ("x", "y")),)), rows, np.array([1, 0], dtype=np.int8))
+        assert not np.shares_memory(dataset.rows, base)
+        base[:] = 1 - base
+        assert dataset.rows.tolist() == [[0], [1]]
+
+    def test_loaders_return_read_only_arrays(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"a,y\nx,1\nz,0\n")
+        spec = SyntheticSpec(50, (2, 3), 0.2, SubsetDescriptor.from_dict({0: [0]}), 2.0, 1)
+        for dataset in (tabular._read_plain(path, "y"), tabular._read_records(path, "y"),
+                        load_csv(path, "y"), generate_synthetic(spec)[0]):
+            for array in (dataset.rows, dataset.outcomes):
+                assert array.flags.owndata and not array.flags.writeable
+
 
 def assert_cell_table_invariants(dataset: Dataset) -> None:
     cells = dataset.cells
@@ -124,6 +161,36 @@ class TestCellTable:
         n_records = data.draw(st.integers(2, 200))
         seed = data.draw(st.integers(0, 2**16))
         assert_cell_table_invariants(random_dataset(np.random.default_rng(seed), n_records, cards))
+
+    @pytest.mark.parametrize("regime", ["span < N", "span == N", "span > N", "key overflow"])
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_unique_rows(self, regime, data):
+        """np.unique over whole rows, whether the keys are counted in a table of every key
+        (span <= N) or renumbered first (span > N, and before a key would wrap)."""
+        if regime == "key overflow":  # at least 2**64 keys
+            cards = [data.draw(st.integers(2, 3)) for _ in range(64)]
+        else:
+            low = 2 if regime == "span > N" else 1
+            cards = data.draw(st.lists(st.integers(low, 5), min_size=1, max_size=4))
+        span = int(np.prod(cards, dtype=object))
+        low, high = {
+            "span < N": (span + 1, span + 300), "span == N": (span, span),
+            "span > N": (1, span - 1), "key overflow": (1, 300),
+        }[regime]
+        n_records = data.draw(st.integers(low, min(high, low + 300)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+        # few values per feature, mostly 0, so records share cells
+        rows = (rng.integers(0, cards, (n_records, len(cards)))
+                * (rng.random((n_records, len(cards))) < 0.4)).astype(np.int32)
+        schema = Schema(tuple((f"f{z}", tuple(f"v{h}" for h in range(c)))
+                              for z, c in enumerate(cards)))
+        cells = Dataset(schema, rows, rng.integers(0, 2, n_records)).cells
+        columns, index, n = unique_rows_cells(rows)
+        assert cells.columns.dtype == np.int32 and cells.index.dtype == np.int32
+        assert np.array_equal(cells.columns, columns)
+        assert np.array_equal(cells.index, index)
+        assert np.array_equal(cells.n, n)
 
     def test_one_cell_per_pattern(self, tiny_dataset):
         assert len(tiny_dataset.cells.n) == 6
@@ -558,6 +625,44 @@ class TestPlainPath:
             tracemalloc.stop()
         assert plain == want
         assert peak < 16 * 2**20
+
+
+    def test_codes_follow_first_appearance_across_blocks(self, tmp_path, monkeypatch):
+        # labels first appear in an order unlike their byte order, and the
+        # second block brings labels that sort before every earlier one
+        first = b"a,b,y\nzz,label_long_b,1\nbb,label_long_a,0\nzz,label_long_b,1\nmm,label_long_c,0\n"
+        second = b"bb,label_long_a,1\naa,label_long_0,0\nzz,label_long_b,0\ncc,label_long_a,1\n"
+        path = tmp_path / "t.csv"
+        path.write_bytes(first + second)
+        monkeypatch.setattr(tabular, "_BLOCK_BYTES", len(first))
+        with open(path, "rb") as fh:
+            assert list(tabular._line_blocks(fh)) == [first, second]
+        monkeypatch.setattr(csv, "reader", None)  # the byte reader alone
+        dataset = load_csv(path, "y")
+        assert dataset.schema.features == (
+            ("a", ("zz", "bb", "mm", "aa", "cc")),
+            ("b", ("label_long_b", "label_long_a", "label_long_c", "label_long_0")),
+        )
+        assert dataset.rows.tolist() == [
+            [0, 0], [1, 1], [0, 0], [2, 2], [1, 1], [3, 3], [0, 0], [4, 1],
+        ]
+        assert dataset.outcomes.tolist() == [1, 0, 1, 0, 1, 0, 0, 1]
+
+    def test_table_is_held_once(self, tmp_path, monkeypatch):
+        # small blocks keep the parse's working set (about a dozen times the
+        # block) well under the 6.1 MiB table, so a second copy of the table
+        # would show
+        monkeypatch.setattr(tabular, "_BLOCK_BYTES", 1 << 16)
+        spec = SyntheticSpec(200_000, (4,) * 8, 0.1, SubsetDescriptor(), 2.0, 0)
+        write_csv(generate_synthetic(spec)[0], tmp_path / "t.csv")
+        tracemalloc.start()
+        try:
+            dataset = tabular._read_plain(tmp_path / "t.csv", "y")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        table = dataset.rows.nbytes + dataset.outcomes.nbytes
+        assert peak < table + 4 * 2**20
 
 
 class TestSynthetic:
