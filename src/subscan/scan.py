@@ -12,6 +12,13 @@ enumeration), which is what keeps the step linear instead of exponential in
 the feature's cardinality. A restart has converged when a full sweep changes
 nothing.
 
+A feature's step is skipped when no other feature's value set has changed
+since that feature's last step. The skip is exact: the feature's counts are
+then the same, so ``best_prefix`` would return its current value set, and the
+score would be the same bits, since every score is a closed-form function of
+exact integer member counts and the member set has not changed. Passes,
+``max_passes`` and convergence count as if every step were taken.
+
 Results are deterministic for a given seed and independent of the worker
 count: every restart draws from its own pre-spawned random stream and the
 cross-restart reduction is an index-ordered max.
@@ -20,7 +27,6 @@ cross-restart reduction is an index-ordered max.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Literal, Sequence
@@ -28,7 +34,14 @@ from typing import Any, Callable, Literal, Sequence
 import numpy as np
 
 from .errors import ContractError, DegenerateDataError
-from .scoring import EffectMeasures, ScorePanel, bernoulli_score, odds_ratio, score_array
+from .scoring import (
+    EffectMeasures,
+    ScorePanel,
+    bernoulli_score,
+    odds_ratio,
+    score_array,
+    unguarded_score_array,
+)
 from .tabular import CategoryCounter, Dataset, SubsetDescriptor, subset_counts
 
 _STEP_TOL = 1e-9  # slack for float-noise in the ascent assertion
@@ -60,6 +73,8 @@ def parallel_map(fn: Callable[[Any], Any], tasks: Sequence[Any], workers: int) -
     # under the fork start method the pool starts max_workers processes at once
     workers = min(workers, len(tasks), os.cpu_count() or 1)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # a serial run never imports it
+
         with ProcessPoolExecutor(workers, initializer=_install, initargs=(fn,)) as pool:
             chunksize = max(1, len(tasks) // (workers * 2))
             return list(pool.map(_call_installed, tasks, chunksize=chunksize))
@@ -147,16 +162,18 @@ def best_prefix(
     Orders categories by positive rate (ties: larger count first, then lower
     index) and scores every prefix of that order; the first best prefix wins,
     so the set is the smallest among equal scores. Returns the included-category
-    mask, never empty, and its score.
+    mask, never empty, and its score. ``counts`` and ``positives`` are int
+    arrays or float64 arrays of exact integers. Call it under
+    ``np.errstate(divide="ignore", invalid="ignore")``, as a restart does for
+    all of its steps (see ``unguarded_score_array``).
     """
-    cardinality = len(counts)
-    rates = np.where(counts > 0, positives / np.maximum(counts, 1), 0.0)
-    perm = np.lexsort((np.arange(cardinality), -counts, -rates))
-    cum_tot = counts[perm].cumsum().astype(np.float64)
-    cum_pos = positives[perm].cumsum().astype(np.float64)
-    prefix_scores = score_array(cum_pos, cum_tot, mu)
+    rates = positives / np.maximum(counts, 1)  # an empty category has no positives: rate 0
+    perm = np.lexsort((-counts, -rates))  # stable: equal keys keep the lower index first
+    prefix_scores = unguarded_score_array(
+        positives[perm].cumsum(dtype=np.float64), counts[perm].cumsum(dtype=np.float64), mu
+    )
     k = int(np.argmax(prefix_scores))  # first max -> fewest categories
-    included = np.zeros(cardinality, dtype=bool)
+    included = np.zeros(len(counts), dtype=bool)
     included[perm[: k + 1]] = True
     return included, float(prefix_scores[k])
 
@@ -179,27 +196,33 @@ def _run_restart(
     order = rng.permutation(n_features) if shuffled else np.arange(n_features)
 
     counter = CategoryCounter(dataset, cell_positives, included)
-    counts, positives = counter.counts(0)
+    first = order[0]
+    counts, positives = counter.counts(first)  # the member counts, and the first step's counts
     current_score = float(
-        score_array(float(positives[included[0]].sum()), float(counts[included[0]].sum()), mu)
+        score_array(positives[included[first]].sum(), counts[included[first]].sum(), mu)
     )
-
-    for _ in range(config.max_passes):
-        changed = False
-        for z in order:
-            counts, positives = counter.counts(z)
-            new_inc, best_score = best_prefix(counts, positives, mu)
-            if best_score < current_score - _STEP_TOL * (1.0 + abs(current_score)):
-                raise AssertionError(
-                    f"ascent step decreased the score: {current_score} -> {best_score}"
-                )
-            if not np.array_equal(new_inc, included[z]):
-                included[z] = new_inc
-                counter.set_allowed(z, new_inc)
-                changed = True
-            current_score = best_score
-        if not changed:
-            break
+    stamp, seen = 0, [-1] * n_features  # value-set changes; stamp at each feature's last step
+    with np.errstate(divide="ignore", invalid="ignore"):  # for best_prefix
+        for _ in range(config.max_passes):
+            pass_start = stamp
+            for z in order:
+                if seen[z] == stamp:  # the skip of the module docstring
+                    continue
+                if seen[first] >= 0:  # every step after the first counts afresh
+                    counts, positives = counter.counts(z)
+                new_inc, best_score = best_prefix(counts, positives, mu)
+                if best_score < current_score - _STEP_TOL * (1.0 + abs(current_score)):
+                    raise AssertionError(
+                        f"ascent step decreased the score: {current_score} -> {best_score}"
+                    )
+                if not np.array_equal(new_inc, included[z]):
+                    included[z] = new_inc
+                    counter.set_allowed(z, new_inc)
+                    stamp += 1
+                seen[z] = stamp
+                current_score = best_score
+            if stamp == pass_start:
+                break
 
     return current_score, tuple(
         tuple(int(v) for v in np.flatnonzero(inc)) for inc in included.values()

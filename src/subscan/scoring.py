@@ -61,14 +61,23 @@ def score_array(
     """
     pos = np.asarray(n_positive, dtype=np.float64)
     tot = np.asarray(n_subset, dtype=np.float64)
-    mu = float(global_mean)
     with np.errstate(divide="ignore", invalid="ignore"):
-        at_or_below_null = pos / tot <= mu  # same division as subset rates
-        q = (pos * (1.0 - mu)) / (mu * (tot - pos))
-        q = np.where(at_or_below_null, 1.0, np.maximum(q, 1.0))
-        score = pos * np.log(q) - tot * np.log(1.0 - mu + q * mu)
-        full = pos == tot
-        score = np.where(full, -tot * math.log(mu), score)
+        return unguarded_score_array(pos, tot, float(global_mean))
+
+
+def unguarded_score_array(pos: np.ndarray, tot: np.ndarray, mu: float) -> np.ndarray:
+    """``score_array`` on float64 counts, for a caller that holds the error state.
+
+    The caller must run it under ``np.errstate(divide="ignore",
+    invalid="ignore")``: the scores of empty and all-positive subsets pass
+    through a division by zero before they take their defined values.
+    """
+    at_or_below_null = pos / tot <= mu  # same division as subset rates
+    q = (pos * (1.0 - mu)) / (mu * (tot - pos))
+    q = np.where(at_or_below_null, 1.0, np.maximum(q, 1.0))
+    score = pos * np.log(q) - tot * np.log(1.0 - mu + q * mu)
+    full = pos == tot
+    score = np.where(full, -tot * math.log(mu), score)
     return np.maximum(score, 0.0)
 
 

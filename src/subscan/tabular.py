@@ -180,7 +180,7 @@ class Dataset:
     global_mean: float = field(init=False)
 
     def __post_init__(self) -> None:
-        rows = _adopted(self.rows, np.int32)
+        rows = _adopted(self.rows, np.int32, "rows")
         if rows.ndim != 2 or rows.shape[0] < 1:
             raise ContractError("rows must be a non-empty (N, M) array")
         if rows.shape[1] != self.schema.n_features:
@@ -188,7 +188,7 @@ class Dataset:
                 f"rows have {rows.shape[1]} columns but schema has "
                 f"{self.schema.n_features} features"
             )
-        outcomes = _adopted(self.outcomes, np.int8)
+        outcomes = _adopted(self.outcomes, np.int8, "outcomes")
         if outcomes.shape != (rows.shape[0],):
             raise ContractError("outcomes must be a length-N vector")
         bad = outcomes.view(np.uint8) > 1  # a negative int8 is 128 or more as uint8
@@ -235,17 +235,25 @@ class Dataset:
     __hash__ = None  # type: ignore[assignment]
 
 
-def _adopted(array: object, dtype: type) -> np.ndarray:
+def _adopted(array: object, dtype: type, name: str) -> np.ndarray:
     """``array`` if no one can change it, else a read-only C-order copy of it as ``dtype``.
 
     No one can change a read-only C array of ``dtype`` that owns its data, as
-    the loaders build; a writeable array, or a read-only view, is copied.
+    the loaders build; a writeable array, or a read-only view, is copied. A
+    copy is made only of integers or booleans that ``dtype`` holds, so no
+    value is truncated or wraps around.
     """
     if type(array) is np.ndarray and array.dtype == dtype:
         flags = array.flags
         if flags.c_contiguous and flags.owndata and not flags.writeable:
             return array
-    return _frozen(np.array(array, dtype=dtype, order="C"))
+    values = np.asarray(array)
+    if values.dtype.kind not in "biu":
+        raise ContractError(f"{name} must be integers or booleans, not {values.dtype}")
+    copy = values.astype(dtype, order="C")
+    if not np.array_equal(copy, values):
+        raise ContractError(f"{name} hold values outside the range of {np.dtype(dtype)}")
+    return _frozen(copy)
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -323,7 +331,8 @@ class CategoryCounter:
     feature (a missing or None mask is unconstrained). For every cell it keeps
     which features reject it and how many do, so counting a feature costs
     O(cells) and changing one feature's mask updates one row of that
-    bookkeeping.
+    bookkeeping. Both are kept in the smallest unsigned dtype that holds the
+    feature count, so updating the count is one same-dtype subtraction.
     """
 
     def __init__(
@@ -334,8 +343,9 @@ class CategoryCounter:
         self._cardinalities = dataset.schema.cardinalities()
         self._n = cells.n.astype(np.float64)  # bincount weights
         self._positives = positives.astype(np.float64)
-        self._fails = np.zeros(cells.columns.shape, dtype=np.uint8)
-        self._violations = np.zeros(cells.columns.shape[1], dtype=np.int32)
+        dtype = np.min_scalar_type(len(self._columns))  # a cell fails at most every feature
+        self._fails = np.zeros(cells.columns.shape, dtype=dtype)
+        self._violations = np.zeros(cells.columns.shape[1], dtype=dtype)
         for f, ok in allowed.items():
             self.set_allowed(f, ok)
 
@@ -343,33 +353,38 @@ class CategoryCounter:
         """Replace ``feature``'s allowed category mask."""
         fails = self._fails[feature]
         self._violations -= fails
-        fails[:] = False if allowed is None else np.take(~allowed, self._columns[feature])
+        if allowed is None:
+            fails.fill(0)
+        else:  # "raise" would buffer ``out``; no cell category is out of range to clip
+            np.take((~allowed).astype(fails.dtype), self._columns[feature], out=fails, mode="clip")
         self._violations += fails
 
     def counts(self, feature: int) -> tuple[np.ndarray, np.ndarray]:
         """(record counts, positive counts) per category of ``feature``.
 
         They run over the records that every other feature's mask allows;
-        ``feature``'s own mask is ignored.
+        ``feature``'s own mask is ignored. Both hold exact integers (sums of
+        integer cell weights below 2**53) as float64, or as int64 when no cell
+        is inside, which is ``np.bincount``'s type for no input.
         """
         inside = np.flatnonzero(self._violations == self._fails[feature])
         col = self._columns[feature][inside]
         card = self._cardinalities[feature]
         counts = np.bincount(col, weights=self._n[inside], minlength=card)
-        positives = np.bincount(col, weights=self._positives[inside], minlength=card)
-        return counts.astype(np.int64), positives.astype(np.int64)
+        return counts, np.bincount(col, weights=self._positives[inside], minlength=card)
 
 
 def category_counts(
     dataset: Dataset, allowed: Mapping[int, np.ndarray | None], feature: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-category (record counts, positive counts) of ``feature``.
+    """Per-category int64 (record counts, positive counts) of ``feature``.
 
     Counts run over the records whose other features fall in their boolean
     ``allowed`` category masks (feature index -> mask). A feature without a
     mask, or with None, is unconstrained; ``feature``'s own mask is ignored.
     """
-    return CategoryCounter(dataset, dataset.cell_positives, allowed).counts(feature)
+    counts, positives = CategoryCounter(dataset, dataset.cell_positives, allowed).counts(feature)
+    return counts.astype(np.int64), positives.astype(np.int64)
 
 
 def subset_counts(dataset: Dataset, descriptor: SubsetDescriptor) -> tuple[int, int]:

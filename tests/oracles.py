@@ -263,11 +263,13 @@ def record_run_restart(
 ) -> tuple[float, tuple[tuple[int, ...], ...]]:
     """``scan._run_restart`` on per-record masks: the engine the cell table replaced.
 
-    Draws the same random stream and takes the same steps, so patched in for
-    ``_run_restart`` it must reproduce every restart bit for bit. It counts
-    the dataset's own outcomes, so it stands in only for restarts over
-    ``dataset.cell_positives``: a bootstrap replicate is checked on a full
-    Dataset that carries the replicate's outcomes.
+    Draws the same random stream and takes every step, including those the
+    engine skips because no other feature's value set changed since the
+    feature's last step, so patched in for ``_run_restart`` it must reproduce
+    every restart bit for bit. It counts the dataset's own outcomes, so it
+    stands in only for restarts over ``dataset.cell_positives``: a bootstrap
+    replicate is checked on a full Dataset that carries the replicate's
+    outcomes.
     """
     if positives is not dataset.cell_positives:
         raise AssertionError("the record engine counts only the dataset's own outcomes")
@@ -288,21 +290,22 @@ def record_run_restart(
         score_array(float(positives[included[0]].sum()), float(counts[included[0]].sum()), mu)
     )
 
-    for _ in range(config.max_passes):
-        changed = False
-        for z in order:
-            counts, positives = record_category_counts(dataset, included, z)
-            new_inc, best_score = best_prefix(counts, positives, mu)
-            if best_score < current_score - _STEP_TOL * (1.0 + abs(current_score)):
-                raise AssertionError(
-                    f"ascent step decreased the score: {current_score} -> {best_score}"
-                )
-            if not np.array_equal(new_inc, included[z]):
-                included[z] = new_inc
-                changed = True
-            current_score = best_score
-        if not changed:
-            break
+    with np.errstate(divide="ignore", invalid="ignore"):  # for best_prefix
+        for _ in range(config.max_passes):
+            changed = False
+            for z in order:
+                counts, positives = record_category_counts(dataset, included, z)
+                new_inc, best_score = best_prefix(counts, positives, mu)
+                if best_score < current_score - _STEP_TOL * (1.0 + abs(current_score)):
+                    raise AssertionError(
+                        f"ascent step decreased the score: {current_score} -> {best_score}"
+                    )
+                if not np.array_equal(new_inc, included[z]):
+                    included[z] = new_inc
+                    changed = True
+                current_score = best_score
+            if not changed:
+                break
 
     return current_score, tuple(
         tuple(int(v) for v in np.flatnonzero(inc)) for inc in included.values()

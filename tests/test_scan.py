@@ -20,7 +20,7 @@ from oracles import (
     record_run_restart,
 )
 from subscan.errors import DegenerateDataError
-from subscan.scan import ScanConfig, best_prefix, parallel_map, scan
+from subscan.scan import ScanConfig, _run_restart, best_prefix, parallel_map, scan
 from subscan.scoring import bernoulli_score
 from subscan.significance import BootstrapConfig, _replicate_score, null_score_distribution
 from subscan.tabular import Dataset, Schema, SubsetDescriptor
@@ -150,7 +150,8 @@ def serial_pool(monkeypatch) -> PoolRecord:
             record.payloads.append(pickle.dumps((fn, tasks)))
             return map(fn, tasks)
 
-    monkeypatch.setattr(importlib.import_module("subscan.scan"), "ProcessPoolExecutor",
+    # parallel_map imports the executor from concurrent.futures when it starts a pool
+    monkeypatch.setattr(importlib.import_module("concurrent.futures"), "ProcessPoolExecutor",
                         SerialPool)
     return record
 
@@ -242,12 +243,60 @@ class TestCellEngine:
         assert null_score_distribution(dataset, config).tolist() == records
 
 
+def restart_with_step_count(run_restart, dataset, config, seed_seq):
+    """(``run_restart``'s outcome over the dataset's own positives, its best_prefix calls)."""
+    module = importlib.import_module("subscan.scan")
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return best_prefix(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(module, "best_prefix", counted)
+        outcome = run_restart(dataset, dataset.cell_positives, config, seed_seq)
+    return outcome, calls
+
+
+def exact(outcome):
+    """A restart outcome with its score as ``float.hex``, so equality is bit for bit."""
+    score, included = outcome
+    return score.hex(), included
+
+
+class TestStepSkip:
+    """A restart skips the steps whose counts cannot have changed, and nothing else."""
+
+    @given(sparse_datasets(), st.integers(0, 2**16), st.sampled_from(["fixed", "shuffled"]),
+           st.integers(1, 3))
+    @settings(max_examples=80, deadline=None)
+    def test_restart_matches_every_step_oracle(self, dataset, seed, order, max_passes):
+        config = ScanConfig(max_passes=max_passes, feature_order=order)
+        seq = np.random.SeedSequence(seed)
+        stepped, calls = restart_with_step_count(_run_restart, dataset, config, seq)
+        every, oracle_calls = restart_with_step_count(record_run_restart, dataset, config, seq)
+        assert exact(stepped) == exact(every)
+        assert calls <= oracle_calls
+
+    def test_a_multi_pass_ascent_skips_steps(self):
+        dataset = random_dataset(np.random.default_rng(17), 200, (3, 4, 2))
+        config = ScanConfig(n_restarts=1)
+        seq = np.random.SeedSequence(17)
+        stepped, calls = restart_with_step_count(_run_restart, dataset, config, seq)
+        every, oracle_calls = restart_with_step_count(record_run_restart, dataset, config, seq)
+        assert exact(stepped) == exact(every)
+        assert oracle_calls >= 2 * dataset.schema.n_features  # two passes or more
+        assert calls < oracle_calls
+
+
 class TestBestPrefix:
     @given(category_counts(), st.floats(0.01, 0.99, exclude_min=True, exclude_max=True))
     @settings(max_examples=300, deadline=None)
     def test_matches_subset_enumeration(self, counts_positives, mu):
         counts, positives = counts_positives
-        included, score = best_prefix(counts, positives, mu)
+        with np.errstate(divide="ignore", invalid="ignore"):  # as a restart holds it
+            included, score = best_prefix(counts, positives, mu)
         assert included.dtype == bool and included.shape == counts.shape
         assert included.any()
         own = bernoulli_score_of(counts, positives, included, mu)
@@ -255,6 +304,20 @@ class TestBestPrefix:
         oracle = best_category_subset_score(counts, positives, mu)
         assert score >= oracle - 1e-9 * abs(oracle) - 1e-12
         assert score <= oracle + 1e-6 * abs(oracle) + 1e-9
+
+    @pytest.mark.parametrize("counts, positives, want", [
+        ([4, 4, 4], [0, 0, 0], [True, False, False]),
+        ([3, 4, 4], [0, 0, 0], [False, True, False]),
+        ([0, 2, 0], [0, 0, 0], [False, True, False]),
+    ], ids=["lower_index", "larger_count", "empty_last"])
+    def test_order_ties(self, counts, positives, want):
+        """Every prefix scores 0 here, so the step keeps the first category in its order."""
+        for dtype in (np.int64, np.float64):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                included, score = best_prefix(
+                    np.array(counts, dtype=dtype), np.array(positives, dtype=dtype), 0.5
+                )
+            assert included.tolist() == want and score == 0.0
 
     def test_audit_rejects_a_wrong_step(self):
         def first_category_only(counts, positives, mu):
@@ -267,7 +330,8 @@ class TestBestPrefix:
         counts, positives = np.array([10, 10, 10]), np.array([0, 9, 1])
         audit = StepAudit(first_category_only)
         with pytest.raises(AssertionError, match="missed the optimal value subset"):
-            audit(counts, positives, 0.3)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                audit(counts, positives, 0.3)
         assert audit.audited == 0
 
     def test_audit_rejects_a_misreported_score(self):
@@ -276,7 +340,8 @@ class TestBestPrefix:
             return included, score + 1.0
 
         with pytest.raises(AssertionError, match="reported"):
-            StepAudit(inflated)(np.array([10, 10]), np.array([8, 1]), 0.3)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                StepAudit(inflated)(np.array([10, 10]), np.array([8, 1]), 0.3)
 
 
 def bernoulli_score_of(counts, positives, included, mu) -> float:

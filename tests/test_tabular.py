@@ -75,6 +75,29 @@ class TestDataset:
         with pytest.raises(ContractError):
             Dataset(s, [[0], [2]], [1, 0])
 
+    @pytest.mark.parametrize("rows, outcomes", [
+        ([[0.9], [1.2]], [0.7, 1.5]),
+        ([[0.9], [1.2]], [1, 0]),
+        ([[0], [1]], [0.7, 1.5]),
+        ([[0], [1]], np.array([1.0, 0.0])),
+        ([["0"], ["1"]], [1, 0]),
+    ], ids=["both", "rows", "outcomes", "integral_floats", "strings"])
+    def test_non_integer_input_rejected(self, rows, outcomes):
+        with pytest.raises(ContractError, match="must be integers or booleans"):
+            Dataset(Schema((("a", ("x", "y")),)), rows, outcomes)
+
+    @pytest.mark.parametrize("rows, outcomes", [
+        (np.array([[2**32], [1]]), [1, 0]),
+        ([[0], [1]], np.array([257, 0])),
+    ], ids=["rows", "outcomes"])
+    def test_values_that_would_wrap_rejected(self, rows, outcomes):
+        with pytest.raises(ContractError, match="outside the range"):
+            Dataset(Schema((("a", ("x", "y")),)), rows, outcomes)
+
+    def test_boolean_input_accepted(self):
+        dataset = Dataset(Schema((("a", ("x", "y")),)), [[False], [True]], [True, False])
+        assert dataset.rows.tolist() == [[0], [1]] and dataset.outcomes.tolist() == [1, 0]
+
     def test_empty_table_rejected(self):
         s = Schema((("a", ("x",)),))
         with pytest.raises(ContractError):
@@ -366,8 +389,31 @@ class TestCategoryCounts:
             counter.set_allowed(f, allowed[f])
             for feature in range(len(cards)):
                 counts, positives = counter.counts(feature)
-                assert counts.dtype == positives.dtype == np.int64
+                # exact integers; np.bincount counts no cells as int64
+                assert counts.dtype == positives.dtype
+                assert counts.dtype in (np.float64, np.int64)
                 want = row_loop_counts(reference, allowed, feature)
+                assert (counts.tolist(), positives.tolist()) == want
+
+    def test_counter_past_255_features(self):
+        """A cell can fail 256 or more features: its violation count must not wrap."""
+        n_features, rng = 300, np.random.default_rng(4)
+        schema = Schema(tuple((f"f{z}", ("v0", "v1")) for z in range(n_features)))
+        rows = np.zeros((40, n_features), dtype=np.int32)
+        for row in rows:  # a few v1 values per record, v0 everywhere else
+            row[rng.choice(n_features, size=rng.integers(0, 50), replace=False)] = 1
+        dataset = Dataset(schema, rows, rng.integers(0, 2, 40))
+        # rejecting v0 everywhere makes every record fail 250 to 300 features
+        allowed = {f: np.array([False, True]) for f in range(n_features)}
+        counter = CategoryCounter(dataset, dataset.cell_positives, allowed)
+        masks = [None, np.array([True, True]), np.array([True, False]), np.array([False, True])]
+        for _ in range(30):
+            f = int(rng.integers(n_features))
+            allowed[f] = masks[rng.integers(len(masks))]
+            counter.set_allowed(f, allowed[f])
+            for feature in (f, *rng.choice(n_features, size=3, replace=False).tolist()):
+                counts, positives = counter.counts(feature)
+                want = row_loop_counts(dataset, allowed, feature)
                 assert (counts.tolist(), positives.tolist()) == want
 
 
