@@ -5,6 +5,12 @@ stage derives its stream from the single --seed, so a command is idempotent
 given identical inputs and seed, at any worker count. A JSON config file
 (--config) can hold any knob; explicit flags win over the file.
 
+Each knob is one ``PipelineConfig`` field, so a new knob is one new field: its
+name gives the config key and the flag, its annotation the type, and its
+metadata the subcommands that take it, the help text and any argparse
+extras. The parser, the config-file check and the report's config echo are
+all built from that one declaration.
+
 Exit codes: 0 success, 2 usage or input error, 3 degenerate data (outcomes
 all 0 or all 1).
 """
@@ -18,7 +24,7 @@ import os
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, get_args, get_type_hints
 
@@ -49,33 +55,66 @@ from .tabular import (
 )
 
 
+_ALL = ("synth", "scan", "rank", "substitute", "pipeline")
+_SCAN = ("scan", "substitute", "pipeline")
+_RANK = ("rank", "substitute", "pipeline")
+
+
+def _knob(default: Any, commands: tuple[str, ...], help: str, **argparse_extras: Any) -> Any:
+    """A field that ``build_parser`` turns into a flag of ``commands``; "{default}" in
+    ``help`` reads the field's default."""
+    return field(default=default, metadata={
+        "commands": commands, "help": help.format(default=default), "argparse": argparse_extras,
+    })
+
+
 @dataclass
 class PipelineConfig:
-    """Merged view of defaults, config file, and command-line flags."""
+    """Merged view of defaults, config file, and command-line flags.
 
-    input: str | None = None
-    outcome: str = "y"
-    out: str = "."
-    seed: int = 0
-    workers: int = 1
-    alpha: float = 0.05
-    restarts: int = 10
-    max_passes: int = 20
-    feature_order: str = "fixed"
-    replicates: int = 50
-    reference: str = "subset_mean"
-    ranking_mode: str = "deviation_ratio"
-    top_k: int | None = None
-    delta_threshold: float | None = None
-    score_threshold: float | None = None
-    unconditional: bool = False
-    scan_report: str | None = None
-    rank_report: str | None = None
-    n: int | None = None
-    cardinalities: str | None = None
-    base_rate: float | None = None
-    odds_multiplier: float | None = None
-    planted: str | None = None
+    Each field is one knob: config key ``name``, flag ``--name`` (underscores
+    as dashes) on the subcommands its metadata lists, typed by its annotation.
+    """
+
+    input: str | None = _knob(None, ("scan", "rank", "substitute", "pipeline"), "input CSV path")
+    outcome: str = _knob("y", _ALL, "outcome column name (default {default})")
+    out: str = _knob(".", _ALL, "output directory (default {default})")
+    seed: int = _knob(0, _ALL, "master seed for every stochastic stage")
+    workers: int = _knob(1, _ALL, "parallel worker processes (default {default}; "
+                                  "capped at the CPU count and at the number of tasks)")
+    alpha: float = _knob(0.05, _SCAN, "significance level (default {default})")
+    restarts: int = _knob(10, _SCAN, "random restarts (default {default})")
+    max_passes: int = _knob(20, _SCAN, "max coordinate sweeps per restart (default {default})")
+    feature_order: str = _knob("fixed", _SCAN, "sweep order (default {default})",
+                               choices=["fixed", "shuffled"])
+    replicates: int = _knob(50, _SCAN, "bootstrap replicates (default {default})")
+    reference: str = _knob("subset_mean", _RANK,
+                           "reference expectation for deviations (default {default})",
+                           choices=["subset_mean", "unity"])
+    ranking_mode: str = _knob("deviation_ratio", _RANK, "ranking statistic (default {default})",
+                              choices=["deviation_ratio", "global_deviation"])
+    top_k: int | None = _knob(None, _RANK, "keep only the k best-ranked feature values")
+    delta_threshold: float | None = _knob(
+        None, _RANK, "keep feature values whose ranking statistic exceeds this")
+    score_threshold: float | None = _knob(
+        None, ("pipeline",), "stop the greedy walk at this score instead of at p > alpha")
+    unconditional: bool = _knob(
+        False, ("pipeline",),
+        "greedy walk keeps every substitution, not only score-decreasing ones",
+        action="store_const", const=True)
+    scan_report: str | None = _knob(
+        None, ("rank", "substitute"), "scan_report.json from `subscan scan`")
+    rank_report: str | None = _knob(
+        None, ("substitute",), "rank_report.json from `subscan rank` (recomputed if omitted)")
+    n: int | None = _knob(None, ("synth",), "number of records")
+    cardinalities: str | None = _knob(
+        None, ("synth",), "comma-separated category counts, e.g. 2,3,4")
+    base_rate: float | None = _knob(None, ("synth",), "outcome rate outside the planted subgroup")
+    odds_multiplier: float | None = _knob(
+        None, ("synth",), "odds lift inside the planted subgroup (> 1)")
+    planted: str | None = _knob(
+        None, ("synth",), "descriptor like 'f0=v0|v1;f2=v3' (default: first halves of the "
+        "first two features)")
 
     def scan_config(self) -> ScanConfig:
         return ScanConfig(
@@ -104,6 +143,9 @@ class PipelineConfig:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
+_HINTS = get_type_hints(PipelineConfig)  # field name -> declared type
+
+
 def _read_json_object(path: Path, kind: str) -> dict[str, Any]:
     """The JSON object stored at ``path``, or LoadError naming the file."""
     if not path.exists():
@@ -117,6 +159,11 @@ def _read_json_object(path: Path, kind: str) -> dict[str, Any]:
     return payload
 
 
+def _declared(hint: Any) -> type:
+    """The type a field declares, without the ``None`` of an optional one."""
+    return next(t for t in get_args(hint) or (hint,) if t is not type(None))
+
+
 def _check_type(hints: dict[str, Any], key: str, value: Any, what: str) -> None:
     """ContractError unless a JSON ``value`` has the declared type ``hints[key]``."""
     allowed = get_args(hints[key]) or (hints[key],)
@@ -128,18 +175,19 @@ def _check_type(hints: dict[str, Any], key: str, value: Any, what: str) -> None:
 
 def _merged_config(args: argparse.Namespace) -> PipelineConfig:
     cfg = PipelineConfig()
-    hints = get_type_hints(PipelineConfig)  # field name -> declared type
     if getattr(args, "config", None):
         file_cfg = _read_json_object(Path(args.config), "config file")
         for key, value in file_cfg.items():
-            if key not in hints:
+            if key not in _HINTS:
                 raise ContractError(f"unknown config key {key!r}")
-            _check_type(hints, key, value, "config key")
+            _check_type(_HINTS, key, value, "config key")
             setattr(cfg, key, value)
-    for key in hints:
-        value = getattr(args, key, None)
-        if value is not None:
-            setattr(cfg, key, value)
+    for key, hint in _HINTS.items():
+        if getattr(args, key, None) is not None:
+            setattr(cfg, key, getattr(args, key))
+        value = getattr(cfg, key)  # the report echoes every knob, and JSON has no inf or nan
+        if _declared(hint) is float and value is not None and not math.isfinite(value):
+            raise ContractError(f"{key} must be a finite number, got {value}")
     if cfg.workers < 1:
         raise ContractError("workers must be >= 1")
     if not 0.0 < cfg.alpha < 1.0:
@@ -426,41 +474,13 @@ def cmd_pipeline(cfg: PipelineConfig) -> int:
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON config file; explicit flags win")
-    parser.add_argument("--out", help="output directory (default .)")
-    parser.add_argument("--seed", type=int, help="master seed for every stochastic stage")
-    parser.add_argument("--workers", type=int,
-                        help="parallel worker processes (default 1; capped at the CPU "
-                             "count and at the number of tasks)")
-
-
-def _add_data(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--input", help="input CSV path")
-    parser.add_argument("--outcome", help="outcome column name (default y)")
-
-
-def _add_scan_knobs(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--restarts", type=int, help="random restarts (default 10)")
-    parser.add_argument("--max-passes", dest="max_passes", type=int,
-                        help="max coordinate sweeps per restart (default 20)")
-    parser.add_argument("--feature-order", dest="feature_order",
-                        choices=["fixed", "shuffled"], help="sweep order (default fixed)")
-    parser.add_argument("--replicates", type=int,
-                        help="bootstrap replicates (default 50)")
-    parser.add_argument("--alpha", type=float, help="significance level (default 0.05)")
-
-
-def _add_relevance_knobs(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--reference", choices=["subset_mean", "unity"],
-                        help="reference expectation for deviations (default subset_mean)")
-    parser.add_argument("--ranking-mode", dest="ranking_mode",
-                        choices=["deviation_ratio", "global_deviation"],
-                        help="ranking statistic (default deviation_ratio)")
-    parser.add_argument("--top-k", dest="top_k", type=int,
-                        help="keep only the k best-ranked feature values")
-    parser.add_argument("--delta-threshold", dest="delta_threshold", type=float,
-                        help="keep feature values whose ranking statistic exceeds this")
+_COMMANDS = {  # subcommand -> (handler, help)
+    "synth": (cmd_synth, "generate a synthetic cohort with a planted subgroup"),
+    "scan": (cmd_scan, "find the highest-scoring subgroup and its significance"),
+    "rank": (cmd_rank, "rank feature-value relevance of a discovered subgroup"),
+    "substitute": (cmd_substitute, "score every single substitution of the subgroup"),
+    "pipeline": (cmd_pipeline, "scan, rank, substitution sweep, and greedy walk"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -470,44 +490,15 @@ def build_parser() -> argparse.ArgumentParser:
                     "on categorical tables with a binary outcome.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("synth", help="generate a synthetic cohort with a planted subgroup")
-    _add_common(p)
-    p.add_argument("--outcome", help="outcome column name to write (default y)")
-    p.add_argument("--n", type=int, help="number of records")
-    p.add_argument("--cardinalities", help="comma-separated category counts, e.g. 2,3,4")
-    p.add_argument("--base-rate", dest="base_rate", type=float,
-                   help="outcome rate outside the planted subgroup")
-    p.add_argument("--odds-multiplier", dest="odds_multiplier", type=float,
-                   help="odds lift inside the planted subgroup (> 1)")
-    p.add_argument("--planted", help="descriptor like 'f0=v0|v1;f2=v3' (default: "
-                                     "first halves of the first two features)")
-    p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("scan", help="find the highest-scoring subgroup and its significance")
-    _add_common(p); _add_data(p); _add_scan_knobs(p)
-    p.set_defaults(func=cmd_scan)
-
-    p = sub.add_parser("rank", help="rank feature-value relevance of a discovered subgroup")
-    _add_common(p); _add_data(p); _add_relevance_knobs(p)
-    p.add_argument("--scan-report", dest="scan_report", help="scan_report.json from `subscan scan`")
-    p.set_defaults(func=cmd_rank)
-
-    p = sub.add_parser("substitute", help="score every single substitution of the subgroup")
-    _add_common(p); _add_data(p); _add_scan_knobs(p); _add_relevance_knobs(p)
-    p.add_argument("--scan-report", dest="scan_report", help="scan_report.json from `subscan scan`")
-    p.add_argument("--rank-report", dest="rank_report",
-                   help="rank_report.json from `subscan rank` (recomputed if omitted)")
-    p.set_defaults(func=cmd_substitute)
-
-    p = sub.add_parser("pipeline", help="scan, rank, substitution sweep, and greedy walk")
-    _add_common(p); _add_data(p); _add_scan_knobs(p); _add_relevance_knobs(p)
-    p.add_argument("--score-threshold", dest="score_threshold", type=float,
-                   help="stop the greedy walk at this score instead of at p > alpha")
-    p.add_argument("--unconditional", action="store_const", const=True,
-                   help="greedy walk keeps every substitution, not only score-decreasing ones")
-    p.set_defaults(func=cmd_pipeline)
-
+    for command, (handler, help_text) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        p.add_argument("--config", help="JSON config file; explicit flags win")
+        for f in fields(PipelineConfig):
+            if command in f.metadata["commands"]:
+                # a flag left out parses to None, so the config file and the default show through
+                extras = f.metadata["argparse"] or {"type": _declared(_HINTS[f.name])}
+                p.add_argument("--" + f.name.replace("_", "-"), help=f.metadata["help"], **extras)
+        p.set_defaults(func=handler)
     return parser
 
 

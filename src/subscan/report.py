@@ -8,7 +8,6 @@ block, which golden-file comparisons mask out.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import socket
@@ -20,7 +19,7 @@ from typing import Any
 from .postdiscovery import GreedyResult, RelevanceEntry, SubstitutionOutcome
 from .scan import ScanResult
 from .scoring import EffectMeasures, ScorePanel
-from .tabular import Dataset, Schema, _atomic_text
+from .tabular import Dataset, Schema, _atomic_text, _write_table
 
 TOOL_VERSION = "0.1.0"
 
@@ -149,35 +148,25 @@ def write_json(path: str | Path, payload: dict[str, Any]) -> None:
 
 
 def write_relevance_csv(path: str | Path, entries: list[RelevanceEntry]) -> None:
-    with _atomic_text(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["feature", "value", "e_value", "subset_deviation",
-             "global_deviation", "deviation_ratio", "rank"]
-        )
-        for e in entries:
-            writer.writerow(
-                [e.feature, e.value, repr(e.e_value), repr(e.subset_deviation),
-                 repr(e.global_deviation),
-                 "" if e.deviation_ratio is None else repr(e.deviation_ratio),
-                 e.rank]
-            )
+    _write_table(
+        path,
+        ["feature", "value", "e_value", "subset_deviation",
+         "global_deviation", "deviation_ratio", "rank"],
+        ([e.feature, e.value, repr(e.e_value), repr(e.subset_deviation),
+          repr(e.global_deviation),
+          "" if e.deviation_ratio is None else repr(e.deviation_ratio),
+          e.rank] for e in entries),
+    )
 
 
 def write_substitutions_csv(path: str | Path, outcomes: list[SubstitutionOutcome]) -> None:
     """Plot-ready table; substitutions that emptied the subgroup are excluded."""
-    with _atomic_text(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["feature", "from_value", "to_value", "new_score",
-             "p_value", "odds_ratio", "p_at_floor"]
-        )
-        for o in outcomes:
-            if o.empty:
-                continue
-            writer.writerow(
-                [o.candidate.feature, "|".join(o.candidate.from_values),
-                 o.candidate.to_value, repr(o.new_score), repr(o.new_p),
-                 "" if o.new_or is None else repr(o.new_or),
-                 o.p_at_floor]
-            )
+    _write_table(
+        path,
+        ["feature", "from_value", "to_value", "new_score",
+         "p_value", "odds_ratio", "p_at_floor"],
+        ([o.candidate.feature, "|".join(o.candidate.from_values),
+          o.candidate.to_value, repr(o.new_score), repr(o.new_p),
+          "" if o.new_or is None else repr(o.new_or),
+          o.p_at_floor] for o in outcomes if not o.empty),
+    )

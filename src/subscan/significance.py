@@ -47,15 +47,10 @@ class BootstrapConfig:
             raise ContractError("seed must be a non-negative integer")
 
 
-def _replicate_score(
-    dataset: Dataset,
-    config: BootstrapConfig,
-    replicate_index: int,
-    max_redraws: int = _MAX_REDRAWS,
-) -> float:
+def _replicate_score(dataset: Dataset, config: BootstrapConfig, replicate_index: int) -> float:
     """Best restart score of one null replicate; degenerate draws are redrawn."""
     cells = dataset.cells
-    for attempt in range(max_redraws):
+    for attempt in range(_MAX_REDRAWS):
         seq = np.random.SeedSequence([config.seed, replicate_index, attempt])
         outcome_seq, scan_seq = seq.spawn(2)
         rng = np.random.default_rng(outcome_seq)
@@ -66,7 +61,7 @@ def _replicate_score(
             return _search(dataset, positives, rep_config, workers=1)[1][0]
     raise DegenerateDataError(
         f"replicate {replicate_index} drew degenerate outcomes "
-        f"{max_redraws} times in a row"
+        f"{_MAX_REDRAWS} times in a row"
     )
 
 

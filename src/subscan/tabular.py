@@ -417,8 +417,8 @@ class SyntheticSpec:
             raise ContractError("every feature needs cardinality >= 1")
         if not 0.0 < self.base_rate < 1.0:
             raise ContractError("base_rate must lie in (0, 1)")
-        if not self.odds_multiplier > 1.0:
-            raise ContractError("odds_multiplier must exceed 1")
+        if not 1.0 < self.odds_multiplier < np.inf:  # inf would plant no positives at all
+            raise ContractError("odds_multiplier must be finite and exceed 1")
         object.__setattr__(self, "cardinalities", tuple(int(h) for h in self.cardinalities))
         self.planted.validate_against(self.schema())
 
@@ -708,14 +708,12 @@ def write_csv(dataset: Dataset, path: str | Path, outcome_column: str = "y") -> 
     """Serialize a dataset back to CSV; load_csv on the result reproduces it."""
     if outcome_column in dataset.schema.feature_names:
         raise ContractError(f"outcome column {outcome_column!r} collides with a feature")
-    with _atomic_text(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(dataset.schema.feature_names) + [outcome_column])
-        columns = [
-            np.asarray(cats, dtype=object)[dataset.rows[:, z]]
-            for z, (_, cats) in enumerate(dataset.schema.features)
-        ]
-        writer.writerows(zip(*columns, dataset.outcomes.tolist()))
+    columns = [
+        np.asarray(cats, dtype=object)[dataset.rows[:, z]]
+        for z, (_, cats) in enumerate(dataset.schema.features)
+    ]
+    _write_table(path, [*dataset.schema.feature_names, outcome_column],
+                 zip(*columns, dataset.outcomes.tolist()))
 
 
 @contextmanager
@@ -731,3 +729,11 @@ def _atomic_text(path: str | Path) -> Iterator[IO[str]]:
             tmp.unlink(missing_ok=True)  # gone already after a successful replace
     except OSError as e:  # a directory at ``path``, no permission, a full disk
         raise ContractError(f"cannot write {path} ({e.strerror})") from None
+
+
+def _write_table(path: str | Path, header: list[str], rows: Iterable[Iterable]) -> None:
+    """Write an RFC-4180 CSV table, its header first, atomically."""
+    with _atomic_text(path) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)

@@ -2,13 +2,15 @@ from __future__ import annotations
 
 import csv
 import json
+from dataclasses import fields
 from importlib import resources
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import jsonschema
 import pytest
 
-from subscan.cli import main
+from subscan.cli import PipelineConfig, main
 from subscan.report import write_json
 from subscan.tabular import load_csv
 
@@ -441,6 +443,37 @@ class TestConfigFile:
         conf = tmp_path / "conf.json"
         conf.write_text("{nope")
         assert run(["scan", "--config", str(conf), "--out", str(tmp_path)]) == 2
+
+
+HINTS = get_type_hints(PipelineConfig)
+FLOAT_KNOBS = [f for f in fields(PipelineConfig)
+               if float in (get_args(HINTS[f.name]) or (HINTS[f.name],))]
+
+
+@pytest.mark.parametrize("knob", FLOAT_KNOBS, ids=lambda f: f.name)
+@pytest.mark.parametrize("where, text", [
+    ("flag", "inf"), ("flag", "-inf"), ("flag", "nan"), ("config", "Infinity"), ("config", "NaN"),
+])
+def test_non_finite_float_knob_rejected_before_data_is_read(tmp_path, capsys, knob, where, text):
+    """The report echoes every knob and JSON has no inf or nan, so such a value
+    must stop the command before it reads data or makes --out."""
+    if "synth" in knob.metadata["commands"]:
+        command, knobs = "synth", {"n": "100", "cardinalities": "2,2", "base_rate": "0.1",
+                                   "odds_multiplier": "2"}
+    else:
+        command, knobs = "pipeline", {"input": str(tmp_path / "missing.csv")}
+    knobs.pop(knob.name, None)  # a flag would win over the config file
+    argv = [command, "--out", str(tmp_path / "out")]
+    argv += [f"--{k.replace('_', '-')}={v}" for k, v in knobs.items()]
+    if where == "flag":
+        argv.append(f"--{knob.name.replace('_', '-')}={text}")
+    else:
+        (tmp_path / "conf.json").write_text(f'{{"{knob.name}": {text}}}')
+        argv += ["--config", str(tmp_path / "conf.json")]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {knob.name} must be a finite number") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 class TestAtomicWrites:

@@ -33,6 +33,7 @@ json_values = st.recursive(
 plausible = st.one_of(
     st.integers(-2, 40),
     st.floats(-1.0, 2.0),
+    st.sampled_from([float("nan"), float("inf")]),
     st.sampled_from(["f0", "f1", "v0", "v1", "y", "", "fixed", "shuffled", "unity",
                      "global_deviation", "nan"]),
     json_values,

@@ -50,8 +50,6 @@ HELP = {
     "planted": "descriptor like 'f0=v0|v1;f2=v3' (default: first halves of the first two "
                "features)",
 }
-# help texts that one subcommand words its own way
-HELP_IN = {("synth", "outcome"): "outcome column name to write (default y)"}
 CHOICES = {
     "feature_order": ["fixed", "shuffled"],
     "reference": ["subset_mean", "unity"],
@@ -125,8 +123,7 @@ def test_option_table(subparsers, command):
         if not isinstance(a, argparse._HelpAction)
     }
     want = {
-        dest: ([flag(dest)], CHOICES.get(dest), None, CONST.get(dest),
-               HELP_IN.get((command, dest), HELP[dest]))
+        dest: ([flag(dest)], CHOICES.get(dest), None, CONST.get(dest), HELP[dest])
         for dest in OPTIONS[command]
     }
     assert got == want

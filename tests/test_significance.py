@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from subscan import significance
 from subscan.errors import ContractError, DegenerateDataError
 from subscan.scan import ScanConfig, scan
 from subscan.significance import (
@@ -131,7 +132,7 @@ class TestDegenerateRedraw:
         score = _replicate_score(dataset, config, 0)
         assert score == _replicate_score(dataset, config, 0)
 
-    def test_exhausted_redraws_raise(self):
+    def test_exhausted_redraws_raise(self, monkeypatch):
         schema = Schema((("a", ("x", "y")),))
         dataset = Dataset(schema, [[0], [1]], [1, 0])
         config = small_config(replicates=1, seed=13)
@@ -141,7 +142,8 @@ class TestDegenerateRedraw:
             outcome_seq, _ = seq.spawn(2)
             y = (np.random.default_rng(outcome_seq).random(2) < 0.5).astype(int)
             if y.sum() in (0, 2):
+                monkeypatch.setattr(significance, "_MAX_REDRAWS", 1)
                 with pytest.raises(DegenerateDataError):
-                    _replicate_score(dataset, config, rep, max_redraws=1)
+                    _replicate_score(dataset, config, rep)
                 return
         pytest.fail("no degenerate first draw found among 50 replicates")

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import codecs
 import csv
+import math
 import tracemalloc
 from unittest import mock
 
@@ -715,6 +716,11 @@ class TestSynthetic:
     def test_odds_multiplier_at_one_rejected(self):
         with pytest.raises(ContractError):
             SyntheticSpec(100, (2, 2), 0.1, SubsetDescriptor.from_dict({0: [0]}), 1.0, 0)
+
+    @pytest.mark.parametrize("multiplier", [math.inf, math.nan])
+    def test_non_finite_odds_multiplier_rejected(self, multiplier):
+        with pytest.raises(ContractError, match="finite"):
+            SyntheticSpec(100, (2, 2), 0.1, SubsetDescriptor.from_dict({0: [0]}), multiplier, 0)
 
     def test_base_rate_bounds_rejected(self):
         with pytest.raises(ContractError):
