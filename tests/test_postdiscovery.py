@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.stats import binomtest
@@ -20,7 +22,7 @@ from subscan.postdiscovery import (
 from subscan.scan import ScanConfig, ScanResult, scan
 from subscan.scoring import bernoulli_score
 from subscan.significance import BootstrapConfig, null_score_distribution, p_from_null_scores
-from subscan.tabular import Dataset, Schema, SubsetDescriptor
+from subscan.tabular import Dataset, Schema, SubsetDescriptor, SyntheticSpec, generate_synthetic
 
 from conftest import make_recovery_cohort
 
@@ -394,3 +396,330 @@ class TestGreedy:
         )
         assert isinstance(g, GreedyResult)
         assert g.applied  # substitutions accumulate without the descent filter
+
+
+# Pinned outputs of the sweep and the greedy walk. The expectations are literal
+# values: the sweep's candidate order, and for each greedy mode every applied
+# substitution as (feature, from_values, to_value, new score as float.hex), the
+# stopping flag and the final descriptor. A negative score_threshold never
+# fires, so those walks run through every move.
+WIDE_SPEC = dict(cardinalities=(4, 5, 3), base_rate=0.05,
+                 planted=SubsetDescriptor.from_dict({0: [0, 1], 1: [0, 1, 2]}),
+                 odds_multiplier=4.0)
+
+
+def pin_observation(kind: str, seed: int) -> dict:
+    if kind == "recovery":
+        dataset, result = discovery(seed)
+    else:
+        dataset, _ = generate_synthetic(SyntheticSpec(n_records=4000, seed=seed, **WIDE_SPEC))
+        result = scan(dataset, ScanConfig(n_restarts=10, seed=1000 + seed))
+    boot = small_bootstrap(seed)
+    nulls = null_score_distribution(dataset, boot)
+    schema = dataset.schema
+    ranking = rank_feature_relevance(dataset, result)
+    # reversed, plus an entry for a value outside the descriptor
+    feature, values = result.descriptor.constraints[-1]
+    name, cats = schema.features[feature]
+    outside = next(c for v, c in enumerate(cats) if v not in values)
+    reordered = ranking[::-1] + [replace(ranking[0], feature=name, value=outside)]
+
+    def walk(ranking=ranking, alpha=0.05, **kw):
+        g = cross_substitute_greedy(dataset, result, ranking, alpha, boot, null_scores=nulls, **kw)
+        moves = [(o.candidate.feature, o.candidate.from_values, o.candidate.to_value,
+                  o.new_score.hex()) for o in g.applied]
+        return moves, g.denormalized, g.descriptor.to_labels(schema)
+
+    sweep = single_substitution_sweep(dataset, result, ranking, 0.05, boot, null_scores=nulls)
+    return {
+        "descriptor": result.descriptor.to_labels(schema),
+        "sweep": [(o.candidate.feature, o.candidate.from_values, o.candidate.to_value)
+                  for o in sweep],
+        "default": walk(),
+        "unconditional": walk(unconditional=True),
+        "threshold": walk(score_threshold=result.panel.score / 2),
+        "exhaust": walk(score_threshold=-1.0),
+        "alpha": walk(alpha=0.5),
+        "reordered": walk(reordered),
+        "reordered_exhaust": walk(reordered, score_threshold=-1.0),
+        "reordered_exhaust_unconditional": walk(reordered, unconditional=True,
+                                                score_threshold=-1.0),
+    }
+
+
+PINNED = {
+    ("recovery", 1): {
+        "descriptor": {"f0": ["v0"], "f1": ["v0"]},
+        "sweep": [
+            ("f1", ("v0",), "v1"),
+            ("f1", ("v0",), "v2"),
+            ("f0", ("v0",), "v1"),
+        ],
+        "default": ([
+            ("f1", ("v0",), "v1", "0x0.0p+0"),
+        ], True, {"f0": ["v0"], "f1": ["v1"]}),
+        "unconditional": ([
+            ("f1", ("v0",), "v1", "0x0.0p+0"),
+        ], True, {"f0": ["v0"], "f1": ["v1"]}),
+        "threshold": ([
+            ("f1", ("v0",), "v1", "0x0.0p+0"),
+        ], True, {"f0": ["v0"], "f1": ["v1"]}),
+        "exhaust": ([
+            ("f1", ("v0",), "v1", "0x0.0p+0"),
+        ], False, {"f0": ["v0"], "f1": ["v1"]}),
+        "alpha": ([
+            ("f1", ("v0",), "v1", "0x0.0p+0"),
+        ], True, {"f0": ["v0"], "f1": ["v1"]}),
+        "reordered": ([
+            ("f0", ("v0",), "v1", "0x0.0p+0"),
+        ], True, {"f0": ["v1"], "f1": ["v0"]}),
+        "reordered_exhaust": ([
+            ("f0", ("v0",), "v1", "0x0.0p+0"),
+        ], False, {"f0": ["v1"], "f1": ["v0"]}),
+        "reordered_exhaust_unconditional": ([
+            ("f0", ("v0",), "v1", "0x0.0p+0"),
+            ("f1", ("v0",), "v1", "0x0.0p+0"),
+            ("f1", ("v0",), "v2", "0x0.0p+0"),
+            ("f1", ("v1",), "v2", "0x0.0p+0"),
+        ], False, {"f0": ["v1"], "f1": ["v2"]}),
+    },
+    ("recovery", 2): {
+        "descriptor": {"f0": ["v0"], "f1": ["v0"]},
+        "sweep": [
+            ("f1", ("v0",), "v1"),
+            ("f1", ("v0",), "v2"),
+            ("f0", ("v0",), "v1"),
+        ],
+        "default": ([
+            ("f1", ("v0",), "v1", "0x0.0p+0"),
+        ], True, {"f0": ["v0"], "f1": ["v1"]}),
+        "unconditional": ([
+            ("f1", ("v0",), "v1", "0x0.0p+0"),
+        ], True, {"f0": ["v0"], "f1": ["v1"]}),
+        "threshold": ([
+            ("f1", ("v0",), "v1", "0x0.0p+0"),
+        ], True, {"f0": ["v0"], "f1": ["v1"]}),
+        "exhaust": ([
+            ("f1", ("v0",), "v1", "0x0.0p+0"),
+        ], False, {"f0": ["v0"], "f1": ["v1"]}),
+        "alpha": ([
+            ("f1", ("v0",), "v1", "0x0.0p+0"),
+        ], True, {"f0": ["v0"], "f1": ["v1"]}),
+        "reordered": ([
+            ("f0", ("v0",), "v1", "0x0.0p+0"),
+        ], True, {"f0": ["v1"], "f1": ["v0"]}),
+        "reordered_exhaust": ([
+            ("f0", ("v0",), "v1", "0x0.0p+0"),
+        ], False, {"f0": ["v1"], "f1": ["v0"]}),
+        "reordered_exhaust_unconditional": ([
+            ("f0", ("v0",), "v1", "0x0.0p+0"),
+            ("f1", ("v0",), "v1", "0x0.0p+0"),
+            ("f1", ("v0",), "v2", "0x0.0p+0"),
+            ("f1", ("v1",), "v2", "0x0.0p+0"),
+        ], False, {"f0": ["v1"], "f1": ["v2"]}),
+    },
+    ("recovery", 3): {
+        "descriptor": {"f0": ["v0"], "f1": ["v0"]},
+        "sweep": [
+            ("f1", ("v0",), "v1"),
+            ("f1", ("v0",), "v2"),
+            ("f0", ("v0",), "v1"),
+        ],
+        "default": ([
+            ("f1", ("v0",), "v1", "0x0.0p+0"),
+        ], True, {"f0": ["v0"], "f1": ["v1"]}),
+        "unconditional": ([
+            ("f1", ("v0",), "v1", "0x0.0p+0"),
+        ], True, {"f0": ["v0"], "f1": ["v1"]}),
+        "threshold": ([
+            ("f1", ("v0",), "v1", "0x0.0p+0"),
+        ], True, {"f0": ["v0"], "f1": ["v1"]}),
+        "exhaust": ([
+            ("f1", ("v0",), "v1", "0x0.0p+0"),
+        ], False, {"f0": ["v0"], "f1": ["v1"]}),
+        "alpha": ([
+            ("f1", ("v0",), "v1", "0x0.0p+0"),
+        ], True, {"f0": ["v0"], "f1": ["v1"]}),
+        "reordered": ([
+            ("f0", ("v0",), "v1", "0x0.0p+0"),
+        ], True, {"f0": ["v1"], "f1": ["v0"]}),
+        "reordered_exhaust": ([
+            ("f0", ("v0",), "v1", "0x0.0p+0"),
+        ], False, {"f0": ["v1"], "f1": ["v0"]}),
+        "reordered_exhaust_unconditional": ([
+            ("f0", ("v0",), "v1", "0x0.0p+0"),
+            ("f1", ("v0",), "v1", "0x0.0p+0"),
+            ("f1", ("v0",), "v2", "0x0.0p+0"),
+            ("f1", ("v1",), "v2", "0x0.0p+0"),
+        ], False, {"f0": ["v1"], "f1": ["v2"]}),
+    },
+    ("wide", 0): {
+        "descriptor": {"f0": ["v0", "v1"], "f1": ["v0", "v1", "v2"]},
+        "sweep": [
+            ("f0", ("v0",), "v2"),
+            ("f0", ("v0",), "v3"),
+            ("f0", ("v0", "v1"), "v2"),
+            ("f0", ("v0", "v1"), "v3"),
+            ("f1", ("v0",), "v3"),
+            ("f1", ("v0",), "v4"),
+            ("f1", ("v0", "v1", "v2"), "v3"),
+            ("f1", ("v0", "v1", "v2"), "v4"),
+            ("f0", ("v1",), "v2"),
+            ("f0", ("v1",), "v3"),
+            ("f1", ("v1",), "v3"),
+            ("f1", ("v1",), "v4"),
+            ("f1", ("v2",), "v3"),
+            ("f1", ("v2",), "v4"),
+        ],
+        "default": ([
+            ("f0", ("v0",), "v2", "0x1.95f1899caf130p+1"),
+        ], True, {"f0": ["v1", "v2"], "f1": ["v0", "v1", "v2"]}),
+        "unconditional": ([
+            ("f0", ("v0",), "v2", "0x1.95f1899caf130p+1"),
+        ], True, {"f0": ["v1", "v2"], "f1": ["v0", "v1", "v2"]}),
+        "threshold": ([
+            ("f0", ("v0",), "v2", "0x1.95f1899caf130p+1"),
+        ], True, {"f0": ["v1", "v2"], "f1": ["v0", "v1", "v2"]}),
+        "exhaust": ([
+            ("f0", ("v0",), "v2", "0x1.95f1899caf130p+1"),
+            ("f0", ("v1",), "v2", "0x0.0p+0"),
+        ], False, {"f0": ["v2"], "f1": ["v0", "v1", "v2"]}),
+        "alpha": ([
+            ("f0", ("v0",), "v2", "0x1.95f1899caf130p+1"),
+        ], True, {"f0": ["v1", "v2"], "f1": ["v0", "v1", "v2"]}),
+        "reordered": ([
+            ("f1", ("v2",), "v3", "0x1.958a7b2d5d490p+4"),
+            ("f1", ("v1",), "v3", "0x1.a8e327b696230p+3"),
+            ("f1", ("v0",), "v3", "0x0.0p+0"),
+        ], True, {"f0": ["v0", "v1"], "f1": ["v3"]}),
+        "reordered_exhaust": ([
+            ("f1", ("v2",), "v3", "0x1.958a7b2d5d490p+4"),
+            ("f1", ("v1",), "v3", "0x1.a8e327b696230p+3"),
+            ("f1", ("v0",), "v3", "0x0.0p+0"),
+        ], False, {"f0": ["v0", "v1"], "f1": ["v3"]}),
+        "reordered_exhaust_unconditional": ([
+            ("f1", ("v2",), "v3", "0x1.958a7b2d5d490p+4"),
+            ("f1", ("v2",), "v4", "0x1.a6ef41021cf80p+3"),
+            ("f1", ("v1",), "v3", "0x1.109f3278ed028p+2"),
+            ("f1", ("v0",), "v3", "0x0.0p+0"),
+            ("f1", ("v3",), "v4", "0x0.0p+0"),
+            ("f0", ("v1",), "v2", "0x0.0p+0"),
+            ("f0", ("v1",), "v3", "0x0.0p+0"),
+            ("f0", ("v0",), "v2", "0x0.0p+0"),
+        ], False, {"f0": ["v2", "v3"], "f1": ["v4"]}),
+    },
+    ("wide", 1): {
+        "descriptor": {"f0": ["v0", "v1"], "f1": ["v0", "v1", "v2"]},
+        "sweep": [
+            ("f0", ("v0",), "v2"),
+            ("f0", ("v0",), "v3"),
+            ("f0", ("v0", "v1"), "v2"),
+            ("f0", ("v0", "v1"), "v3"),
+            ("f0", ("v1",), "v2"),
+            ("f0", ("v1",), "v3"),
+            ("f1", ("v2",), "v3"),
+            ("f1", ("v2",), "v4"),
+            ("f1", ("v0", "v1", "v2"), "v3"),
+            ("f1", ("v0", "v1", "v2"), "v4"),
+            ("f1", ("v0",), "v3"),
+            ("f1", ("v0",), "v4"),
+            ("f1", ("v1",), "v3"),
+            ("f1", ("v1",), "v4"),
+        ],
+        "default": ([
+            ("f0", ("v0",), "v2", "0x1.a50e0fdc83818p+2"),
+        ], True, {"f0": ["v1", "v2"], "f1": ["v0", "v1", "v2"]}),
+        "unconditional": ([
+            ("f0", ("v0",), "v2", "0x1.a50e0fdc83818p+2"),
+        ], True, {"f0": ["v1", "v2"], "f1": ["v0", "v1", "v2"]}),
+        "threshold": ([
+            ("f0", ("v0",), "v2", "0x1.a50e0fdc83818p+2"),
+        ], True, {"f0": ["v1", "v2"], "f1": ["v0", "v1", "v2"]}),
+        "exhaust": ([
+            ("f0", ("v0",), "v2", "0x1.a50e0fdc83818p+2"),
+            ("f0", ("v1",), "v2", "0x0.0p+0"),
+        ], False, {"f0": ["v2"], "f1": ["v0", "v1", "v2"]}),
+        "alpha": ([
+            ("f0", ("v0",), "v2", "0x1.a50e0fdc83818p+2"),
+            ("f0", ("v1",), "v2", "0x0.0p+0"),
+        ], True, {"f0": ["v2"], "f1": ["v0", "v1", "v2"]}),
+        "reordered": ([
+            ("f1", ("v1",), "v3", "0x1.0a292a0524624p+4"),
+            ("f1", ("v0",), "v3", "0x1.ec2c42f2251e0p+1"),
+        ], True, {"f0": ["v0", "v1"], "f1": ["v2", "v3"]}),
+        "reordered_exhaust": ([
+            ("f1", ("v1",), "v3", "0x1.0a292a0524624p+4"),
+            ("f1", ("v0",), "v3", "0x1.ec2c42f2251e0p+1"),
+            ("f1", ("v2",), "v3", "0x0.0p+0"),
+        ], False, {"f0": ["v0", "v1"], "f1": ["v3"]}),
+        "reordered_exhaust_unconditional": ([
+            ("f1", ("v1",), "v3", "0x1.0a292a0524624p+4"),
+            ("f1", ("v1",), "v4", "0x1.2608f1450e58cp+3"),
+            ("f1", ("v0",), "v3", "0x1.ca69ab81b6580p-1"),
+            ("f1", ("v2",), "v3", "0x0.0p+0"),
+            ("f1", ("v3",), "v4", "0x0.0p+0"),
+            ("f0", ("v1",), "v2", "0x0.0p+0"),
+            ("f0", ("v1",), "v3", "0x0.0p+0"),
+            ("f0", ("v0",), "v2", "0x0.0p+0"),
+        ], False, {"f0": ["v2", "v3"], "f1": ["v4"]}),
+    },
+    ("wide", 2): {
+        "descriptor": {"f0": ["v0", "v1"], "f1": ["v0", "v1", "v2"]},
+        "sweep": [
+            ("f0", ("v1",), "v2"),
+            ("f0", ("v1",), "v3"),
+            ("f0", ("v0", "v1"), "v2"),
+            ("f0", ("v0", "v1"), "v3"),
+            ("f1", ("v1",), "v3"),
+            ("f1", ("v1",), "v4"),
+            ("f1", ("v0", "v1", "v2"), "v3"),
+            ("f1", ("v0", "v1", "v2"), "v4"),
+            ("f0", ("v0",), "v2"),
+            ("f0", ("v0",), "v3"),
+            ("f1", ("v2",), "v3"),
+            ("f1", ("v2",), "v4"),
+            ("f1", ("v0",), "v3"),
+            ("f1", ("v0",), "v4"),
+        ],
+        "default": ([
+            ("f0", ("v1",), "v2", "0x1.b5980e4532ce8p+1"),
+        ], True, {"f0": ["v0", "v2"], "f1": ["v0", "v1", "v2"]}),
+        "unconditional": ([
+            ("f0", ("v1",), "v2", "0x1.b5980e4532ce8p+1"),
+        ], True, {"f0": ["v0", "v2"], "f1": ["v0", "v1", "v2"]}),
+        "threshold": ([
+            ("f0", ("v1",), "v2", "0x1.b5980e4532ce8p+1"),
+        ], True, {"f0": ["v0", "v2"], "f1": ["v0", "v1", "v2"]}),
+        "exhaust": ([
+            ("f0", ("v1",), "v2", "0x1.b5980e4532ce8p+1"),
+            ("f0", ("v0",), "v2", "0x0.0p+0"),
+        ], False, {"f0": ["v2"], "f1": ["v0", "v1", "v2"]}),
+        "alpha": ([
+            ("f0", ("v1",), "v2", "0x1.b5980e4532ce8p+1"),
+        ], True, {"f0": ["v0", "v2"], "f1": ["v0", "v1", "v2"]}),
+        "reordered": ([
+            ("f1", ("v0",), "v3", "0x1.35aebfff17da8p+4"),
+            ("f1", ("v2",), "v3", "0x1.60f4f34061b68p+2"),
+        ], True, {"f0": ["v0", "v1"], "f1": ["v1", "v3"]}),
+        "reordered_exhaust": ([
+            ("f1", ("v0",), "v3", "0x1.35aebfff17da8p+4"),
+            ("f1", ("v2",), "v3", "0x1.60f4f34061b68p+2"),
+            ("f1", ("v1",), "v3", "0x0.0p+0"),
+        ], False, {"f0": ["v0", "v1"], "f1": ["v3"]}),
+        "reordered_exhaust_unconditional": ([
+            ("f1", ("v0",), "v3", "0x1.35aebfff17da8p+4"),
+            ("f1", ("v0",), "v4", "0x1.0f3f1203fb1b8p+3"),
+            ("f1", ("v2",), "v3", "0x1.10c981d452880p-1"),
+            ("f1", ("v1",), "v3", "0x0.0p+0"),
+            ("f1", ("v3",), "v4", "0x0.0p+0"),
+            ("f0", ("v0",), "v2", "0x0.0p+0"),
+            ("f0", ("v0",), "v3", "0x0.0p+0"),
+            ("f0", ("v1",), "v2", "0x0.0p+0"),
+        ], False, {"f0": ["v2", "v3"], "f1": ["v4"]}),
+    },
+}
+
+
+@pytest.mark.parametrize("cohort", list(PINNED))
+def test_post_discovery_outputs_pinned(cohort):
+    assert pin_observation(*cohort) == PINNED[cohort]
