@@ -306,6 +306,8 @@ def cmd_synth(cfg: PipelineConfig) -> int:
         odds_multiplier=cfg.odds_multiplier,
         seed=cfg.seed,
     )
+    if cfg.outcome in spec.schema().feature_names:  # before any work, and before --out is made
+        raise ContractError(f"outcome column {cfg.outcome!r} collides with a feature")
     timer = _StageTimer()
     with timer.stage("generate"):
         dataset, descriptor = generate_synthetic(spec)
@@ -396,7 +398,10 @@ def _load_scan_report(cfg: PipelineConfig, dataset: Dataset) -> ScanResult:
     return ScanResult(descriptor, panel, effects, restart_index)
 
 
-def _ranking_from_report(path_str: str) -> list[RelevanceEntry]:
+def _ranking_from_report(
+    path_str: str, descriptor: dict[str, list[str]]
+) -> list[RelevanceEntry]:
+    """The saved ranking; LoadError unless each entry names a value of ``descriptor`` (labels)."""
     path = Path(path_str)
     rows = _read_json_object(path, "rank report").get("relevance")
     if rows is None:
@@ -406,9 +411,15 @@ def _ranking_from_report(path_str: str) -> list[RelevanceEntry]:
         for row in rows:
             for key, value in row.items():
                 _check_type(hints, key, value, "relevance field")
-        return [RelevanceEntry(**r) for r in rows]
+        ranking = [RelevanceEntry(**r) for r in rows]
     except (KeyError, TypeError, ValueError, AttributeError) as e:
         raise LoadError(f"{path}: malformed relevance block ({e!r})") from None
+    values = {(f, v) for f, vs in descriptor.items() for v in vs}
+    for e in ranking:
+        if (e.feature, e.value) not in values:
+            raise LoadError(f"{path}: relevance entry {e.feature}={e.value} "
+                            "is not a value of the scan descriptor")
+    return ranking
 
 
 def cmd_rank(cfg: PipelineConfig) -> int:
@@ -431,7 +442,8 @@ def cmd_substitute(cfg: PipelineConfig) -> int:
     if enumerate_substitutions(result.descriptor, dataset.schema):
         with timer.stage("rank"):
             if cfg.rank_report:
-                ranking = _ranking_from_report(cfg.rank_report)
+                labels = result.descriptor.to_labels(dataset.schema)
+                ranking = _ranking_from_report(cfg.rank_report, labels)
             else:
                 ranking = rank_feature_relevance(dataset, result, cfg.relevance_config())
         with timer.stage("significance"):

@@ -11,9 +11,12 @@ undefined ratio and rank last.
 
 Cross-substitution replaces anomalous values with values drawn from the same
 feature's complement. The sweep evaluates every candidate independently
-against the original descriptor; the greedy walk applies substitutions
-cumulatively in relevance order and keeps one only if it strictly lowers the
-score, stopping as soon as the perturbed subgroup is no longer significant.
+against the original descriptor. The greedy walk tries one list of moves:
+features in relevance order, each ranked value paired with every complement
+value of the original descriptor, in category order. A move whose value has
+already left the current set is skipped; otherwise it is kept only if it
+strictly lowers the score, and the walk stops as soon as the perturbed
+subgroup is no longer significant.
 All substitution p-values share one null score sample per dataset: the null
 distribution of the scan maximum does not depend on which subgroup is being
 tested, and a shared sample keeps a sweep of dozens of candidates affordable.
@@ -98,15 +101,14 @@ def order_relevance_entries(
     non-negative ratios descending, undefined ratios last. global_deviation:
     descending deviation. Ties keep input order.
     """
-    def key(item: tuple[int, RelevanceEntry]):
-        i, e = item
+    def key(e: RelevanceEntry):
         if ranking_mode != "deviation_ratio":
-            return (0, -e.global_deviation, i)
+            return (0, -e.global_deviation)
         if e.deviation_ratio is None:
-            return (2, 0.0, i)
-        return (0 if e.deviation_ratio < 0 else 1, -e.deviation_ratio, i)
+            return (2, 0.0)
+        return (0 if e.deviation_ratio < 0 else 1, -e.deviation_ratio)
 
-    ordered = [e for _, e in sorted(enumerate(entries), key=key)]
+    ordered = sorted(entries, key=key)  # a stable sort: ties keep input order
     return [replace(e, rank=r) for r, e in enumerate(ordered, start=1)]
 
 
@@ -168,6 +170,28 @@ class SubstitutionCandidate:
     resulting_descriptor: SubsetDescriptor
 
 
+def _substitution(
+    schema: Schema,
+    descriptor: SubsetDescriptor,
+    feature: int,
+    from_values: tuple[int, ...],
+    to_value: int,
+) -> SubstitutionCandidate:
+    """Replace from_values with to_value in the feature's value set of descriptor."""
+    name, cats = schema.features[feature]
+    values = sorted(set(descriptor.values_for(feature)) - set(from_values) | {to_value})
+    return SubstitutionCandidate(
+        feature=name,
+        from_values=tuple(cats[v] for v in from_values),
+        to_value=cats[to_value],
+        resulting_descriptor=descriptor.with_feature(feature, values),
+    )
+
+
+def _complement(schema: Schema, feature: int, values: tuple[int, ...]) -> list[int]:
+    return sorted(set(range(schema.cardinality(feature))) - set(values))
+
+
 def enumerate_substitutions(
     descriptor: SubsetDescriptor, schema: Schema
 ) -> list[SubstitutionCandidate]:
@@ -180,35 +204,12 @@ def enumerate_substitutions(
     contribute nothing.
     """
     descriptor.validate_against(schema)
-    candidates: list[SubstitutionCandidate] = []
-    for feature_idx, values in descriptor.constraints:
-        name, cats = schema.features[feature_idx]
-        anomalous = sorted(values)
-        complement = sorted(set(range(len(cats))) - set(anomalous))
-        if not complement:
-            continue
-        for v in anomalous:
-            for v_new in complement:
-                new_values = sorted(set(anomalous) - {v} | {v_new})
-                candidates.append(
-                    SubstitutionCandidate(
-                        feature=name,
-                        from_values=(cats[v],),
-                        to_value=cats[v_new],
-                        resulting_descriptor=descriptor.with_feature(feature_idx, new_values),
-                    )
-                )
-        if len(anomalous) >= 2:
-            for v_new in complement:
-                candidates.append(
-                    SubstitutionCandidate(
-                        feature=name,
-                        from_values=tuple(cats[v] for v in anomalous),
-                        to_value=cats[v_new],
-                        resulting_descriptor=descriptor.with_feature(feature_idx, [v_new]),
-                    )
-                )
-    return candidates
+    return [
+        _substitution(schema, descriptor, feature, from_values, to_value)
+        for feature, values in descriptor.constraints
+        for from_values in [(v,) for v in values] + ([values] if len(values) >= 2 else [])
+        for to_value in _complement(schema, feature, values)
+    ]
 
 
 @dataclass(frozen=True)
@@ -259,14 +260,6 @@ def _score_substitution(
     return outcome, panel, effects
 
 
-def _candidate_rank(
-    candidate: SubstitutionCandidate, ranks: dict[tuple[str, str], int]
-) -> float:
-    """A candidate inherits the best rank among its substituted values."""
-    keys = ((candidate.feature, v) for v in candidate.from_values)
-    return min((ranks[key] for key in keys if key in ranks), default=math.inf)
-
-
 def single_substitution_sweep(
     dataset: Dataset,
     result: ScanResult,
@@ -287,15 +280,14 @@ def single_substitution_sweep(
         null_scores = null_score_distribution(dataset, bootstrap, workers=workers)
     candidates = enumerate_substitutions(result.descriptor, dataset.schema)
     ranks = {(e.feature, e.value): e.rank for e in ranking}
-    order = sorted(
-        range(len(candidates)),
-        key=lambda i: (_candidate_rank(candidates[i], ranks), i),
-    )
+    # a candidate inherits the best rank among its substituted values; the sort
+    # is stable, so ties keep enumeration order
+    candidates.sort(key=lambda c: min(ranks.get((c.feature, v), math.inf) for v in c.from_values))
     return [
         _score_substitution(
-            dataset, candidates[i], result.panel.score, result.effects, alpha, null_scores
+            dataset, c, result.panel.score, result.effects, alpha, null_scores
         )[0]
-        for i in order
+        for c in candidates
     ]
 
 
@@ -304,7 +296,7 @@ class GreedyResult:
     """Final subgroup after greedy cross-substitution.
 
     ``denormalized`` is True when the stopping rule fired (the subgroup lost
-    its anomalousness); False means the candidate queue ran out first.
+    its anomalousness); False means the move list ran out first.
     """
 
     descriptor: SubsetDescriptor
@@ -330,14 +322,16 @@ def cross_substitute_greedy(
 ) -> GreedyResult:
     """Apply substitutions cumulatively until anomalousness is lost.
 
-    Features are processed as a queue in relevance order; within a feature,
-    each ranked anomalous value is paired with every complement value of the
-    original descriptor (category order). A substitution is kept only if it
-    strictly lowers the score — pass ``unconditional=True`` to keep every
-    substitution regardless — and one that empties the subgroup is always
-    reverted. The stopping rule is checked on entry and after every retained
-    substitution: empirical p above ``alpha``, or, when ``score_threshold`` is
-    given, score at or below that bound.
+    The walk tries one list of moves [v -> v']: features in relevance order
+    (first appearance in ``ranking``), each ranked value v of the feature in
+    ranking order, paired with every complement value v' of the original
+    descriptor in category order. A move whose value v has left the current
+    set is skipped, and so is one that changes nothing. A substitution is kept
+    only if it strictly lowers the score — pass ``unconditional=True`` to keep
+    every substitution and to skip no move for its value — and one that
+    empties the subgroup is always reverted. The stopping rule is checked on
+    entry and after every retained substitution: empirical p above ``alpha``,
+    or, when ``score_threshold`` is given, score at or below that bound.
     """
     if null_scores is None:
         null_scores = null_score_distribution(dataset, bootstrap, workers=workers)
@@ -353,58 +347,42 @@ def cross_substitute_greedy(
             return score <= score_threshold
         return p > alpha
 
-    applied: list[SubstitutionOutcome] = []
-    done = stopped(panel.score, p_value)  # not anomalous to begin with: apply nothing
-
-    # Queue of features in relevance order; each with its ranked values and
-    # the complement values of the original descriptor.
-    queue: list[tuple[str, int, list[int], list[int]]] = []
+    moves: list[tuple[int, int, int]] = []
     for name in dict.fromkeys(e.feature for e in ranking):
-        feature_idx = schema.feature_index(name)
-        original = result.descriptor.values_for(feature_idx)
+        feature = schema.feature_index(name)
+        original = result.descriptor.values_for(feature)
         if original is None:
             continue
-        ranked_values = [
-            schema.value_index(feature_idx, e.value) for e in ranking if e.feature == name
+        moves += [
+            (feature, schema.value_index(feature, e.value), to_value)
+            for e in ranking if e.feature == name
+            for to_value in _complement(schema, feature, original)
         ]
-        complement = sorted(set(range(schema.cardinality(feature_idx))) - set(original))
-        queue.append((name, feature_idx, ranked_values, complement))
 
-    for name, feature_idx, ranked_values, complement in queue:
+    applied: list[SubstitutionOutcome] = []
+    done = stopped(panel.score, p_value)  # not anomalous to begin with: apply nothing
+    for feature, v, to_value in moves:
         if done:
             break
-        cats = schema.features[feature_idx][1]
-        for v in ranked_values:
-            if done:
-                break
-            for v_new in complement:
-                current_values = current.values_for(feature_idx) or ()
-                if not unconditional and v not in current_values:
-                    break  # this value was already substituted away
-                new_values = sorted(set(current_values) - {v} | {v_new})
-                if tuple(new_values) == current_values:
-                    continue  # no-op pair
-                candidate = SubstitutionCandidate(
-                    feature=name,
-                    from_values=(cats[v],),
-                    to_value=cats[v_new],
-                    resulting_descriptor=current.with_feature(feature_idx, new_values),
-                )
-                outcome, new_panel, new_effects = _score_substitution(
-                    dataset, candidate, panel.score, effects, alpha, null_scores
-                )
-                if outcome.empty:
-                    continue  # emptied the subgroup; revert
-                if not unconditional and not new_panel.score < panel.score:
-                    continue
-                applied.append(outcome)
-                current, panel, effects = candidate.resulting_descriptor, new_panel, new_effects
-                p_value, at_floor = outcome.new_p, outcome.p_at_floor
-                if stopped(panel.score, p_value):
-                    done = True
-                    break
-                if not unconditional:
-                    break  # value v substituted; move to the next ranked value
+        # One value's moves sit next to each other, and a skipped move changes
+        # nothing, so once a value has left the current set every remaining move
+        # of that value is skipped: the value was swapped out, go to the next one.
+        if not unconditional and v not in current.values_for(feature):
+            continue
+        candidate = _substitution(schema, current, feature, (v,), to_value)
+        if candidate.resulting_descriptor == current:
+            continue  # no-op pair
+        outcome, new_panel, new_effects = _score_substitution(
+            dataset, candidate, panel.score, effects, alpha, null_scores
+        )
+        if outcome.empty:
+            continue  # emptied the subgroup; revert
+        if not unconditional and not new_panel.score < panel.score:
+            continue
+        applied.append(outcome)
+        current, panel, effects = candidate.resulting_descriptor, new_panel, new_effects
+        p_value, at_floor = outcome.new_p, outcome.p_at_floor
+        done = stopped(panel.score, p_value)
 
     return GreedyResult(
         current, panel, effects, p_value, at_floor, tuple(applied), done

@@ -81,6 +81,15 @@ class TestSynth:
         assert code == 2
         assert "odds_multiplier" in capsys.readouterr().err
 
+    def test_outcome_colliding_with_a_feature_fails_before_work(self, tmp_path, capsys):
+        out = tmp_path / "fresh"
+        code = run(["synth", "--n", "100", "--cardinalities", "2,3", "--base-rate", "0.1",
+                    "--odds-multiplier", "2", "--outcome", "f0", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ") and "'f0'" in err
+        assert not out.exists()
+
     def test_missing_required_knob_rejected(self, tmp_path):
         assert run(["synth", "--n", "100", "--out", str(tmp_path)]) == 2
 
@@ -289,6 +298,38 @@ class TestRankAndSubstitute:
                                  "p_value", "odds_ratio", "p_at_floor"]
         for row in rows:
             assert float(row["new_score"]) < json.loads(scan_report.read_text())["scan"]["score"]
+
+    @pytest.mark.parametrize("entry", [("f1", "v1"), ("f2", "v0"), ("nope", "zz")])
+    def test_substitute_rejects_a_ranking_of_other_values(
+        self, cohort_csv, scan_report, tmp_path, capsys, entry
+    ):
+        # the scan descriptor is f0=v0, f1=v0: f1=v1 lies outside it, f2 is
+        # unconstrained and nope is no feature
+        feature, value = entry
+        rank = tmp_path / "rank.json"
+        rank.write_text(json.dumps({"relevance": [
+            {"feature": "f0", "value": "v0", "e_value": 0.1, "subset_deviation": -0.9,
+             "global_deviation": 0.05, "deviation_ratio": -18.0, "rank": 1},
+            {"feature": feature, "value": value, "e_value": 0.1, "subset_deviation": -0.9,
+             "global_deviation": 0.05, "deviation_ratio": -18.0, "rank": 2},
+        ]}))
+        code = run(["substitute", "--input", str(cohort_csv), "--outcome", "y",
+                    "--scan-report", str(scan_report), "--rank-report", str(rank),
+                    "--replicates", "19", "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert str(rank) in err and f"{feature}={value}" in err
+
+    def test_substitute_accepts_a_top_k_ranking(self, cohort_csv, scan_report, tmp_path):
+        assert run(["rank", "--input", str(cohort_csv), "--outcome", "y", "--top-k", "1",
+                    "--scan-report", str(scan_report), "--out", str(tmp_path / "rank")]) == 0
+        ranked = json.loads((tmp_path / "rank" / "rank_report.json").read_text())["relevance"]
+        assert len(ranked) == 1
+        assert run(["substitute", "--input", str(cohort_csv), "--outcome", "y",
+                    "--scan-report", str(scan_report),
+                    "--rank-report", str(tmp_path / "rank" / "rank_report.json"),
+                    "--replicates", "19", "--out", str(tmp_path / "out")]) == 0
 
     def test_substitute_empty_descriptor_writes_empty_tables(
         self, cohort_csv, scan_report, tmp_path

@@ -15,6 +15,7 @@ TINY_ARGS = {
     "demo_pipeline.py": ["--n", "300", "--restarts", "2", "--replicates", "19"],
     "null_calibration.py": ["--datasets", "2", "--n", "60", "--replicates", "3",
                             "--restarts", "1"],
+    "line_count.py": [],
     "recovery_experiment.py": ["--n", "300", "--multipliers", "3.0", "--cohorts", "2",
                                "--restarts", "2"],
 }
