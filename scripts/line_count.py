@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Raw and code line counts of every module of a package (default: src/subscan).
 
-A code line is a line that holds a token other than a comment or a newline
-and that is not part of a module, class or function docstring. Blank lines,
-comment-only lines and docstrings are left out; a line continued inside
-brackets or a non-docstring string counts. Prints one CSV row per module and a
-total row.
+A code line is a line that holds a token other than a comment, a newline or
+indentation, and that is not part of a module, class or function docstring.
+Blank lines, comment-only lines and docstrings are left out; a line continued
+inside brackets or a non-docstring string counts. Prints one CSV row per
+module and a total row.
 """
 
 import argparse
