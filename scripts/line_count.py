@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Raw and code line counts of every module of a package (default: src/subscan).
+"""Raw and code line counts of every module of src/subscan.
 
 A code line is a line that holds a token other than a comment, a newline or
 indentation, and that is not part of a module, class or function docstring.
@@ -8,7 +8,6 @@ inside brackets or a non-docstring string counts. Prints one CSV row per
 module and a total row.
 """
 
-import argparse
 import ast
 import csv
 import io
@@ -42,11 +41,11 @@ def code_lines(source: str) -> int:
     return len(lines - docstring_lines(ast.parse(source)))
 
 
-def run(args: argparse.Namespace) -> None:
+def run() -> None:
     writer = csv.writer(sys.stdout)
     writer.writerow(["module", "raw_lines", "code_lines"])
     raw_total = code_total = 0
-    for path in sorted(Path(args.package).glob("*.py")):
+    for path in sorted(PACKAGE.glob("*.py")):
         source = path.read_text(encoding="utf-8")
         raw, code = len(source.splitlines()), code_lines(source)
         writer.writerow([path.name, raw, code])
@@ -55,7 +54,4 @@ def run(args: argparse.Namespace) -> None:
 
 
 if __name__ == "__main__":
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("package", nargs="?", default=str(PACKAGE),
-                    help="directory whose *.py files are counted (default: src/subscan)")
-    run(ap.parse_args())
+    run()

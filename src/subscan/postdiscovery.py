@@ -204,12 +204,17 @@ def enumerate_substitutions(
     contribute nothing.
     """
     descriptor.validate_against(schema)
-    return [
-        _substitution(schema, descriptor, feature, from_values, to_value)
-        for feature, values in descriptor.constraints
-        for from_values in [(v,) for v in values] + ([values] if len(values) >= 2 else [])
-        for to_value in _complement(schema, feature, values)
-    ]
+    candidates: list[SubstitutionCandidate] = []
+    for feature, values in descriptor.constraints:
+        from_sets = [(v,) for v in values]
+        if len(values) >= 2:
+            from_sets.append(values)  # the whole-feature collapse
+        for from_values in from_sets:
+            for to_value in _complement(schema, feature, values):
+                candidates.append(
+                    _substitution(schema, descriptor, feature, from_values, to_value)
+                )
+    return candidates
 
 
 @dataclass(frozen=True)
@@ -280,9 +285,12 @@ def single_substitution_sweep(
         null_scores = null_score_distribution(dataset, bootstrap, workers=workers)
     candidates = enumerate_substitutions(result.descriptor, dataset.schema)
     ranks = {(e.feature, e.value): e.rank for e in ranking}
-    # a candidate inherits the best rank among its substituted values; the sort
-    # is stable, so ties keep enumeration order
-    candidates.sort(key=lambda c: min(ranks.get((c.feature, v), math.inf) for v in c.from_values))
+
+    def rank(c: SubstitutionCandidate) -> float:
+        """A candidate inherits the best rank among its substituted values."""
+        return min(ranks.get((c.feature, v), math.inf) for v in c.from_values)
+
+    candidates.sort(key=rank)  # a stable sort: ties keep enumeration order
     return [
         _score_substitution(
             dataset, c, result.panel.score, result.effects, alpha, null_scores
@@ -329,9 +337,10 @@ def cross_substitute_greedy(
     set is skipped, and so is one that changes nothing. A substitution is kept
     only if it strictly lowers the score — pass ``unconditional=True`` to keep
     every substitution and to skip no move for its value — and one that
-    empties the subgroup is always reverted. The stopping rule is checked on
-    entry and after every retained substitution: empirical p above ``alpha``,
-    or, when ``score_threshold`` is given, score at or below that bound.
+    empties the subgroup is always reverted. The stopping rule is checked
+    before every move, so on entry and after every retained substitution:
+    empirical p above ``alpha``, or, when ``score_threshold`` is given, score
+    at or below that bound. ``denormalized`` is that rule on the final state.
     """
     if null_scores is None:
         null_scores = null_score_distribution(dataset, bootstrap, workers=workers)
@@ -360,10 +369,9 @@ def cross_substitute_greedy(
         ]
 
     applied: list[SubstitutionOutcome] = []
-    done = stopped(panel.score, p_value)  # not anomalous to begin with: apply nothing
     for feature, v, to_value in moves:
-        if done:
-            break
+        if stopped(panel.score, p_value):
+            break  # no longer anomalous, or never was: apply nothing more
         # One value's moves sit next to each other, and a skipped move changes
         # nothing, so once a value has left the current set every remaining move
         # of that value is skipped: the value was swapped out, go to the next one.
@@ -382,8 +390,8 @@ def cross_substitute_greedy(
         applied.append(outcome)
         current, panel, effects = candidate.resulting_descriptor, new_panel, new_effects
         p_value, at_floor = outcome.new_p, outcome.p_at_floor
-        done = stopped(panel.score, p_value)
 
     return GreedyResult(
-        current, panel, effects, p_value, at_floor, tuple(applied), done
+        current, panel, effects, p_value, at_floor, tuple(applied),
+        denormalized=stopped(panel.score, p_value),
     )
