@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import codecs
 import csv
+import hashlib
 import math
 import tracemalloc
 from unittest import mock
@@ -749,6 +750,21 @@ class TestSynthetic:
         a, _ = generate_synthetic(spec)
         b, _ = generate_synthetic(spec)
         assert a == b
+
+    @pytest.mark.parametrize("spec, outcome, digest", [
+        (SyntheticSpec(500, (2, 3, 4), 0.1, SubsetDescriptor.from_dict({0: [0], 2: [1, 2]}),
+                       2.5, 7),
+         "y", "e6ed3f16be405ed963c7cf96037e26179aa5fdb541db48a7223d45125ea8e6fb"),
+        (SyntheticSpec(3_000, (300, 5), 0.2, SubsetDescriptor.from_dict({0: list(range(40))}),
+                       3.0, 11),
+         "label", "cc0760700783f8876dbafed553dae460dc9ac42a52d654ac0433625860d2025c"),
+        (SyntheticSpec(70_000, (3, 2), 0.05, SubsetDescriptor.from_dict({1: [1]}), 2.0, 5),
+         "y", "ac748b1d290fd0a8f48a272ceebdb7679cad991dcdded431ad82012a9bb05426"),
+    ], ids=["small", "300_categories", "70k_records"])
+    def test_written_cohort_bytes_pinned(self, tmp_path, spec, outcome, digest):
+        # the random stream and the CSV writer together: a synth cohort's file is fixed
+        write_csv(generate_synthetic(spec)[0], tmp_path / "t.csv", outcome)
+        assert hashlib.sha256((tmp_path / "t.csv").read_bytes()).hexdigest() == digest
 
     def test_planted_subset_rate_lifted(self):
         spec = SyntheticSpec(
