@@ -1,8 +1,9 @@
 """Tabular data model: schema, dataset, subgroup descriptors, CSV I/O, synthetic cohorts.
 
-Categories are encoded as dense integer indices per feature; human-readable
-labels live only in the Schema. Rows and outcomes are immutable numpy arrays,
-so datasets can be shared freely across parallel workers. Only this module
+Categories are encoded as dense integer indices per feature, in the smallest
+unsigned dtype that holds the widest feature's; human-readable labels live
+only in the Schema. Rows and outcomes are immutable numpy arrays, so datasets
+can be shared freely across parallel workers. Only this module
 reads them: the other modules see the data through ``CategoryCounter``,
 ``category_counts`` and ``subset_counts``.
 
@@ -174,13 +175,13 @@ class Dataset:
     """Immutable categorical table with a binary outcome per record and its outcome totals."""
 
     schema: Schema
-    rows: np.ndarray        # (N, M) int32 category indices
+    rows: np.ndarray        # (N, M) category indices in _code_dtype(schema.cardinalities())
     outcomes: np.ndarray    # (N,) int8 in {0, 1}
     n_positive: int = field(init=False)
     global_mean: float = field(init=False)
 
     def __post_init__(self) -> None:
-        rows = _adopted(self.rows, np.int32, "rows")
+        rows = _integers(self.rows, "rows")
         if rows.ndim != 2 or rows.shape[0] < 1:
             raise ContractError("rows must be a non-empty (N, M) array")
         if rows.shape[1] != self.schema.n_features:
@@ -188,20 +189,21 @@ class Dataset:
                 f"rows have {rows.shape[1]} columns but schema has "
                 f"{self.schema.n_features} features"
             )
-        outcomes = _adopted(self.outcomes, np.int8, "outcomes")
+        outcomes = _adopted(_integers(self.outcomes, "outcomes"), np.int8, "outcomes")
         if outcomes.shape != (rows.shape[0],):
             raise ContractError("outcomes must be a length-N vector")
         bad = outcomes.view(np.uint8) > 1  # a negative int8 is 128 or more as uint8
         if bad.any():
             raise ContractError(f"outcome at row {int(np.argmax(bad))} is not 0/1")
-        for z in range(self.schema.n_features):
-            col = rows[:, z]
-            card = self.schema.cardinality(z)
+        cardinalities = self.schema.cardinalities()
+        for z, card in enumerate(cardinalities):
+            col = rows[:, z]  # checked before narrowing, where a -1 would wrap
             if col.min() < 0 or col.max() >= card:
                 raise ContractError(
-                    f"category index out of range in feature "
-                    f"{self.schema.features[z][0]!r}"
+                    f"category index out of range in feature {self.schema.features[z][0]!r}: "
+                    f"rows hold values outside the range [0, {card})"
                 )
+        rows = _adopted(rows, _code_dtype(cardinalities), "rows")
         n_positive = int(outcomes.sum())
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "outcomes", outcomes)
@@ -235,21 +237,30 @@ class Dataset:
     __hash__ = None  # type: ignore[assignment]
 
 
-def _adopted(array: object, dtype: type, name: str) -> np.ndarray:
-    """``array`` if no one can change it, else a read-only C-order copy of it as ``dtype``.
+def _code_dtype(cardinalities: Iterable[int]) -> np.dtype:
+    """The smallest unsigned dtype that holds every category index of features this wide."""
+    return np.min_scalar_type(max(cardinalities, default=1) - 1)
 
-    No one can change a read-only C array of ``dtype`` that owns its data, as
-    the loaders build; a writeable array, or a read-only view, is copied. A
-    copy is made only of integers or booleans that ``dtype`` holds, so no
-    value is truncated or wraps around.
-    """
-    if type(array) is np.ndarray and array.dtype == dtype:
-        flags = array.flags
-        if flags.c_contiguous and flags.owndata and not flags.writeable:
-            return array
+
+def _integers(array: object, name: str) -> np.ndarray:
+    """``array`` as a numpy array, not copied if it is one; ContractError unless ints or bools."""
     values = np.asarray(array)
     if values.dtype.kind not in "biu":
         raise ContractError(f"{name} must be integers or booleans, not {values.dtype}")
+    return values
+
+
+def _adopted(values: np.ndarray, dtype: np.dtype | type, name: str) -> np.ndarray:
+    """``values`` if no one can change them, else a read-only C-order copy of them as ``dtype``.
+
+    No one can change a read-only C array of ``dtype`` that owns its data, as
+    the loaders build; a writeable array, or a read-only view, is copied. A
+    copy is made only of values that ``dtype`` holds, so no value is
+    truncated or wraps around.
+    """
+    flags = values.flags
+    if values.dtype == dtype and flags.c_contiguous and flags.owndata and not flags.writeable:
+        return values
     copy = values.astype(dtype, order="C")
     if not np.array_equal(copy, values):
         raise ContractError(f"{name} hold values outside the range of {np.dtype(dtype)}")
@@ -456,7 +467,7 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, SubsetDescriptor]:
     p_in = planted_outcome_rate(spec)
     schema = spec.schema()
     rng = np.random.default_rng(spec.seed)
-    rows = np.empty((spec.n_records, len(spec.cardinalities)), dtype=np.int32)
+    rows = np.empty((spec.n_records, len(spec.cardinalities)), _code_dtype(spec.cardinalities))
     for z, card in enumerate(spec.cardinalities):
         rows[:, z] = rng.integers(0, card, size=spec.n_records, dtype=np.int32)
 
@@ -543,7 +554,8 @@ def _read_records(path: Path, outcome_column: str) -> Dataset:
     if not rows:
         raise LoadError(f"{path}: no data rows")
     schema = Schema(tuple((header[col], tuple(codes[j])) for j, col in enumerate(feature_cols)))
-    rows_array, outcomes_array = np.array(rows, dtype=np.int32), np.array(outcomes, dtype=np.int8)
+    rows_array = np.array(rows, dtype=_code_dtype(map(len, codes)))
+    outcomes_array = np.array(outcomes, dtype=np.int8)
     return Dataset(schema, _frozen(rows_array), _frozen(outcomes_array))
 
 
@@ -567,7 +579,10 @@ def _read_plain(path: Path, outcome_column: str) -> Dataset | None:
     an outcome of exactly ``0`` or ``1``. Splitting such a file at commas and
     line ends reads what the csv module reads. The file is read twice: once
     to count its lines, so the codes go into one preallocated array, and
-    once to parse it.
+    once to parse it. That array starts as uint8 and is widened to uint16,
+    then uint32, when a column's labels outgrow it, before the store that
+    would wrap: at most twice a load, each time holding the old and the new
+    table at once (up to 6 bytes a code, at the step from uint16 to uint32).
     """
     try:
         with open(path, "rb") as fh:
@@ -620,7 +635,7 @@ def _parse_plain(
     y_col, feature_cols = _columns(path, header, outcome_column)
 
     codes: list[dict[str, int]] = [{} for _ in feature_cols]
-    rows = np.empty((n_records, len(feature_cols)), dtype=np.int32)
+    rows = np.empty((n_records, len(feature_cols)), dtype=np.uint8)
     outcomes = np.empty(n_records, dtype=np.int8)
     done = 0
     for block in itertools.chain([first] if first else [], blocks):  # after the header
@@ -649,7 +664,10 @@ def _parse_plain(
                 outcomes[done:done + n] = y
             else:
                 j = col - (col > y_col)
-                rows[done:done + n, j] = _block_codes(block, words, start, length, codes[j])
+                block_codes = _block_codes(block, words, start, length, codes[j])
+                if len(codes[j]) > np.iinfo(rows.dtype).max + 1:  # the store would wrap
+                    rows = rows.astype(_code_dtype([len(codes[j])]))
+                rows[done:done + n, j] = block_codes
         done += n
     if done != n_records:
         raise _NotPlain
@@ -704,16 +722,26 @@ def _decoded_codes(
     ]
 
 
+_WRITE_RECORDS = 1 << 16  # write_csv labels this many records at a time
+
+
 def write_csv(dataset: Dataset, path: str | Path, outcome_column: str = "y") -> None:
-    """Serialize a dataset back to CSV; load_csv on the result reproduces it."""
+    """Serialize a dataset back to CSV; load_csv on the result reproduces it.
+
+    Records are labelled a block at a time, so the labels held at once (an
+    8-byte pointer per field) stay bounded whatever the dataset's size.
+    """
     if outcome_column in dataset.schema.feature_names:
         raise ContractError(f"outcome column {outcome_column!r} collides with a feature")
-    columns = [
-        np.asarray(cats, dtype=object)[dataset.rows[:, z]]
-        for z, (_, cats) in enumerate(dataset.schema.features)
-    ]
-    _write_table(path, [*dataset.schema.feature_names, outcome_column],
-                 zip(*columns, dataset.outcomes.tolist()))
+    labels = [np.asarray(cats, dtype=object) for _, cats in dataset.schema.features]
+
+    def records() -> Iterator[tuple]:
+        for a in range(0, dataset.n_records, _WRITE_RECORDS):
+            rows = dataset.rows[a:a + _WRITE_RECORDS]
+            columns = [cats[rows[:, z]] for z, cats in enumerate(labels)]
+            yield from zip(*columns, dataset.outcomes[a:a + _WRITE_RECORDS].tolist())
+
+    _write_table(path, [*dataset.schema.feature_names, outcome_column], records())
 
 
 @contextmanager

@@ -112,26 +112,44 @@ class TestDataset:
             tiny_dataset.outcomes[0] = 0
 
     def test_writeable_input_is_copied(self):
-        rows, outcomes = np.array([[0], [1]], dtype=np.int32), np.array([1, 0], dtype=np.int8)
+        rows, outcomes = np.array([[0], [1]], dtype=np.uint8), np.array([1, 0], dtype=np.int8)
         dataset = Dataset(Schema((("a", ("x", "y")),)), rows, outcomes)
         rows[0, 0], outcomes[0] = 1, 0
         assert dataset.rows.tolist() == [[0], [1]] and dataset.outcomes.tolist() == [1, 0]
         assert not dataset.rows.flags.writeable and not dataset.outcomes.flags.writeable
 
     def test_read_only_owned_arrays_are_adopted(self):
-        rows, outcomes = np.array([[0], [1]], dtype=np.int32), np.array([1, 0], dtype=np.int8)
+        rows, outcomes = np.array([[0], [1]], dtype=np.uint8), np.array([1, 0], dtype=np.int8)
         rows.setflags(write=False)
         outcomes.setflags(write=False)
         dataset = Dataset(Schema((("a", ("x", "y")),)), rows, outcomes)
         assert np.shares_memory(dataset.rows, rows) and np.shares_memory(dataset.outcomes, outcomes)
 
+    def test_read_only_owned_int32_rows_are_narrowed(self):
+        rows = np.array([[0, 2], [1, 0]], dtype=np.int32)
+        rows.setflags(write=False)
+        schema = Schema((("a", ("x", "y")), ("b", ("p", "q", "r"))))
+        dataset = Dataset(schema, rows, np.array([1, 0], dtype=np.int8))
+        assert dataset.rows.dtype == np.uint8 and not np.shares_memory(dataset.rows, rows)
+        assert np.array_equal(dataset.rows, rows)
+        assert dataset == Dataset(schema, rows.astype(np.uint8), [1, 0])
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    @pytest.mark.parametrize("value", [-1, 3])
+    def test_out_of_range_index_names_the_feature(self, dtype, value):
+        # checked on the input, before narrowing to uint8 would wrap -1 to 255
+        schema = Schema((("a", ("x", "y")), ("b", ("p", "q", "r"))))
+        rows = np.array([[0, 2], [1, value]], dtype=dtype)
+        with pytest.raises(ContractError, match="category index out of range in feature 'b'"):
+            Dataset(schema, rows, [1, 0])
+
     @pytest.mark.parametrize("make", [
         lambda base: base[:2],        # a view of a writeable base
         lambda base: base[::2],       # ... that is not C-contiguous either
-        lambda base: base[:2].astype(np.int64),  # owned, but not int32
+        lambda base: base[:2].astype(np.int64),  # owned, but not uint8
     ], ids=["view", "strided_view", "int64"])
     def test_other_read_only_arrays_are_copied(self, make):
-        base = np.array([[0], [1], [1]], dtype=np.int32)
+        base = np.array([[0], [1], [1]], dtype=np.uint8)
         rows = make(base)
         rows.setflags(write=False)
         dataset = Dataset(Schema((("a", ("x", "y")),)), rows, np.array([1, 0], dtype=np.int8))
@@ -696,6 +714,28 @@ class TestPlainPath:
         ]
         assert dataset.outcomes.tolist() == [1, 0, 1, 0, 1, 0, 0, 1]
 
+    @pytest.mark.parametrize("labels, dtype", [
+        ([f"k{i // 2}" for i in range(700)], np.uint16),  # the 257th label at row 512
+        ([str(i) for i in range(65_537)], np.uint32),     # through uint16 to uint32
+    ], ids=["257_labels", "65537_labels"])
+    def test_codes_widen_before_they_would_wrap(self, tmp_path, monkeypatch, labels, dtype):
+        # blocks of about 80 and 5,000 lines, so the table is widened after
+        # earlier blocks have stored their codes in a narrower dtype
+        monkeypatch.setattr(tabular, "_BLOCK_BYTES", 1 << 10 if len(labels) < 1000 else 1 << 16)
+        path = tmp_path / "t.csv"
+        path.write_text("a,b,y\n" + "".join(
+            f"{label},b{i % 3},{i % 2}\n" for i, label in enumerate(labels)
+        ))
+        codes: dict[str, int] = {}
+        reference = np.array([[codes.setdefault(label, len(codes)), i % 3]
+                              for i, label in enumerate(labels)], dtype=np.int32)
+        plain, records = tabular._read_plain(path, "y"), tabular._read_records(path, "y")
+        assert plain is not None and plain == records
+        assert plain.rows.dtype == records.rows.dtype == dtype
+        for dataset in (plain, records):
+            assert np.array_equal(dataset.rows, reference)
+            assert int(dataset.rows[:, 0].max()) == len(codes) - 1  # no code wrapped
+
     def test_table_is_held_once(self, tmp_path, monkeypatch):
         # small blocks keep the parse's working set (about a dozen times the
         # block) well under the 6.1 MiB table, so a second copy of the table
@@ -765,6 +805,16 @@ class TestSynthetic:
         # the random stream and the CSV writer together: a synth cohort's file is fixed
         write_csv(generate_synthetic(spec)[0], tmp_path / "t.csv", outcome)
         assert hashlib.sha256((tmp_path / "t.csv").read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("cardinalities, dtype", [
+        ((2, 256), np.uint8), ((300, 5), np.uint16),
+    ])
+    def test_rows_take_the_narrowest_dtype(self, cardinalities, dtype):
+        spec = SyntheticSpec(2_000, cardinalities, 0.1, SubsetDescriptor.from_dict({1: [0]}),
+                             2.0, 3)
+        dataset = generate_synthetic(spec)[0]
+        assert dataset.rows.dtype == dtype
+        assert int(dataset.rows[:, 0].max()) == cardinalities[0] - 1
 
     def test_planted_subset_rate_lifted(self):
         spec = SyntheticSpec(
