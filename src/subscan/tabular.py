@@ -581,8 +581,12 @@ def _read_plain(path: Path, outcome_column: str) -> Dataset | None:
     to count its lines, so the codes go into one preallocated array, and
     once to parse it. That array starts as uint8 and is widened to uint16,
     then uint32, when a column's labels outgrow it, before the store that
-    would wrap: at most twice a load, each time holding the old and the new
-    table at once (up to 6 bytes a code, at the step from uint16 to uint32).
+    would wrap: at most twice a load. A widening copies only the records
+    parsed so far, and the pages of the rest are not touched until they are
+    stored, so it holds the old and the new codes of those records at once:
+    3 bytes a code at the step to uint16, 6 at the step to uint32, against
+    the 4 of an int32 table. The step to uint32 costs more than an int32
+    table only if it comes after two thirds of the records.
     """
     try:
         with open(path, "rb") as fh:
@@ -666,7 +670,9 @@ def _parse_plain(
                 j = col - (col > y_col)
                 block_codes = _block_codes(block, words, start, length, codes[j])
                 if len(codes[j]) > np.iinfo(rows.dtype).max + 1:  # the store would wrap
-                    rows = rows.astype(_code_dtype([len(codes[j])]))
+                    narrow, rows = rows, np.empty(rows.shape, _code_dtype([len(codes[j])]))
+                    rows[:done + n] = narrow[:done + n]  # this block's earlier columns too
+                    del narrow
                 rows[done:done + n, j] = block_codes
         done += n
     if done != n_records:

@@ -719,38 +719,48 @@ class TestPlainPath:
         ([str(i) for i in range(65_537)], np.uint32),     # through uint16 to uint32
     ], ids=["257_labels", "65537_labels"])
     def test_codes_widen_before_they_would_wrap(self, tmp_path, monkeypatch, labels, dtype):
-        # blocks of about 80 and 5,000 lines, so the table is widened after
-        # earlier blocks have stored their codes in a narrower dtype
+        # blocks of about 80 and 4,700 lines, so the table is widened after
+        # earlier blocks, and the column before it in the same block, have
+        # stored their codes in a narrower dtype
         monkeypatch.setattr(tabular, "_BLOCK_BYTES", 1 << 10 if len(labels) < 1000 else 1 << 16)
         path = tmp_path / "t.csv"
-        path.write_text("a,b,y\n" + "".join(
-            f"{label},b{i % 3},{i % 2}\n" for i, label in enumerate(labels)
+        path.write_text("a,b,c,y\n" + "".join(
+            f"a{i % 3},{label},c{i % 5},{i % 2}\n" for i, label in enumerate(labels)
         ))
         codes: dict[str, int] = {}
-        reference = np.array([[codes.setdefault(label, len(codes)), i % 3]
+        reference = np.array([[i % 3, codes.setdefault(label, len(codes)), i % 5]
                               for i, label in enumerate(labels)], dtype=np.int32)
         plain, records = tabular._read_plain(path, "y"), tabular._read_records(path, "y")
         assert plain is not None and plain == records
         assert plain.rows.dtype == records.rows.dtype == dtype
         for dataset in (plain, records):
             assert np.array_equal(dataset.rows, reference)
-            assert int(dataset.rows[:, 0].max()) == len(codes) - 1  # no code wrapped
+            assert int(dataset.rows[:, 1].max()) == len(codes) - 1  # no code wrapped
 
     def test_table_is_held_once(self, tmp_path, monkeypatch):
-        # small blocks keep the parse's working set (about a dozen times the
-        # block) well under the 6.1 MiB table, so a second copy of the table
-        # would show
+        # 400k records of 8 features, the first with 4 or 300 categories.
+        # Small blocks keep the parse's working set (about a dozen times the
+        # block) under 2 MiB, less than the 3.05 MiB uint8 table, so a second
+        # copy of the table shows. A widening holds the uint8 table and its
+        # uint16 successor at once, half the final table more, and no more.
         monkeypatch.setattr(tabular, "_BLOCK_BYTES", 1 << 16)
-        spec = SyntheticSpec(200_000, (4,) * 8, 0.1, SubsetDescriptor(), 2.0, 0)
-        write_csv(generate_synthetic(spec)[0], tmp_path / "t.csv")
-        tracemalloc.start()
-        try:
-            dataset = tabular._read_plain(tmp_path / "t.csv", "y")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        table = dataset.rows.nbytes + dataset.outcomes.nbytes
-        assert peak < table + 4 * 2**20
+        for labels, dtype in ((4, np.uint8), (300, np.uint16)):
+            lines = "".join(
+                f"v{i % labels}," + ",".join(f"v{(i >> z) % 4}" for z in range(1, 8))
+                + f",{i % 2}\n" for i in range(1000)
+            )
+            path = tmp_path / f"t{labels}.csv"
+            path.write_text(",".join(f"f{z}" for z in range(8)) + ",y\n" + lines * 400)
+            tracemalloc.start()
+            try:
+                dataset = tabular._read_plain(path, "y")
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert dataset.rows.dtype == dtype
+            table = dataset.rows.nbytes + dataset.outcomes.nbytes
+            widening = dataset.rows.nbytes // 2 if dtype != np.uint8 else 0
+            assert peak < table + widening + 2 * 2**20, labels
 
 
 class TestSynthetic:
