@@ -10,6 +10,7 @@ near alpha.
 import argparse
 import csv
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -42,7 +43,7 @@ def run(args: argparse.Namespace) -> None:
         null_scores = null_score_distribution(
             ds,
             BootstrapConfig(n_replicates=args.replicates,
-                            seed=args.seed + 20_000 + i, scan_config=config),
+                            scan_config=replace(config, seed=args.seed + 20_000 + i)),
             workers=args.workers,
         )
         p_value, at_floor = p_from_null_scores(observed, null_scores)

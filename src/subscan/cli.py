@@ -127,7 +127,6 @@ class PipelineConfig:
     def bootstrap_config(self) -> BootstrapConfig:
         return BootstrapConfig(
             n_replicates=self.replicates,
-            seed=self.seed,
             scan_config=self.scan_config(),
         )
 

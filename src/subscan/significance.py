@@ -29,29 +29,27 @@ _MAX_REDRAWS = 100  # attempts before giving up on an all-0/all-1 replicate
 
 @dataclass(frozen=True)
 class BootstrapConfig:
-    """Replicate count, seed, and the scan configuration reused per replicate.
+    """Replicate count and the scan configuration reused per replicate.
 
-    Each replicate runs ``scan_config`` with its seed replaced by a stream of
-    its own, derived from (``seed``, replicate index), so ``scan_config.seed``
-    does not affect the null sample.
+    Replicate i runs ``scan_config`` on outcomes drawn from a stream derived
+    from (``scan_config.seed``, i), with the seed of its restarts replaced by
+    a second stream derived from the same pair. A null seed other than the
+    observed scan's is a ``scan_config`` with that seed.
     """
 
     n_replicates: int = 50
-    seed: int = 0
     scan_config: ScanConfig = field(default_factory=ScanConfig)
 
     def __post_init__(self) -> None:
         if self.n_replicates < 1:
             raise ContractError("n_replicates must be >= 1")
-        if self.seed < 0:
-            raise ContractError("seed must be a non-negative integer")
 
 
 def _replicate_score(dataset: Dataset, config: BootstrapConfig, replicate_index: int) -> float:
     """Best restart score of one null replicate; degenerate draws are redrawn."""
     cells = dataset.cells
     for attempt in range(_MAX_REDRAWS):
-        seq = np.random.SeedSequence([config.seed, replicate_index, attempt])
+        seq = np.random.SeedSequence([config.scan_config.seed, replicate_index, attempt])
         outcome_seq, scan_seq = seq.spawn(2)
         rng = np.random.default_rng(outcome_seq)
         positive = rng.random(dataset.n_records) < dataset.global_mean
@@ -70,8 +68,9 @@ def null_score_distribution(
 ) -> np.ndarray:
     """Replicate max-score sample under the null; deterministic given the seed.
 
-    Replicate streams derive from (seed, replicate index), so results do not
-    depend on the worker count.
+    Replicate streams derive from (``scan_config.seed``, replicate index), so
+    results do not depend on the worker count, and the first R replicates of
+    a larger sample are the sample of R.
     """
     scores = parallel_map(
         partial(_replicate_score, dataset, config), range(config.n_replicates), workers

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -61,7 +62,7 @@ def cohort_family():
         dataset, planted = generate_synthetic(recovery_spec(seed))
         config = ScanConfig(n_restarts=10, seed=1000 + seed)
         result = scan(dataset, config)
-        boot = BootstrapConfig(n_replicates=50, seed=500 + seed, scan_config=config)
+        boot = BootstrapConfig(n_replicates=50, scan_config=replace(config, seed=500 + seed))
         nulls = null_score_distribution(dataset, boot)
         _, at_floor = p_from_null_scores(result.panel.score, nulls)
         if at_floor:
@@ -158,7 +159,7 @@ def test_criterion_4_p_value_floor_and_calibration(cohort_family):
         config = ScanConfig(n_restarts=3, seed=3000 + i)
         observed = scan(null_ds, config).panel.score
         null_scores = null_score_distribution(
-            null_ds, BootstrapConfig(n_replicates=99, seed=60_000 + i, scan_config=config)
+            null_ds, BootstrapConfig(n_replicates=99, scan_config=replace(config, seed=60_000 + i))
         )
         low += p_from_null_scores(observed, null_scores)[0] <= 0.05
     fraction = low / n_datasets

@@ -41,9 +41,7 @@ SURVEY_DESCRIPTOR = SubsetDescriptor.from_labels(
 
 
 def small_bootstrap(seed: int = 5) -> BootstrapConfig:
-    return BootstrapConfig(
-        n_replicates=30, seed=seed, scan_config=ScanConfig(n_restarts=4, seed=0)
-    )
+    return BootstrapConfig(n_replicates=30, scan_config=ScanConfig(n_restarts=4, seed=seed))
 
 
 def discovery(seed: int):
@@ -300,9 +298,7 @@ class TestSweep:
             int(dataset.outcomes[mask].sum()), int(mask.sum()), dataset.global_mean
         )
         result = ScanResult(descriptor, panel, None, 0)
-        boot = BootstrapConfig(
-            n_replicates=10, seed=1, scan_config=ScanConfig(n_restarts=2, seed=0)
-        )
+        boot = BootstrapConfig(n_replicates=10, scan_config=ScanConfig(n_restarts=2, seed=1))
         ranking = rank_feature_relevance(dataset, result)
         outcomes_list = single_substitution_sweep(dataset, result, ranking, 0.05, boot)
         flagged = [o for o in outcomes_list if o.candidate.feature == "a"]

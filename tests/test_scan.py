@@ -229,12 +229,11 @@ class TestCellEngine:
         """Each null score is the record engine's scan of a full Dataset that
         carries the replicate's outcomes, drawn here from the replicate's stream."""
         dataset = random_dataset(np.random.default_rng(5), 600, (3, 4, 2, 5), 0.1)
-        config = BootstrapConfig(
-            n_replicates=6, seed=2, scan_config=ScanConfig(n_restarts=3, seed=0)
-        )
+        config = BootstrapConfig(n_replicates=6, scan_config=ScanConfig(n_restarts=3, seed=2))
         records = []
         for r in range(config.n_replicates):
-            outcome_seq, scan_seq = np.random.SeedSequence([config.seed, r, 0]).spawn(2)
+            seq = np.random.SeedSequence([config.scan_config.seed, r, 0])
+            outcome_seq, scan_seq = seq.spawn(2)
             draws = np.random.default_rng(outcome_seq).random(dataset.n_records)
             replicate = Dataset(dataset.schema, dataset.rows, draws < dataset.global_mean)
             assert 0 < replicate.n_positive < replicate.n_records  # no redraw needed
