@@ -189,12 +189,13 @@ class Dataset:
                 f"rows have {rows.shape[1]} columns but schema has "
                 f"{self.schema.n_features} features"
             )
-        outcomes = _adopted(_integers(self.outcomes, "outcomes"), np.int8, "outcomes")
+        outcomes = _integers(self.outcomes, "outcomes")
         if outcomes.shape != (rows.shape[0],):
             raise ContractError("outcomes must be a length-N vector")
-        bad = outcomes.view(np.uint8) > 1  # a negative int8 is 128 or more as uint8
+        bad = (outcomes < 0) | (outcomes > 1)  # checked before narrowing, where a 257 would wrap
         if bad.any():
             raise ContractError(f"outcome at row {int(np.argmax(bad))} is not 0/1")
+        outcomes = _adopted(outcomes, np.int8)
         cardinalities = self.schema.cardinalities()
         for z, card in enumerate(cardinalities):
             col = rows[:, z]  # checked before narrowing, where a -1 would wrap
@@ -203,7 +204,7 @@ class Dataset:
                     f"category index out of range in feature {self.schema.features[z][0]!r}: "
                     f"rows hold values outside the range [0, {card})"
                 )
-        rows = _adopted(rows, _code_dtype(cardinalities), "rows")
+        rows = _adopted(rows, _code_dtype(cardinalities))
         n_positive = int(outcomes.sum())
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "outcomes", outcomes)
@@ -250,21 +251,18 @@ def _integers(array: object, name: str) -> np.ndarray:
     return values
 
 
-def _adopted(values: np.ndarray, dtype: np.dtype | type, name: str) -> np.ndarray:
+def _adopted(values: np.ndarray, dtype: np.dtype | type) -> np.ndarray:
     """``values`` if no one can change them, else a read-only C-order copy of them as ``dtype``.
 
     No one can change a read-only C array of ``dtype`` that owns its data, as
-    the loaders build; a writeable array, or a read-only view, is copied. A
-    copy is made only of values that ``dtype`` holds, so no value is
-    truncated or wraps around.
+    the loaders build; a writeable array, or a read-only view, is copied. The
+    caller range-checks ``values`` first, since the copy wraps any value that
+    ``dtype`` does not hold.
     """
     flags = values.flags
     if values.dtype == dtype and flags.c_contiguous and flags.owndata and not flags.writeable:
         return values
-    copy = values.astype(dtype, order="C")
-    if not np.array_equal(copy, values):
-        raise ContractError(f"{name} hold values outside the range of {np.dtype(dtype)}")
-    return _frozen(copy)
+    return _frozen(values.astype(dtype, order="C"))
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:

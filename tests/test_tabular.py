@@ -88,12 +88,12 @@ class TestDataset:
         with pytest.raises(ContractError, match="must be integers or booleans"):
             Dataset(Schema((("a", ("x", "y")),)), rows, outcomes)
 
-    @pytest.mark.parametrize("rows, outcomes", [
-        (np.array([[2**32], [1]]), [1, 0]),
-        ([[0], [1]], np.array([257, 0])),
+    @pytest.mark.parametrize("rows, outcomes, message", [
+        (np.array([[2**32], [1]]), [1, 0], "outside the range"),
+        ([[0], [1]], np.array([257, 0]), "outcome at row 0 is not 0/1"),
     ], ids=["rows", "outcomes"])
-    def test_values_that_would_wrap_rejected(self, rows, outcomes):
-        with pytest.raises(ContractError, match="outside the range"):
+    def test_values_that_would_wrap_rejected(self, rows, outcomes, message):
+        with pytest.raises(ContractError, match=message):
             Dataset(Schema((("a", ("x", "y")),)), rows, outcomes)
 
     def test_boolean_input_accepted(self):
