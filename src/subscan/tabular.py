@@ -302,6 +302,7 @@ def _cell_table(rows: np.ndarray, cardinalities: tuple[int, ...]) -> CellTable:
     n = np.bincount(key, minlength=span)
     present = n > 0
     index = (np.cumsum(present, dtype=np.int32) - 1)[key]  # cell of each record
+    del key  # 8 bytes a record, not to be held beside the arange below
     n = n[present]
     representative = np.empty(len(n), dtype=np.intp)
     representative[index] = np.arange(rows.shape[0])
