@@ -38,7 +38,6 @@ from .postdiscovery import (
     RelevanceEntry,
     SubstitutionOutcome,
     cross_substitute_greedy,
-    enumerate_substitutions,
     rank_feature_relevance,
     single_substitution_sweep,
 )
@@ -386,6 +385,8 @@ def _load_scan_report(cfg: PipelineConfig, dataset: Dataset) -> ScanResult:
         raise LoadError(f"{path}: malformed scan block ({e!r})") from None
     if not math.isfinite(stored):
         raise LoadError(f"{path}: stored score {stored} is not a finite number")
+    if descriptor.normalized(dataset.schema).is_empty:
+        raise LoadError(f"{path}: descriptor constrains no feature; nothing to rank or substitute")
     panel, effects = evaluate(dataset, descriptor)
     if panel.n_subset == 0:
         raise LoadError(f"{path}: descriptor matches no record of the dataset")
@@ -437,23 +438,21 @@ def cmd_substitute(cfg: PipelineConfig) -> int:
     with timer.stage("load"):
         dataset = _require_input(cfg)
         result = _load_scan_report(cfg, dataset)
-    outcomes = []
-    if enumerate_substitutions(result.descriptor, dataset.schema):
-        with timer.stage("rank"):
-            if cfg.rank_report:
-                labels = result.descriptor.to_labels(dataset.schema)
-                ranking = _ranking_from_report(cfg.rank_report, labels)
-            else:
-                ranking = rank_feature_relevance(dataset, result, cfg.relevance_config())
-        with timer.stage("significance"):
-            nulls = null_score_distribution(
-                dataset, cfg.bootstrap_config(), workers=cfg.workers
-            )
-        with timer.stage("sweep"):
-            outcomes = single_substitution_sweep(
-                dataset, result, ranking, cfg.alpha, cfg.bootstrap_config(),
-                null_scores=nulls, workers=cfg.workers,
-            )
+    with timer.stage("rank"):
+        if cfg.rank_report:
+            labels = result.descriptor.to_labels(dataset.schema)
+            ranking = _ranking_from_report(cfg.rank_report, labels)
+        else:
+            ranking = rank_feature_relevance(dataset, result, cfg.relevance_config())
+    with timer.stage("significance"):
+        nulls = null_score_distribution(
+            dataset, cfg.bootstrap_config(), workers=cfg.workers
+        )
+    with timer.stage("sweep"):
+        outcomes = single_substitution_sweep(
+            dataset, result, ranking, cfg.alpha, cfg.bootstrap_config(),
+            null_scores=nulls, workers=cfg.workers,
+        )
     _write_reports(cfg, "substitute", timer, dataset, result, outcomes=outcomes)
     return 0
 

@@ -252,6 +252,25 @@ def scan_report(cohort_csv, tmp_path_factory) -> Path:
     return out / "scan_report.json"
 
 
+def assert_vacuous_reports_refused(command, cohort_csv, scan_report, tmp_path, capsys):
+    """``command`` exits 2 with one error line, and writes no --out, on a
+    saved descriptor that constrains no feature."""
+    # `scan` writes {} when its best subgroup is the whole dataset; f2 has one category
+    for i, descriptor in enumerate([{}, {"f2": ["v0"]}]):
+        doctored = json.loads(scan_report.read_text())
+        doctored["scan"]["descriptor"] = descriptor
+        doctored["scan"]["score"] = 0.0
+        patched = tmp_path / f"vacuous{i}.json"
+        patched.write_text(json.dumps(doctored))
+        out = tmp_path / f"out{i}"
+        code = run([command, "--input", str(cohort_csv), "--outcome", "y",
+                    "--scan-report", str(patched), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("error: ") and str(patched) in err
+        assert not out.exists()
+
+
 class TestRankAndSubstitute:
     def test_rank_emits_table_and_csv(self, cohort_csv, scan_report, tmp_path, report_schema):
         out = tmp_path / "rank"
@@ -265,15 +284,10 @@ class TestRankAndSubstitute:
         assert [int(r["rank"]) for r in rows] == [1, 2]
         assert all(r["deviation_ratio"] for r in rows)
 
-    def test_rank_with_empty_descriptor_exits_2(self, cohort_csv, scan_report, tmp_path):
-        doctored = json.loads(scan_report.read_text())
-        doctored["scan"]["descriptor"] = {}
-        doctored["scan"]["score"] = 0.0
-        patched = tmp_path / "empty_scan.json"
-        patched.write_text(json.dumps(doctored))
-        code = run(["rank", "--input", str(cohort_csv), "--outcome", "y",
-                    "--scan-report", str(patched), "--out", str(tmp_path)])
-        assert code == 2
+    def test_rank_with_empty_descriptor_exits_2(
+        self, cohort_csv, scan_report, tmp_path, capsys
+    ):
+        assert_vacuous_reports_refused("rank", cohort_csv, scan_report, tmp_path, capsys)
 
     def test_rank_detects_mismatched_report(self, cohort_csv, scan_report, tmp_path, capsys):
         doctored = json.loads(scan_report.read_text())
@@ -331,22 +345,10 @@ class TestRankAndSubstitute:
                     "--rank-report", str(tmp_path / "rank" / "rank_report.json"),
                     "--replicates", "19", "--out", str(tmp_path / "out")]) == 0
 
-    def test_substitute_empty_descriptor_writes_empty_tables(
-        self, cohort_csv, scan_report, tmp_path
+    def test_substitute_with_empty_descriptor_exits_2(
+        self, cohort_csv, scan_report, tmp_path, capsys
     ):
-        doctored = json.loads(scan_report.read_text())
-        doctored["scan"]["descriptor"] = {}
-        doctored["scan"]["score"] = 0.0
-        patched = tmp_path / "empty_scan.json"
-        patched.write_text(json.dumps(doctored))
-        out = tmp_path / "none"
-        code = run(["substitute", "--input", str(cohort_csv), "--outcome", "y",
-                    "--scan-report", str(patched), "--out", str(out)])
-        assert code == 0
-        payload = json.loads((out / "substitutions.json").read_text())
-        assert payload["substitutions"] == []
-        with open(out / "substitutions.csv", newline="") as fh:
-            assert list(csv.DictReader(fh)) == []
+        assert_vacuous_reports_refused("substitute", cohort_csv, scan_report, tmp_path, capsys)
 
 
 MALFORMED_REPORTS = {
