@@ -23,7 +23,7 @@ SYNTH = ["synth", "--n", "2000", "--cardinalities", "3,4,5", "--base-rate", "0.0
 COMMON = ["--input", "cohort/cohort.csv", "--outcome", "y", "--seed", "2"]
 PIPELINE = ["pipeline", *COMMON, "--restarts", "2", "--replicates", "19",
             "--alpha", "0.05"]
-RANK = ["rank", *COMMON, "--scan-report", "cli/report.json"]
+RANK = ["rank", *COMMON, "--scan-report", "scan/report.json"]
 
 
 @pytest.fixture
@@ -37,12 +37,13 @@ def traced(monkeypatch, tmp_path):
 
 
 def _reports(out: Path, names: tuple[str, ...]) -> dict[str, object]:
-    """Each output by name, JSON reports parsed with ``meta`` dropped."""
+    """Each output by name; JSON reports parsed, without ``meta`` or the --out echo."""
     outputs: dict[str, object] = {}
     for name in names:
         if name.endswith(".json"):
             payload = json.loads((out / name).read_text())
             payload.pop("meta")
+            payload["config"].pop("out")
             outputs[name] = payload
         else:
             outputs[name] = (out / name).read_bytes()
@@ -54,17 +55,10 @@ def _reports(out: Path, names: tuple[str, ...]) -> dict[str, object]:
     (RANK, "_rank", ("rank_report.json", "relevance.csv")),
 ])
 def test_traced_command_writes_the_cli_reports(traced, tmp_path, argv, run, names):
-    assert cli.main([*PIPELINE, "--out", "cli"]) == 0
-    if argv is not PIPELINE:
-        assert cli.main([*argv, "--out", "cli"]) == 0
+    assert cli.main([*PIPELINE, "--out", "scan"]) == 0  # the report that RANK reads
+    assert cli.main([*argv, "--out", "cli"]) == 0
     cfg = cli._merged_config(cli.build_parser().parse_args([*argv, "--out", "traced"]))
     tracer = traced.Tracer()
     getattr(traced, run)(tracer, cfg, {})
     assert {s["name"] for s in tracer.spans} >= {"tabular.load", "report.write"}
-    cli_reports = _reports(tmp_path / "cli", names)
-    traced_reports = _reports(tmp_path / "traced", names)
-    for reports in (cli_reports, traced_reports):
-        for payload in reports.values():
-            if isinstance(payload, dict):
-                payload["config"].pop("out")
-    assert traced_reports == cli_reports
+    assert _reports(tmp_path / "traced", names) == _reports(tmp_path / "cli", names)
