@@ -7,6 +7,8 @@ anomalousness, and search for the smallest cross-substitutions of feature
 values that destroy it.
 """
 
+__version__ = "0.1.0"  # bound before the submodules load, so any of them can import it
+
 from .errors import (
     ContractError,
     DegenerateDataError,
@@ -30,7 +32,6 @@ from .scoring import (
     ScorePanel,
     bernoulli_score,
     odds_ratio,
-    optimal_q,
 )
 from .significance import (
     BootstrapConfig,
@@ -42,48 +43,8 @@ from .tabular import (
     Schema,
     SubsetDescriptor,
     SyntheticSpec,
-    category_counts,
     generate_synthetic,
     load_csv,
     subset_counts,
     write_csv,
 )
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "BootstrapConfig",
-    "ContractError",
-    "Dataset",
-    "DegenerateDataError",
-    "EffectMeasures",
-    "GreedyResult",
-    "LoadError",
-    "RelevanceConfig",
-    "RelevanceEntry",
-    "ScanConfig",
-    "ScanResult",
-    "Schema",
-    "ScorePanel",
-    "SubscanError",
-    "SubsetDescriptor",
-    "SubstitutionCandidate",
-    "SubstitutionOutcome",
-    "SyntheticSpec",
-    "bernoulli_score",
-    "category_counts",
-    "cross_substitute_greedy",
-    "enumerate_substitutions",
-    "evaluate",
-    "generate_synthetic",
-    "load_csv",
-    "null_score_distribution",
-    "odds_ratio",
-    "optimal_q",
-    "p_from_null_scores",
-    "rank_feature_relevance",
-    "scan",
-    "single_substitution_sweep",
-    "subset_counts",
-    "write_csv",
-]

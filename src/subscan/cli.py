@@ -324,10 +324,14 @@ def cmd_synth(cfg: PipelineConfig) -> int:
 
 
 def _run_discovery(
-    cfg: PipelineConfig, dataset: Dataset, timer: _StageTimer
+    cfg: PipelineConfig, dataset: Dataset, timer: _StageTimer, *, to_rank: bool = False
 ) -> tuple[ScanResult, np.ndarray, float, bool]:
+    """Scan, then draw the null sample. ``to_rank`` refuses, before the draw,
+    a best subgroup that is the whole dataset, which leaves nothing to rank."""
     with timer.stage("scan"):
         result = scan(dataset, cfg.scan_config(), workers=cfg.workers)
+    if to_rank and result.descriptor.is_empty:  # scan returns it normalized
+        raise ContractError("the best subgroup is the whole dataset; nothing to rank or substitute")
     with timer.stage("significance"):
         nulls = null_score_distribution(
             dataset, cfg.bootstrap_config(), workers=cfg.workers
@@ -461,18 +465,17 @@ def cmd_pipeline(cfg: PipelineConfig) -> int:
     timer = _StageTimer()
     with timer.stage("load"):
         dataset = _require_input(cfg)
-    result, nulls, p_value, at_floor = _run_discovery(cfg, dataset, timer)
+    result, nulls, p_value, at_floor = _run_discovery(cfg, dataset, timer, to_rank=True)
     with timer.stage("rank"):
         ranking = rank_feature_relevance(dataset, result, cfg.relevance_config())
-    bootstrap = cfg.bootstrap_config()
     with timer.stage("sweep"):
         outcomes = single_substitution_sweep(
-            dataset, result, ranking, cfg.alpha, bootstrap,
+            dataset, result, ranking, cfg.alpha, cfg.bootstrap_config(),
             null_scores=nulls, workers=cfg.workers,
         )
     with timer.stage("greedy"):
         greedy = cross_substitute_greedy(
-            dataset, result, ranking, cfg.alpha, bootstrap,
+            dataset, result, ranking, cfg.alpha, cfg.bootstrap_config(),
             score_threshold=cfg.score_threshold,
             unconditional=cfg.unconditional,
             null_scores=nulls, workers=cfg.workers,

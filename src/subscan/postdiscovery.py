@@ -34,7 +34,7 @@ from .errors import ContractError
 from .scan import ScanResult, evaluate
 from .scoring import EffectMeasures, ScorePanel
 from .significance import BootstrapConfig, null_score_distribution, p_from_null_scores
-from .tabular import Dataset, Schema, SubsetDescriptor, category_counts
+from .tabular import CategoryCounter, Dataset, Schema, SubsetDescriptor
 
 
 @dataclass(frozen=True)
@@ -133,19 +133,21 @@ def rank_feature_relevance(
 
     e_value for a feature value is the outcome mean over all records carrying
     that value, whether or not they belong to the subgroup. A descriptor value
-    that no record carries gets e_value 0.
+    that no record carries gets e_value 0. A descriptor that constrains no
+    feature once normalized (its subgroup is the whole dataset) is refused.
     """
     descriptor = result.descriptor
-    if descriptor.is_empty:
-        raise ContractError("cannot rank relevance of an empty descriptor")
     descriptor.validate_against(dataset.schema)
+    if descriptor.normalized(dataset.schema).is_empty:
+        raise ContractError("cannot rank relevance of a descriptor that constrains no feature")
 
     by_subset = config.reference_expectation == "subset_mean"
     reference = result.panel.subset_mean if by_subset else 1.0
+    marginal = CategoryCounter(dataset, dataset.cell_positives, {})
     entries = []
     for feature_idx, values in descriptor.constraints:
         name, cats = dataset.schema.features[feature_idx]
-        counts, positives = category_counts(dataset, {}, feature_idx)
+        counts, positives = marginal.counts(feature_idx)
         for v in values:
             count = int(counts[v])
             e_value = float(positives[v]) / count if count else 0.0

@@ -16,12 +16,11 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any
 
+from . import __version__
 from .postdiscovery import GreedyResult, RelevanceEntry, SubstitutionOutcome
 from .scan import ScanResult
 from .scoring import EffectMeasures, ScorePanel
 from .tabular import Dataset, Schema, _atomic_text, _write_table
-
-TOOL_VERSION = "0.1.0"
 
 
 def _number(x: float | None) -> float | None:
@@ -128,7 +127,7 @@ def build_report(
     greedy_block: dict[str, Any] | None = None,
 ) -> dict[str, Any]:
     report: dict[str, Any] = {
-        "version": TOOL_VERSION,
+        "version": __version__,
         "command": command,
         "config": config_echo,
         "meta": meta_block(stage_seconds),

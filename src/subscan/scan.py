@@ -169,7 +169,7 @@ def best_prefix(
     """
     rates = positives / np.maximum(counts, 1)  # an empty category has no positives: rate 0
     perm = np.lexsort((-counts, -rates))  # stable: equal keys keep the lower index first
-    prefix_scores = unguarded_score_array(
+    _, prefix_scores = unguarded_score_array(
         positives[perm].cumsum(dtype=np.float64), counts[perm].cumsum(dtype=np.float64), mu
     )
     k = int(np.argmax(prefix_scores))  # first max -> fewest categories

@@ -8,6 +8,8 @@ outcome mean mu, is
 where q multiplies the baseline outcome odds mu/(1-mu) inside the subset. The
 maximizer has the closed form q* = C*(1-mu) / (mu*(N_S-C)), clamped at 1; an
 all-positive subset (C == N_S) takes the q -> infinity limit -N_S*log(mu).
+q* and the score come from one expression, ``unguarded_score_array``, which
+every score of the package goes through.
 
 Natural logarithms throughout; any other base rescales every score by the same
 constant and cannot change which subset ranks highest.
@@ -25,31 +27,6 @@ from .errors import ContractError
 Z_95 = 1.96  # two-sided 95% normal quantile used for odds-ratio intervals
 
 
-def optimal_q(n_positive: float, n_subset: float, global_mean: float) -> float:
-    """Score-maximizing odds multiplier, clamped at 1.
-
-    Returns math.inf for an all-positive subset; bernoulli_score handles that
-    sentinel via the analytic limit. Rejects counts and means outside their
-    domains.
-    """
-    if not 0.0 < global_mean < 1.0:
-        raise ContractError(f"global_mean must lie in (0, 1), got {global_mean}")
-    if n_subset < 1:
-        raise ContractError(f"n_subset must be >= 1, got {n_subset}")
-    if not 0 <= n_positive <= n_subset:
-        raise ContractError(
-            f"n_positive must lie in [0, n_subset], got {n_positive} of {n_subset}"
-        )
-    if n_positive == n_subset:
-        return math.inf
-    # the null decision uses the same division that produces subset rates, so
-    # a subset whose rate equals the global mean lands exactly on q = 1
-    if n_positive / n_subset <= global_mean:
-        return 1.0
-    q = (n_positive * (1.0 - global_mean)) / (global_mean * (n_subset - n_positive))
-    return max(1.0, float(q))
-
-
 def score_array(
     n_positive: np.ndarray, n_subset: np.ndarray, global_mean: float
 ) -> np.ndarray:
@@ -62,15 +39,18 @@ def score_array(
     pos = np.asarray(n_positive, dtype=np.float64)
     tot = np.asarray(n_subset, dtype=np.float64)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return unguarded_score_array(pos, tot, float(global_mean))
+        return unguarded_score_array(pos, tot, float(global_mean))[1]
 
 
-def unguarded_score_array(pos: np.ndarray, tot: np.ndarray, mu: float) -> np.ndarray:
-    """``score_array`` on float64 counts, for a caller that holds the error state.
+def unguarded_score_array(
+    pos: np.ndarray, tot: np.ndarray, mu: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """(q*, score) on float64 counts, for a caller that holds the error state.
 
-    The caller must run it under ``np.errstate(divide="ignore",
-    invalid="ignore")``: the scores of empty and all-positive subsets pass
-    through a division by zero before they take their defined values.
+    q* is inf for an all-positive subset. The caller must run it under
+    ``np.errstate(divide="ignore", invalid="ignore")``: the scores of empty and
+    all-positive subsets pass through a division by zero before they take
+    their defined values.
     """
     at_or_below_null = pos / tot <= mu  # same division as subset rates
     q = (pos * (1.0 - mu)) / (mu * (tot - pos))
@@ -78,7 +58,7 @@ def unguarded_score_array(pos: np.ndarray, tot: np.ndarray, mu: float) -> np.nda
     score = pos * np.log(q) - tot * np.log(1.0 - mu + q * mu)
     full = pos == tot
     score = np.where(full, -tot * math.log(mu), score)
-    return np.maximum(score, 0.0)
+    return q, np.maximum(score, 0.0)
 
 
 @dataclass(frozen=True)
@@ -100,15 +80,27 @@ class ScorePanel:
 def bernoulli_score(n_positive: int, n_subset: int, global_mean: float) -> ScorePanel:
     """Score a subset from its counts; see the module docstring for the formula.
 
-    The score is ``score_array`` on the same counts, bit for bit.
+    The score and ``q_mle`` come from ``unguarded_score_array``, so the score
+    is ``score_array`` on the same counts, bit for bit. Rejects counts and
+    means outside their domains.
     """
-    q = optimal_q(n_positive, n_subset, global_mean)  # validates the counts
+    if not 0.0 < global_mean < 1.0:
+        raise ContractError(f"global_mean must lie in (0, 1), got {global_mean}")
+    if n_subset < 1:
+        raise ContractError(f"n_subset must be >= 1, got {n_subset}")
+    if not 0 <= n_positive <= n_subset:
+        raise ContractError(
+            f"n_positive must lie in [0, n_subset], got {n_positive} of {n_subset}"
+        )
+    mu = float(global_mean)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q, score = unguarded_score_array(np.float64(n_positive), np.float64(n_subset), mu)
     return ScorePanel(
-        score=float(score_array(float(n_positive), float(n_subset), global_mean)),
-        q_mle=q,
+        score=float(score),
+        q_mle=float(q),
         n_subset=int(n_subset),
         n_positive=int(n_positive),
-        global_mean=float(global_mean),
+        global_mean=mu,
         subset_mean=float(n_positive) / float(n_subset),
     )
 

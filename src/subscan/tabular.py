@@ -4,8 +4,9 @@ Categories are encoded as dense integer indices per feature, in the smallest
 unsigned dtype that holds the widest feature's; human-readable labels live
 only in the Schema. Rows and outcomes are immutable numpy arrays, so datasets
 can be shared freely across parallel workers. Only this module
-reads them: the other modules see the data through ``CategoryCounter``,
-``category_counts`` and ``subset_counts``.
+reads them: the other modules see the data through ``subset_counts`` and
+``CategoryCounter``, which the scan keeps per restart and the relevance
+ranking builds once with no masks for each feature's marginal counts.
 
 Every count runs over cells, the distinct feature patterns of a dataset,
 weighted by their record and positive counts: the scan score depends on the
@@ -382,19 +383,6 @@ class CategoryCounter:
         card = self._cardinalities[feature]
         counts = np.bincount(col, weights=self._n[inside], minlength=card)
         return counts, np.bincount(col, weights=self._positives[inside], minlength=card)
-
-
-def category_counts(
-    dataset: Dataset, allowed: Mapping[int, np.ndarray | None], feature: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-category int64 (record counts, positive counts) of ``feature``.
-
-    Counts run over the records whose other features fall in their boolean
-    ``allowed`` category masks (feature index -> mask). A feature without a
-    mask, or with None, is unconstrained; ``feature``'s own mask is ignored.
-    """
-    counts, positives = CategoryCounter(dataset, dataset.cell_positives, allowed).counts(feature)
-    return counts.astype(np.int64), positives.astype(np.int64)
 
 
 def subset_counts(dataset: Dataset, descriptor: SubsetDescriptor) -> tuple[int, int]:

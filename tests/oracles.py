@@ -4,6 +4,8 @@ Everything here deliberately avoids the code paths it checks: numeric
 maximization instead of the closed form, pure-Python row loops instead of
 vectorized masks, full subset enumeration instead of prefix scans and
 coordinate ascent, and per-record masks instead of the cell table.
+``reference_q`` restates the closed form in scalar floats, to pin the
+package's array form bit for bit.
 ``exhaustive_scan`` checks the search, not the score, so it scores descriptors
 with the package's closed form; ``record_run_restart`` checks the counting,
 not the step, so it takes its steps with the package's ``best_prefix``.
@@ -71,6 +73,20 @@ def numeric_max_score(n_positive: float, n_subset: float, mu: float) -> float:
         return -n_subset * math.log(mu)
     q = golden_section_max_q(n_positive, n_subset, mu)
     return max(0.0, objective(q, n_positive, n_subset, mu))
+
+
+def reference_q(n_positive: float, n_subset: float, mu: float) -> float:
+    """The closed-form q* in scalar Python floats, clamped at 1 (inf when all positive).
+
+    A second statement of the formula that ``scoring.unguarded_score_array``
+    evaluates over arrays; for counts in the score's domain the two agree bit
+    for bit.
+    """
+    if n_positive == n_subset:
+        return math.inf
+    if n_positive / n_subset <= mu:  # the division that produces subset rates
+        return 1.0
+    return max(1.0, (n_positive * (1.0 - mu)) / (mu * (n_subset - n_positive)))
 
 
 def membership_mask(dataset: Dataset, descriptor: SubsetDescriptor) -> np.ndarray:
@@ -244,7 +260,7 @@ def exhaustive_scan(dataset: Dataset, limit: int = 1_000_000) -> ScanResult:
 def record_category_counts(
     dataset: Dataset, allowed: Mapping[int, np.ndarray | None], feature: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``category_counts`` through a per-record mask, rebuilt on every call."""
+    """``CategoryCounter.counts`` through a per-record mask, rebuilt on every call."""
     mask = np.ones(dataset.n_records, dtype=bool)
     for f, ok in allowed.items():
         if ok is not None and f != feature:

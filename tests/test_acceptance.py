@@ -29,7 +29,7 @@ from subscan.postdiscovery import (
     RelevanceEntry,
 )
 from subscan.scan import ScanConfig, scan
-from subscan.scoring import bernoulli_score, optimal_q
+from subscan.scoring import bernoulli_score
 from subscan.significance import (
     BootstrapConfig,
     null_score_distribution,
@@ -80,8 +80,8 @@ def test_criterion_1_score_formula_fidelity():
         n_subset = int(rng.integers(1, 5000))
         n_positive = int(rng.integers(0, n_subset + 1))
         mu = float(rng.uniform(0.005, 0.99))
-        q = optimal_q(n_positive, n_subset, mu)
-        score = bernoulli_score(n_positive, n_subset, mu).score
+        panel = bernoulli_score(n_positive, n_subset, mu)
+        q, score = panel.q_mle, panel.score
         oracle_score = numeric_max_score(n_positive, n_subset, mu)
         assert score == pytest.approx(oracle_score, rel=1e-6, abs=1e-9)
         if n_positive < n_subset and q > 1.0:

@@ -6,6 +6,7 @@ from dataclasses import fields
 from importlib import resources
 from pathlib import Path
 from typing import get_args, get_type_hints
+from unittest import mock
 
 import jsonschema
 import pytest
@@ -409,6 +410,20 @@ class TestPipeline:
         assert first["meta"] != second["meta"] or True  # meta may differ
         first["meta"] = second["meta"] = None
         assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
+
+    def test_whole_dataset_subgroup_exits_2_before_bootstrap(self, tmp_path, capsys):
+        # one single-category feature: the best subgroup is the whole dataset
+        data = tmp_path / "c.csv"
+        data.write_text("a,y\nx,0\nx,1\nx,0\nx,1\n")
+        out = tmp_path / "p"
+        with mock.patch("subscan.cli.null_score_distribution") as bootstrap:
+            code = run(["pipeline", "--input", str(data), "--outcome", "y",
+                        "--replicates", "19", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and "the best subgroup is the whole dataset" in err
+        assert not (out / "report.json").exists()
+        bootstrap.assert_not_called()
 
     def test_worker_counts_agree(self, cohort_csv, tmp_path):
         base = ["pipeline", "--input", str(cohort_csv), "--outcome", "y",

@@ -1,17 +1,47 @@
-"""Package-wide properties: the README's library example runs, only the
-tabular module touches the record arrays, and every Dataset is built through
-its constructor."""
+"""Package-wide properties: the public names and the version, the README's
+library example runs, only the tabular module touches the record arrays, and
+every Dataset is built through its constructor."""
 
 from __future__ import annotations
 
 import ast
 import re
+import types
 from pathlib import Path
 
 import subscan
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = Path(subscan.__file__).resolve().parent
+
+
+PUBLIC_NAMES = {
+    "BootstrapConfig", "ContractError", "Dataset", "DegenerateDataError",
+    "EffectMeasures", "GreedyResult", "LoadError", "RelevanceConfig",
+    "RelevanceEntry", "ScanConfig", "ScanResult", "Schema", "ScorePanel",
+    "SubscanError", "SubsetDescriptor", "SubstitutionCandidate",
+    "SubstitutionOutcome", "SyntheticSpec", "bernoulli_score",
+    "cross_substitute_greedy", "enumerate_substitutions", "evaluate",
+    "generate_synthetic", "load_csv", "null_score_distribution", "odds_ratio",
+    "p_from_null_scores", "rank_feature_relevance", "scan",
+    "single_substitution_sweep", "subset_counts", "write_csv",
+}
+
+
+def test_public_names_are_pinned():
+    """The package's surface is the names ``__init__.py`` imports; submodules
+    and underscore names are not part of it."""
+    names = {
+        name for name, value in vars(subscan).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert names == PUBLIC_NAMES
+
+
+def test_version_is_stated_once():
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    versions = re.findall(r'^version = "(.*)"$', pyproject, flags=re.MULTILINE)
+    assert versions == [subscan.__version__]
 
 
 def test_readme_library_example_runs():

@@ -104,6 +104,15 @@ class TestRankFeatureRelevance:
         with pytest.raises(ContractError):
             rank_feature_relevance(tiny_dataset, fake)
 
+    def test_descriptor_empty_once_normalized_rejected(self):
+        # "a" has one category, so {"a": ["x"]} constrains nothing
+        dataset = Dataset(Schema((("a", ("x",)), ("b", ("u", "v")))),
+                          [[0, 0], [0, 1], [0, 0], [0, 1]], [1, 0, 0, 1])
+        descriptor = SubsetDescriptor.from_labels(dataset.schema, {"a": ["x"]})
+        fake = ScanResult(descriptor, bernoulli_score(2, 4, 0.5), None, 0)
+        with pytest.raises(ContractError, match="constrains no feature"):
+            rank_feature_relevance(dataset, fake)
+
     def test_one_entry_per_constrained_value(self):
         dataset, result = discovery(seed=2)
         entries = rank_feature_relevance(dataset, result)

@@ -7,48 +7,60 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import golden_section_max_q, numeric_max_score, objective
+from oracles import golden_section_max_q, numeric_max_score, objective, reference_q
 from subscan.errors import ContractError
 from subscan.scoring import (
     EffectMeasures,
     bernoulli_score,
     odds_ratio,
-    optimal_q,
     score_array,
 )
 
 
+def q_mle(n_positive, n_subset, mu):
+    return bernoulli_score(n_positive, n_subset, mu).q_mle
+
+
 class TestOptimalQ:
     def test_null_rate_gives_one(self):
-        assert optimal_q(1, 10, 0.1) == 1.0
+        assert q_mle(1, 10, 0.1) == 1.0
 
     def test_below_null_rate_clamps_to_one(self):
-        assert optimal_q(1, 50, 0.1) == 1.0
+        assert q_mle(1, 50, 0.1) == 1.0
 
     def test_zero_positives_clamps_to_one(self):
-        assert optimal_q(0, 10, 0.1) == 1.0
+        assert q_mle(0, 10, 0.1) == 1.0
 
     def test_known_value_against_numeric_maximizer(self):
-        q = optimal_q(5, 10, 0.1)
+        q = q_mle(5, 10, 0.1)
         assert q == 9.0
         q_numeric = golden_section_max_q(5, 10, 0.1)
         assert abs(q - q_numeric) / q <= 1e-6
 
     def test_all_positive_returns_infinity(self):
-        assert optimal_q(10, 10, 0.1) == math.inf
+        assert q_mle(10, 10, 0.1) == math.inf
+
+    def test_matches_reference_bitwise(self):
+        rng = np.random.default_rng(7)
+        for _ in range(2000):
+            n_subset = int(rng.integers(1, 10**int(rng.integers(1, 8))))
+            n_positive = int(rng.integers(0, n_subset + 1))
+            mu = float(rng.uniform(0.001, 0.999))
+            q = q_mle(n_positive, n_subset, mu)
+            assert q.hex() == reference_q(n_positive, n_subset, mu).hex()
 
     def test_bad_global_mean_rejected(self):
         for mu in (0.0, 1.0, -0.2, 1.5):
             with pytest.raises(ContractError):
-                optimal_q(3, 10, mu)
+                bernoulli_score(3, 10, mu)
 
     def test_bad_counts_rejected(self):
         with pytest.raises(ContractError):
-            optimal_q(11, 10, 0.1)
+            bernoulli_score(11, 10, 0.1)
         with pytest.raises(ContractError):
-            optimal_q(-1, 10, 0.1)
+            bernoulli_score(-1, 10, 0.1)
         with pytest.raises(ContractError):
-            optimal_q(0, 0, 0.1)
+            bernoulli_score(0, 0, 0.1)
 
 
 class TestBernoulliScore:

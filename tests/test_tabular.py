@@ -22,7 +22,6 @@ from subscan.tabular import (
     Schema,
     SubsetDescriptor,
     SyntheticSpec,
-    category_counts,
     generate_synthetic,
     load_csv,
     planted_outcome_rate,
@@ -254,8 +253,9 @@ class TestCellTable:
                 int(f): np.array([True, rng.random() < 0.5])
                 for f in rng.choice(70, size=6, replace=False)
             }
+            counter = CategoryCounter(dataset, dataset.cell_positives, allowed)
             for feature in (0, 1, 35, 69):
-                counts, positives = category_counts(dataset, allowed, feature)
+                counts, positives = counter.counts(feature)
                 want = row_loop_counts(dataset, allowed, feature)
                 assert (counts.tolist(), positives.tolist()) == want
             descriptor = SubsetDescriptor.from_dict({
@@ -371,12 +371,14 @@ class TestCategoryCounts:
             if kind != "missing":
                 mask = data.draw(st.lists(st.booleans(), min_size=card, max_size=card))
                 allowed[f] = None if kind == "none" else np.array(mask)
-        counts, positives = category_counts(dataset, allowed, feature)
+        counter = CategoryCounter(dataset, dataset.cell_positives, allowed)
+        counts, positives = counter.counts(feature)
         assert (counts.tolist(), positives.tolist()) == row_loop_counts(dataset, allowed, feature)
 
     def test_own_mask_is_ignored(self, tiny_dataset):
         nothing = {0: np.zeros(2, dtype=bool), 1: np.array([True, False, True])}
-        counts, positives = category_counts(tiny_dataset, nothing, 0)
+        counter = CategoryCounter(tiny_dataset, tiny_dataset.cell_positives, nothing)
+        counts, positives = counter.counts(0)
         assert counts.tolist() == [4, 3]  # records of size s or l, by color
         assert positives.tolist() == [2, 0]
 
