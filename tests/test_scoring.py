@@ -22,6 +22,8 @@ def q_mle(n_positive, n_subset, mu):
 
 
 class TestOptimalQ:
+    """The score-maximizing odds multiplier q*, as ``bernoulli_score`` reports it."""
+
     def test_null_rate_gives_one(self):
         assert q_mle(1, 10, 0.1) == 1.0
 
