@@ -226,20 +226,36 @@ class TestCellEngine:
         assert cells == records
 
     def test_null_distribution_matches_record_engine(self):
-        """Each null score is the record engine's scan of a full Dataset that
-        carries the replicate's outcomes, drawn here from the replicate's stream."""
         dataset = random_dataset(np.random.default_rng(5), 600, (3, 4, 2, 5), 0.1)
         config = BootstrapConfig(n_replicates=6, scan_config=ScanConfig(n_restarts=3, seed=2))
-        records = []
-        for r in range(config.n_replicates):
-            seq = np.random.SeedSequence([config.scan_config.seed, r, 0])
-            outcome_seq, scan_seq = seq.spawn(2)
-            draws = np.random.default_rng(outcome_seq).random(dataset.n_records)
-            replicate = Dataset(dataset.schema, dataset.rows, draws < dataset.global_mean)
-            assert 0 < replicate.n_positive < replicate.n_records  # no redraw needed
-            rep_config = replace(config.scan_config, seed=int(scan_seq.generate_state(1)[0]))
-            records.append(with_record_engine(scan, replicate, rep_config).panel.score)
-        assert null_score_distribution(dataset, config).tolist() == records
+        assert null_score_distribution(dataset, config).tolist() == record_null_scores(
+            dataset, config)
+
+    def test_every_mask_word_matches_record_engine(self):
+        """Features of 2, 9 and 17 categories update through a uint8, uint16
+        and uint32 word, and one of 33 through the gather."""
+        dataset = random_dataset(np.random.default_rng(9), 800, (9, 17, 33, 2), 0.1)
+        for seed, order in ((3, "fixed"), (4, "shuffled")):
+            config = ScanConfig(n_restarts=4, seed=seed, feature_order=order)
+            assert scan(dataset, config) == with_record_engine(scan, dataset, config)
+        config = BootstrapConfig(n_replicates=4, scan_config=ScanConfig(n_restarts=3, seed=2))
+        assert null_score_distribution(dataset, config).tolist() == record_null_scores(
+            dataset, config)
+
+
+def record_null_scores(dataset: Dataset, config: BootstrapConfig) -> list[float]:
+    """The record engine's scan of a full Dataset that carries each replicate's
+    outcomes, drawn here from the replicate's stream."""
+    records = []
+    for r in range(config.n_replicates):
+        seq = np.random.SeedSequence([config.scan_config.seed, r, 0])
+        outcome_seq, scan_seq = seq.spawn(2)
+        draws = np.random.default_rng(outcome_seq).random(dataset.n_records)
+        replicate = Dataset(dataset.schema, dataset.rows, draws < dataset.global_mean)
+        assert 0 < replicate.n_positive < replicate.n_records  # no redraw needed
+        rep_config = replace(config.scan_config, seed=int(scan_seq.generate_state(1)[0]))
+        records.append(with_record_engine(scan, replicate, rep_config).panel.score)
+    return records
 
 
 def restart_with_step_count(run_restart, dataset, config, seed_seq):

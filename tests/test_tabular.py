@@ -170,7 +170,7 @@ def assert_cell_table_invariants(dataset: Dataset) -> None:
     cells = dataset.cells
     n_cells = len(cells.n)
     assert cells.columns.shape == (dataset.schema.n_features, n_cells)
-    assert cells.columns.dtype == np.int32 and cells.index.dtype == np.int32
+    assert cells.columns.dtype == dataset.rows.dtype and cells.index.dtype == np.int32
     assert all(row.flags.c_contiguous for row in cells.columns)
     assert int(cells.n.sum()) == dataset.n_records
     assert cells.n.min() >= 1
@@ -229,7 +229,7 @@ class TestCellTable:
                               for z, c in enumerate(cards)))
         cells = Dataset(schema, rows, rng.integers(0, 2, n_records)).cells
         columns, index, n = unique_rows_cells(rows)
-        assert cells.columns.dtype == np.int32 and cells.index.dtype == np.int32
+        assert cells.columns.dtype == np.uint8 and cells.index.dtype == np.int32
         assert np.array_equal(cells.columns, columns)
         assert np.array_equal(cells.index, index)
         assert np.array_equal(cells.n, n)
@@ -437,6 +437,49 @@ class TestCategoryCounts:
                 counts, positives = counter.counts(feature)
                 want = row_loop_counts(dataset, allowed, feature)
                 assert (counts.tolist(), positives.tolist()) == want
+
+    @pytest.mark.parametrize("cards, dtype", [
+        ((8, 9, 16, 17, 32, 33), np.uint8),
+        ((300, 8, 9, 16, 17, 32, 33), np.uint16),
+        ((65_537, 8, 9, 16, 17, 32, 33), np.uint32),
+    ])
+    def test_word_boundaries_match_row_loop(self, cards, dtype):
+        """Features on both sides of each word size a mask update shifts (8, 16
+        and 32 categories; above 32 it gathers), over cell columns of each dtype."""
+        rng = np.random.default_rng(cards[0])
+        dataset = random_dataset(rng, 40 if cards[0] > 65_536 else 300, cards)
+        assert dataset.cells.columns.dtype == dtype
+
+        def draw_mask(card):
+            kind = rng.integers(4)
+            if kind == 0:
+                return None
+            if kind == 3:
+                return rng.random(card) < rng.uniform(0.5, 1)
+            top = np.arange(card) == card - 1  # the highest bit of the word
+            return top if kind == 1 else ~top
+
+        allowed = {f: draw_mask(card) for f, card in enumerate(cards)}
+        counter = CategoryCounter(dataset, dataset.cell_positives, allowed)
+        for _ in range(12):
+            f = int(rng.integers(len(cards)))
+            allowed[f] = draw_mask(cards[f])
+            counter.set_allowed(f, allowed[f])
+            for feature in range(len(cards)):
+                counts, positives = counter.counts(feature)
+                want = row_loop_counts(dataset, allowed, feature)
+                assert (counts.tolist(), positives.tolist()) == want
+
+    def test_only_features_over_32_categories_gather(self):
+        """Up to 32 categories a mask update shifts a word; a uint64 word would cost as
+        much as the gather, so a wider feature gathers."""
+        dataset = random_dataset(np.random.default_rng(0), 100, (32, 33))
+        counter = CategoryCounter(dataset, dataset.cell_positives, {})
+        with mock.patch.object(np, "take", wraps=np.take) as take:
+            counter.set_allowed(0, np.arange(32) % 2 == 0)
+            assert take.call_count == 0
+            counter.set_allowed(1, np.arange(33) % 2 == 0)
+            assert take.call_count == 1
 
 
 def row_loop_counts(dataset, allowed, feature) -> tuple[list[int], list[int]]:
