@@ -31,7 +31,7 @@ from typing import Any, get_args, get_type_hints
 import numpy as np
 
 from . import report as rep
-from .errors import ContractError, DegenerateDataError, LoadError
+from .errors import ContractError, DegenerateDataError, LoadError, SubscanError
 from .postdiscovery import (
     GreedyResult,
     RelevanceConfig,
@@ -312,32 +312,31 @@ def cmd_synth(cfg: PipelineConfig) -> int:
     out, names = _out_dir(cfg), _OUTPUTS["synth"]
     with timer.stage("write"):
         write_csv(dataset, out / names["cohort"], cfg.outcome)
-        payload = rep.build_report(
-            "synth",
-            cfg.echo(),
-            timer.seconds,
-            dataset_block=rep.dataset_summary(dataset, str(out / names["cohort"]), cfg.outcome),
-        )
-        payload["planted_descriptor"] = descriptor.to_labels(dataset.schema)
-        rep.write_json(out / names["planted"], payload)
+    payload = rep.build_report(
+        "synth",
+        cfg.echo(),
+        timer.seconds,
+        dataset_block=rep.dataset_summary(dataset, str(out / names["cohort"]), cfg.outcome),
+    )
+    payload["planted_descriptor"] = descriptor.to_labels(dataset.schema)
+    rep.write_json(out / names["planted"], payload)
     return 0
 
 
-def _run_discovery(
-    cfg: PipelineConfig, dataset: Dataset, timer: _StageTimer, *, to_rank: bool = False
-) -> tuple[ScanResult, np.ndarray, float, bool]:
-    """Scan, then draw the null sample. ``to_rank`` refuses, before the draw,
-    a best subgroup that is the whole dataset, which leaves nothing to rank."""
-    with timer.stage("scan"):
-        result = scan(dataset, cfg.scan_config(), workers=cfg.workers)
-    if to_rank and result.descriptor.is_empty:  # scan returns it normalized
-        raise ContractError("the best subgroup is the whole dataset; nothing to rank or substitute")
+def _null_sample(cfg: PipelineConfig, dataset: Dataset, timer: _StageTimer) -> np.ndarray:
     with timer.stage("significance"):
-        nulls = null_score_distribution(
-            dataset, cfg.bootstrap_config(), workers=cfg.workers
+        return null_score_distribution(dataset, cfg.bootstrap_config(), workers=cfg.workers)
+
+
+def _sweep(
+    cfg: PipelineConfig, dataset: Dataset, result: ScanResult,
+    ranking: list[RelevanceEntry], nulls: np.ndarray, timer: _StageTimer,
+) -> list[SubstitutionOutcome]:
+    with timer.stage("sweep"):
+        return single_substitution_sweep(
+            dataset, result, ranking, cfg.alpha, cfg.bootstrap_config(),
+            null_scores=nulls, workers=cfg.workers,
         )
-        p_value, at_floor = p_from_null_scores(result.panel.score, nulls)
-    return result, nulls, p_value, at_floor
 
 
 def _write_reports(
@@ -369,7 +368,9 @@ def cmd_scan(cfg: PipelineConfig) -> int:
     timer = _StageTimer()
     with timer.stage("load"):
         dataset = _require_input(cfg)
-    result, _, p_value, at_floor = _run_discovery(cfg, dataset, timer)
+    with timer.stage("scan"):
+        result = scan(dataset, cfg.scan_config(), workers=cfg.workers)
+    p_value, at_floor = p_from_null_scores(result.panel.score, _null_sample(cfg, dataset, timer))
     _write_reports(cfg, "scan", timer, dataset, result, p_value, at_floor)
     return 0
 
@@ -448,15 +449,7 @@ def cmd_substitute(cfg: PipelineConfig) -> int:
             ranking = _ranking_from_report(cfg.rank_report, labels)
         else:
             ranking = rank_feature_relevance(dataset, result, cfg.relevance_config())
-    with timer.stage("significance"):
-        nulls = null_score_distribution(
-            dataset, cfg.bootstrap_config(), workers=cfg.workers
-        )
-    with timer.stage("sweep"):
-        outcomes = single_substitution_sweep(
-            dataset, result, ranking, cfg.alpha, cfg.bootstrap_config(),
-            null_scores=nulls, workers=cfg.workers,
-        )
+    outcomes = _sweep(cfg, dataset, result, ranking, _null_sample(cfg, dataset, timer), timer)
     _write_reports(cfg, "substitute", timer, dataset, result, outcomes=outcomes)
     return 0
 
@@ -465,14 +458,14 @@ def cmd_pipeline(cfg: PipelineConfig) -> int:
     timer = _StageTimer()
     with timer.stage("load"):
         dataset = _require_input(cfg)
-    result, nulls, p_value, at_floor = _run_discovery(cfg, dataset, timer, to_rank=True)
+    with timer.stage("scan"):
+        result = scan(dataset, cfg.scan_config(), workers=cfg.workers)
+    if result.descriptor.is_empty:  # scan returns it normalized; refused before the draw
+        raise ContractError("the best subgroup is the whole dataset; nothing to rank or substitute")
+    nulls = _null_sample(cfg, dataset, timer)
     with timer.stage("rank"):
         ranking = rank_feature_relevance(dataset, result, cfg.relevance_config())
-    with timer.stage("sweep"):
-        outcomes = single_substitution_sweep(
-            dataset, result, ranking, cfg.alpha, cfg.bootstrap_config(),
-            null_scores=nulls, workers=cfg.workers,
-        )
+    outcomes = _sweep(cfg, dataset, result, ranking, nulls, timer)
     with timer.stage("greedy"):
         greedy = cross_substitute_greedy(
             dataset, result, ranking, cfg.alpha, cfg.bootstrap_config(),
@@ -481,7 +474,7 @@ def cmd_pipeline(cfg: PipelineConfig) -> int:
             null_scores=nulls, workers=cfg.workers,
         )
     _write_reports(
-        cfg, "pipeline", timer, dataset, result, p_value, at_floor,
+        cfg, "pipeline", timer, dataset, result, *p_from_null_scores(result.panel.score, nulls),
         ranking=ranking, outcomes=outcomes, greedy=greedy,
     )
     return 0
@@ -522,12 +515,9 @@ def main(argv: list[str] | None = None) -> int:
         cfg = _merged_config(args)
         _check_out(cfg, args.subcommand)  # a bad --out fails before any data is read
         return int(args.func(cfg))
-    except (ContractError, LoadError) as exc:
+    except SubscanError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DegenerateDataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 3 if isinstance(exc, DegenerateDataError) else 2
 
 
 if __name__ == "__main__":

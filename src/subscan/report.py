@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import socket
-from dataclasses import asdict
+from dataclasses import asdict, astuple, fields
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any
@@ -147,15 +147,8 @@ def write_json(path: str | Path, payload: dict[str, Any]) -> None:
 
 
 def write_relevance_csv(path: str | Path, entries: list[RelevanceEntry]) -> None:
-    _write_table(
-        path,
-        ["feature", "value", "e_value", "subset_deviation",
-         "global_deviation", "deviation_ratio", "rank"],
-        ([e.feature, e.value, repr(e.e_value), repr(e.subset_deviation),
-          repr(e.global_deviation),
-          "" if e.deviation_ratio is None else repr(e.deviation_ratio),
-          e.rank] for e in entries),
-    )
+    """One row per entry whose cells are the ``RelevanceEntry`` fields, in order."""
+    _write_table(path, [f.name for f in fields(RelevanceEntry)], map(astuple, entries))
 
 
 def write_substitutions_csv(path: str | Path, outcomes: list[SubstitutionOutcome]) -> None:
@@ -164,8 +157,6 @@ def write_substitutions_csv(path: str | Path, outcomes: list[SubstitutionOutcome
         path,
         ["feature", "from_value", "to_value", "new_score",
          "p_value", "odds_ratio", "p_at_floor"],
-        ([o.candidate.feature, "|".join(o.candidate.from_values),
-          o.candidate.to_value, repr(o.new_score), repr(o.new_p),
-          "" if o.new_or is None else repr(o.new_or),
-          o.p_at_floor] for o in outcomes if not o.empty),
+        ([o.candidate.feature, "|".join(o.candidate.from_values), o.candidate.to_value,
+          o.new_score, o.new_p, o.new_or, o.p_at_floor] for o in outcomes if not o.empty),
     )

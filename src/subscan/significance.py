@@ -81,9 +81,17 @@ def null_score_distribution(
 def p_from_null_scores(
     observed_score: float, null_scores: np.ndarray
 ) -> tuple[float, bool]:
-    """(empirical p, at-floor flag) of an observed score against null scores."""
-    if observed_score < 0:
-        raise ContractError("observed_score must be >= 0")
-    exceed = int(np.count_nonzero(np.asarray(null_scores) >= observed_score))
+    """(empirical p, at-floor flag) of an observed score against null scores.
+
+    A NaN score is refused, observed or null: it compares false with every
+    score, so an observed NaN would get the floor p-value and a null NaN
+    would never count as exceeding.
+    """
+    if not observed_score >= 0:
+        raise ContractError(f"observed_score must be a number >= 0, got {observed_score}")
+    null_scores = np.asarray(null_scores)
+    if np.isnan(null_scores).any():
+        raise ContractError("null_scores must not hold NaN")
+    exceed = int(np.count_nonzero(null_scores >= observed_score))
     p = (1 + exceed) / (1 + len(null_scores))
     return p, exceed == 0

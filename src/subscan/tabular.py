@@ -43,6 +43,7 @@ from .errors import ContractError, LoadError
 MISSING_LABEL = "<missing>"
 
 _OUTCOMES: Mapping[str, int] = {"0": 0, "1": 1}  # outcome label -> value
+_RECORD_BLOCK = 1 << 16  # generate_synthetic draws and write_csv labels this many records at a time
 
 
 @dataclass(frozen=True)
@@ -183,8 +184,8 @@ class Dataset:
 
     def __post_init__(self) -> None:
         rows = _integers(self.rows, "rows")
-        if rows.ndim != 2 or rows.shape[0] < 1:
-            raise ContractError("rows must be a non-empty (N, M) array")
+        if rows.ndim != 2 or min(rows.shape) < 1:
+            raise ContractError("rows must be an (N, M) array with N, M >= 1")
         if rows.shape[1] != self.schema.n_features:
             raise ContractError(
                 f"rows have {rows.shape[1]} columns but schema has "
@@ -315,12 +316,11 @@ def _cell_table(rows: np.ndarray, cardinalities: tuple[int, ...]) -> CellTable:
     return CellTable(columns, index, n)
 
 
-def _within(columns: np.ndarray, allowed: Mapping[int, np.ndarray | None]) -> np.ndarray:
+def _within(columns: np.ndarray, allowed: Mapping[int, np.ndarray]) -> np.ndarray:
     """Mask of the entries whose feature values (``columns[f]``) fall in their allowed masks."""
     mask = np.ones(columns.shape[1], dtype=bool)
     for f, ok in allowed.items():
-        if ok is not None:
-            mask &= ok[columns[f]]
+        mask &= ok[columns[f]]
     return mask
 
 
@@ -339,7 +339,7 @@ class CategoryCounter:
 
     Counts the given ``positives`` per cell (``dataset.cell_positives``, or a
     bootstrap replicate's). Holds a boolean ``allowed`` category mask per
-    feature (a missing or None mask is unconstrained). For every cell it keeps
+    feature; only a feature with no mask is unconstrained. For every cell it keeps
     which features reject it and how many do, so counting a feature costs
     O(cells) and changing one feature's mask updates one row of that
     bookkeeping. Both are kept in the smallest unsigned dtype that holds the
@@ -351,7 +351,7 @@ class CategoryCounter:
     """
 
     def __init__(
-        self, dataset: Dataset, positives: np.ndarray, allowed: Mapping[int, np.ndarray | None]
+        self, dataset: Dataset, positives: np.ndarray, allowed: Mapping[int, np.ndarray]
     ) -> None:
         cells = dataset.cells
         self._columns = cells.columns
@@ -364,14 +364,12 @@ class CategoryCounter:
         for f, ok in allowed.items():
             self.set_allowed(f, ok)
 
-    def set_allowed(self, feature: int, allowed: np.ndarray | None) -> None:
+    def set_allowed(self, feature: int, allowed: np.ndarray) -> None:
         """Replace ``feature``'s allowed category mask."""
         fails = self._fails[feature]
         self._violations -= fails
         card = self._cardinalities[feature]
-        if allowed is None:
-            fails.fill(0)
-        elif card <= 32:  # shift a word of rejected-category bits (see the class docstring)
+        if card <= 32:  # shift a word of rejected-category bits (see the class docstring)
             rejected = int.from_bytes(np.packbits(~allowed, bitorder="little").tobytes(), "little")
             word = np.min_scalar_type((1 << card) - 1).type(rejected)
             np.right_shift(word, self._columns[feature], out=fails, casting="unsafe")
@@ -468,9 +466,11 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, SubsetDescriptor]:
     for z, card in enumerate(spec.cardinalities):
         rows[:, z] = rng.integers(0, card, size=spec.n_records, dtype=np.int32)
 
-    inside = _within(rows.T, _allowed_masks(schema, spec.planted))
-    p = np.where(inside, p_in, spec.base_rate)
-    outcomes = (rng.random(spec.n_records) < p).astype(np.int8)
+    # in blocks: the stream of one draw, without its two float64 arrays as long as the data
+    allowed, outcomes = _allowed_masks(schema, spec.planted), np.empty(spec.n_records, np.int8)
+    for a in range(0, spec.n_records, _RECORD_BLOCK):
+        p = np.where(_within(rows[a:a + _RECORD_BLOCK].T, allowed), p_in, spec.base_rate)
+        outcomes[a:a + _RECORD_BLOCK] = rng.random(len(p)) < p
     return Dataset(schema, _frozen(rows), _frozen(outcomes)), spec.planted
 
 
@@ -725,9 +725,6 @@ def _decoded_codes(
     ]
 
 
-_WRITE_RECORDS = 1 << 16  # write_csv labels this many records at a time
-
-
 def write_csv(dataset: Dataset, path: str | Path, outcome_column: str = "y") -> None:
     """Serialize a dataset back to CSV; load_csv on the result reproduces it.
 
@@ -739,10 +736,10 @@ def write_csv(dataset: Dataset, path: str | Path, outcome_column: str = "y") -> 
     labels = [np.asarray(cats, dtype=object) for _, cats in dataset.schema.features]
 
     def records() -> Iterator[tuple]:
-        for a in range(0, dataset.n_records, _WRITE_RECORDS):
-            rows = dataset.rows[a:a + _WRITE_RECORDS]
+        for a in range(0, dataset.n_records, _RECORD_BLOCK):
+            rows = dataset.rows[a:a + _RECORD_BLOCK]
             columns = [cats[rows[:, z]] for z, cats in enumerate(labels)]
-            yield from zip(*columns, dataset.outcomes[a:a + _WRITE_RECORDS].tolist())
+            yield from zip(*columns, dataset.outcomes[a:a + _RECORD_BLOCK].tolist())
 
     _write_table(path, [*dataset.schema.feature_names, outcome_column], records())
 
@@ -763,7 +760,11 @@ def _atomic_text(path: str | Path) -> Iterator[IO[str]]:
 
 
 def _write_table(path: str | Path, header: list[str], rows: Iterable[Iterable]) -> None:
-    """Write an RFC-4180 CSV table, its header first, atomically."""
+    """Write an RFC-4180 CSV table, its header first, atomically.
+
+    A cell is written as the csv module writes it: a float as its ``repr``,
+    ``None`` as an empty field, anything else as its ``str``.
+    """
     with _atomic_text(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(header)

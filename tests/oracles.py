@@ -258,12 +258,12 @@ def exhaustive_scan(dataset: Dataset, limit: int = 1_000_000) -> ScanResult:
 
 
 def record_category_counts(
-    dataset: Dataset, allowed: Mapping[int, np.ndarray | None], feature: int
+    dataset: Dataset, allowed: Mapping[int, np.ndarray], feature: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """``CategoryCounter.counts`` through a per-record mask, rebuilt on every call."""
     mask = np.ones(dataset.n_records, dtype=bool)
     for f, ok in allowed.items():
-        if ok is not None and f != feature:
+        if f != feature:
             mask &= ok[dataset.rows[:, f]]
     col = dataset.rows[mask, feature]
     card = dataset.schema.cardinality(feature)

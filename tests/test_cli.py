@@ -439,6 +439,30 @@ class TestPipeline:
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
+@pytest.mark.parametrize("command, report, stages", [
+    ("synth", "planted.json", ["generate", "write"]),
+    ("scan", "scan_report.json", ["load", "scan", "significance"]),
+    ("rank", "rank_report.json", ["load", "rank"]),
+    ("substitute", "substitutions.json", ["load", "rank", "significance", "sweep"]),
+    ("pipeline", "report.json", ["load", "scan", "significance", "rank", "sweep", "greedy"]),
+])
+def test_stage_seconds_name_each_stage_in_order(
+    command, report, stages, cohort_csv, scan_report, tmp_path
+):
+    if command == "synth":
+        argv = ["--n", "200", "--cardinalities", "2,3", "--base-rate", "0.1",
+                "--odds-multiplier", "2"]
+    else:
+        argv = ["--input", str(cohort_csv), "--outcome", "y"]
+    if command in ("rank", "substitute"):
+        argv += ["--scan-report", str(scan_report)]
+    if command in ("scan", "substitute", "pipeline"):
+        argv += ["--restarts", "2", "--replicates", "19"]
+    assert run([command, *argv, "--out", str(tmp_path)]) == 0
+    payload = json.loads((tmp_path / report).read_text())
+    assert list(payload["meta"]["stage_seconds"]) == stages
+
+
 class TestReplicatesAgainstAlpha:
     """With R replicates no p-value is below 1/(R+1), so an alpha under that
     floor could never find anything significant."""

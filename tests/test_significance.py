@@ -45,6 +45,16 @@ class TestPFromNullScores:
         with pytest.raises(ContractError):
             p_from_null_scores(-0.1, np.array([1.0]))
 
+    def test_nan_observed_rejected(self):
+        # no null score is >= NaN, so it would get the floor p-value
+        with pytest.raises(ContractError, match="observed_score"):
+            p_from_null_scores(float("nan"), np.array([1.0, 2.0, 3.0]))
+
+    def test_nan_null_score_rejected(self):
+        # a NaN replicate would never count as exceeding the observed score
+        with pytest.raises(ContractError, match="NaN"):
+            p_from_null_scores(2.0, np.array([1.0, float("nan"), 3.0]))
+
     @given(
         st.lists(st.floats(0, 100, allow_nan=False), min_size=1, max_size=60),
         st.floats(0, 100),

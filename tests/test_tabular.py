@@ -66,6 +66,11 @@ class TestDataset:
         with pytest.raises(ContractError):
             Dataset(s, [[0], [1]], [1, 2])
 
+    def test_featureless_table_rejected(self):
+        # the restart search would crash at its first step, which takes a feature
+        with pytest.raises(ContractError, match="N, M >= 1"):
+            Dataset(Schema(()), np.zeros((6, 0), dtype=np.int64), np.arange(6) % 2)
+
     def test_wrong_length_outcomes_rejected(self):
         s = Schema((("a", ("x", "y")),))
         with pytest.raises(ContractError, match="length-N"):
@@ -367,10 +372,10 @@ class TestCategoryCounts:
         feature = data.draw(st.integers(0, len(cards) - 1))
         allowed = {}
         for f, card in enumerate(cards):
-            kind = data.draw(st.sampled_from(["missing", "none", "mask"]))
+            kind = data.draw(st.sampled_from(["missing", "all", "mask"]))
             if kind != "missing":
                 mask = data.draw(st.lists(st.booleans(), min_size=card, max_size=card))
-                allowed[f] = None if kind == "none" else np.array(mask)
+                allowed[f] = np.ones(card, dtype=bool) if kind == "all" else np.array(mask)
         counter = CategoryCounter(dataset, dataset.cell_positives, allowed)
         counts, positives = counter.counts(feature)
         assert (counts.tolist(), positives.tolist()) == row_loop_counts(dataset, allowed, feature)
@@ -392,7 +397,7 @@ class TestCategoryCounts:
 
         def draw_mask(f):
             if data.draw(st.booleans()):
-                return None
+                return np.ones(cards[f], dtype=bool)
             return np.array(data.draw(st.lists(st.booleans(), min_size=cards[f],
                                                max_size=cards[f])))
 
@@ -428,7 +433,8 @@ class TestCategoryCounts:
         # rejecting v0 everywhere makes every record fail 250 to 300 features
         allowed = {f: np.array([False, True]) for f in range(n_features)}
         counter = CategoryCounter(dataset, dataset.cell_positives, allowed)
-        masks = [None, np.array([True, True]), np.array([True, False]), np.array([False, True])]
+        masks = [np.ones(2, dtype=bool), np.array([True, True]), np.array([True, False]),
+                 np.array([False, True])]
         for _ in range(30):
             f = int(rng.integers(n_features))
             allowed[f] = masks[rng.integers(len(masks))]
@@ -453,7 +459,7 @@ class TestCategoryCounts:
         def draw_mask(card):
             kind = rng.integers(4)
             if kind == 0:
-                return None
+                return np.ones(card, dtype=bool)
             if kind == 3:
                 return rng.random(card) < rng.uniform(0.5, 1)
             top = np.arange(card) == card - 1  # the highest bit of the word
@@ -860,6 +866,18 @@ class TestSynthetic:
         # the random stream and the CSV writer together: a synth cohort's file is fixed
         write_csv(generate_synthetic(spec)[0], tmp_path / "t.csv", outcome)
         assert hashlib.sha256((tmp_path / "t.csv").read_bytes()).hexdigest() == digest
+
+    def test_outcomes_drawn_without_a_record_sized_float_array(self):
+        """The outcome draw runs in record blocks: 1M records of one two-category
+        feature peak well under the 16 bytes a record of two float64 arrays."""
+        spec = SyntheticSpec(1_000_000, (2,), 0.1, SubsetDescriptor.from_dict({0: [0]}), 2.0, 1)
+        tracemalloc.start()
+        try:
+            generate_synthetic(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * spec.n_records
 
     @pytest.mark.parametrize("cardinalities, dtype", [
         ((2, 256), np.uint8), ((300, 5), np.uint16),
