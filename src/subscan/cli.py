@@ -184,7 +184,8 @@ def _merged_config(args: argparse.Namespace) -> PipelineConfig:
         if getattr(args, key, None) is not None:
             setattr(cfg, key, getattr(args, key))
         value = getattr(cfg, key)  # the report echoes every knob, and JSON has no inf or nan
-        if _declared(hint) is float and value is not None and not math.isfinite(value):
+        # false for inf, nan and an int past the float range, where math.isfinite raises
+        if _declared(hint) is float and value is not None and not abs(value) <= sys.float_info.max:
             raise ContractError(f"{key} must be a finite number, got {value}")
     if cfg.workers < 1:
         raise ContractError("workers must be >= 1")
@@ -384,11 +385,12 @@ def _load_scan_report(cfg: PipelineConfig, dataset: Dataset) -> ScanResult:
         raise LoadError(f"{path}: no scan block in report")
     try:
         descriptor = SubsetDescriptor.from_labels(dataset.schema, block["descriptor"])
-        stored = float(block["score"])
-        restart_index = int(block.get("restart_index", 0))
-    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as e:
+        stored, restart_index = block["score"], block.get("restart_index", 0)
+        for key, value in (("score", stored), ("restart_index", restart_index)):
+            _check_type({"score": float, "restart_index": int}, key, value, "scan field")
+    except (KeyError, TypeError, ValueError, AttributeError) as e:
         raise LoadError(f"{path}: malformed scan block ({e!r})") from None
-    if not math.isfinite(stored):
+    if not abs(stored) <= sys.float_info.max:  # as for a config float
         raise LoadError(f"{path}: stored score {stored} is not a finite number")
     if descriptor.normalized(dataset.schema).is_empty:
         raise LoadError(f"{path}: descriptor constrains no feature; nothing to rank or substitute")
@@ -406,7 +408,7 @@ def _load_scan_report(cfg: PipelineConfig, dataset: Dataset) -> ScanResult:
 def _ranking_from_report(
     path_str: str, descriptor: dict[str, list[str]]
 ) -> list[RelevanceEntry]:
-    """The saved ranking; LoadError unless each entry names a value of ``descriptor`` (labels)."""
+    """The saved ranking; LoadError unless each entry names a distinct value of ``descriptor``."""
     path = Path(path_str)
     rows = _read_json_object(path, "rank report").get("relevance")
     if rows is None:
@@ -419,11 +421,13 @@ def _ranking_from_report(
         ranking = [RelevanceEntry(**r) for r in rows]
     except (KeyError, TypeError, ValueError, AttributeError) as e:
         raise LoadError(f"{path}: malformed relevance block ({e!r})") from None
-    values = {(f, v) for f, vs in descriptor.items() for v in vs}
+    unlisted = {(f, v) for f, vs in descriptor.items() for v in vs}
     for e in ranking:
-        if (e.feature, e.value) not in values:
-            raise LoadError(f"{path}: relevance entry {e.feature}={e.value} "
-                            "is not a value of the scan descriptor")
+        if (e.feature, e.value) not in unlisted:
+            taken = e.value in descriptor.get(e.feature, ())  # by an earlier entry
+            fault = "is listed twice" if taken else "is not a value of the scan descriptor"
+            raise LoadError(f"{path}: relevance entry {e.feature}={e.value} {fault}")
+        unlisted.remove((e.feature, e.value))
     return ranking
 
 

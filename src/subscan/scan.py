@@ -39,7 +39,6 @@ from .scoring import (
     ScorePanel,
     bernoulli_score,
     odds_ratio,
-    score_array,
     unguarded_score_array,
 )
 from .tabular import CategoryCounter, Dataset, SubsetDescriptor, subset_counts
@@ -198,11 +197,10 @@ def _run_restart(
     counter = CategoryCounter(dataset, cell_positives, included)
     first = order[0]
     counts, positives = counter.counts(first)  # the member counts, and the first step's counts
-    current_score = float(
-        score_array(positives[included[first]].sum(), counts[included[first]].sum(), mu)
-    )
     stamp, seen = 0, [-1] * n_features  # value-set changes; stamp at each feature's last step
-    with np.errstate(divide="ignore", invalid="ignore"):  # for best_prefix
+    with np.errstate(divide="ignore", invalid="ignore"):  # for every score of the restart
+        current_score = float(unguarded_score_array(
+            positives[included[first]].sum(), counts[included[first]].sum(), mu)[1])
         for _ in range(config.max_passes):
             pass_start = stamp
             for z in order:

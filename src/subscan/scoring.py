@@ -9,7 +9,8 @@ where q multiplies the baseline outcome odds mu/(1-mu) inside the subset. The
 maximizer has the closed form q* = C*(1-mu) / (mu*(N_S-C)), clamped at 1; an
 all-positive subset (C == N_S) takes the q -> infinity limit -N_S*log(mu).
 q* and the score come from one expression, ``unguarded_score_array``, which
-every score of the package goes through.
+every score of the package goes through: ``bernoulli_score``, the scan's start
+score and its feature steps. Each caller holds the ``np.errstate`` it needs.
 
 Natural logarithms throughout; any other base rescales every score by the same
 constant and cannot change which subset ranks highest.
@@ -27,27 +28,14 @@ from .errors import ContractError
 Z_95 = 1.96  # two-sided 95% normal quantile used for odds-ratio intervals
 
 
-def score_array(
-    n_positive: np.ndarray, n_subset: np.ndarray, global_mean: float
-) -> np.ndarray:
-    """Vectorized scan score over count arrays.
-
-    Empty subsets (n_subset == 0) score 0 so callers can evaluate candidate
-    grids without special-casing; all-positive subsets take the analytic
-    limit.
-    """
-    pos = np.asarray(n_positive, dtype=np.float64)
-    tot = np.asarray(n_subset, dtype=np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return unguarded_score_array(pos, tot, float(global_mean))[1]
-
-
 def unguarded_score_array(
     pos: np.ndarray, tot: np.ndarray, mu: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(q*, score) on float64 counts, for a caller that holds the error state.
+    """(q*, score) of exact integer counts, for a caller that holds the error state.
 
-    q* is inf for an all-positive subset. The caller must run it under
+    The counts are numpy arrays or scalars, float64 or int (a Python float
+    would raise on an empty subset). q* is inf for an all-positive subset, and
+    an empty subset scores 0. The caller must run it under
     ``np.errstate(divide="ignore", invalid="ignore")``: the scores of empty and
     all-positive subsets pass through a division by zero before they take
     their defined values.
@@ -81,7 +69,7 @@ def bernoulli_score(n_positive: int, n_subset: int, global_mean: float) -> Score
     """Score a subset from its counts; see the module docstring for the formula.
 
     The score and ``q_mle`` come from ``unguarded_score_array``, so the score
-    is ``score_array`` on the same counts, bit for bit. Rejects counts and
+    is the scan's score of the same counts, bit for bit. Rejects counts and
     means outside their domains.
     """
     if not 0.0 < global_mean < 1.0:

@@ -47,13 +47,12 @@ class BootstrapConfig:
 
 def _replicate_score(dataset: Dataset, config: BootstrapConfig, replicate_index: int) -> float:
     """Best restart score of one null replicate; degenerate draws are redrawn."""
-    cells = dataset.cells
     for attempt in range(_MAX_REDRAWS):
         seq = np.random.SeedSequence([config.scan_config.seed, replicate_index, attempt])
         outcome_seq, scan_seq = seq.spawn(2)
         rng = np.random.default_rng(outcome_seq)
         positive = rng.random(dataset.n_records) < dataset.global_mean
-        positives = np.bincount(cells.index[positive], minlength=len(cells.n))
+        positives = dataset.cell_sums(positive)
         if 0 < positives.sum() < dataset.n_records:  # else degenerate: redraw
             rep_config = replace(config.scan_config, seed=int(scan_seq.generate_state(1)[0]))
             return _search(dataset, positives, rep_config, workers=1)[1][0]
@@ -92,6 +91,8 @@ def p_from_null_scores(
     null_scores = np.asarray(null_scores)
     if np.isnan(null_scores).any():
         raise ContractError("null_scores must not hold NaN")
+    if len(null_scores) == 0:  # p would be 1 from no replicate, and "at the floor"
+        raise ContractError("null_scores must hold at least one replicate score")
     exceed = int(np.count_nonzero(null_scores >= observed_score))
     p = (1 + exceed) / (1 + len(null_scores))
     return p, exceed == 0

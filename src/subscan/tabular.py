@@ -3,10 +3,12 @@
 Categories are encoded as dense integer indices per feature, in the smallest
 unsigned dtype that holds the widest feature's; human-readable labels live
 only in the Schema. Rows and outcomes are immutable numpy arrays, so datasets
-can be shared freely across parallel workers. Only this module
-reads them: the other modules see the data through ``subset_counts`` and
-``CategoryCounter``, which the scan keeps per restart and the relevance
-ranking builds once with no masks for each feature's marginal counts.
+can be shared freely across parallel workers. Only this module reads them,
+or the cell table built from them: the other modules see the data through
+``subset_counts``, ``CategoryCounter`` (which the scan keeps per restart and
+the relevance ranking builds once with no masks for each feature's marginal
+counts) and ``Dataset.cell_sums``, which tallies a bootstrap replicate's drawn
+outcomes per cell.
 
 Every count runs over cells, the distinct feature patterns of a dataset,
 weighted by their record and positive counts: the scan score depends on the
@@ -225,8 +227,11 @@ class Dataset:
     @cached_property
     def cell_positives(self) -> np.ndarray:
         """(C,) positive records per cell."""
-        positive = self.outcomes.view(np.bool_)  # outcomes are 0/1 int8
-        return np.bincount(self.cells.index[positive], minlength=len(self.cells.n))
+        return self.cell_sums(self.outcomes.view(np.bool_))  # outcomes are 0/1 int8
+
+    def cell_sums(self, flags: np.ndarray) -> np.ndarray:
+        """(C,) count per cell of the records that ``flags``, an (N,) bool mask, marks."""
+        return np.bincount(self.cells.index[flags], minlength=len(self.cells.n))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Dataset):
@@ -236,8 +241,6 @@ class Dataset:
             and np.array_equal(self.rows, other.rows)
             and np.array_equal(self.outcomes, other.outcomes)
         )
-
-    __hash__ = None  # type: ignore[assignment]
 
 
 def _code_dtype(cardinalities: Iterable[int]) -> np.dtype:
@@ -733,6 +736,9 @@ def write_csv(dataset: Dataset, path: str | Path, outcome_column: str = "y") -> 
     """
     if outcome_column in dataset.schema.feature_names:
         raise ContractError(f"outcome column {outcome_column!r} collides with a feature")
+    for name, cats in dataset.schema.features:
+        if "" in cats:  # an empty field, which load_csv reads as MISSING_LABEL
+            raise ContractError(f"feature {name!r} has an empty category label")
     labels = [np.asarray(cats, dtype=object) for _, cats in dataset.schema.features]
 
     def records() -> Iterator[tuple]:

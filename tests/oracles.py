@@ -29,7 +29,7 @@ from subscan.scan import (
     _finalize,
     _random_nonempty_subset,
 )
-from subscan.scoring import score_array
+from subscan.scoring import unguarded_score_array
 from subscan.tabular import Dataset, SubsetDescriptor, _allowed_masks, _within
 
 
@@ -241,9 +241,10 @@ def exhaustive_scan(dataset: Dataset, limit: int = 1_000_000) -> ScanResult:
             for v in vals[1:]:
                 allowed |= value_masks[z][v]
             mask &= allowed
-        n_subset = float(mask.sum())
-        n_positive = float(y[mask].sum())
-        s = float(score_array(n_positive, n_subset, mu))
+        n_subset = np.float64(mask.sum())
+        n_positive = np.float64(y[mask].sum())
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = float(unguarded_score_array(n_positive, n_subset, mu)[1])
         key = _descriptor_sort_key(constraints)
         if s > best_score or (s == best_score and (best_key is None or key < best_key)):
             best_score = s
@@ -302,11 +303,10 @@ def record_run_restart(
         order = np.arange(n_features)
 
     counts, positives = record_category_counts(dataset, included, 0)
-    current_score = float(
-        score_array(float(positives[included[0]].sum()), float(counts[included[0]].sum()), mu)
-    )
-
-    with np.errstate(divide="ignore", invalid="ignore"):  # for best_prefix
+    with np.errstate(divide="ignore", invalid="ignore"):  # for every score of the restart
+        current_score = float(unguarded_score_array(
+            np.float64(positives[included[0]].sum()), np.float64(counts[included[0]].sum()), mu
+        )[1])
         for _ in range(config.max_passes):
             changed = False
             for z in order:

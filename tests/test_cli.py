@@ -336,6 +336,57 @@ class TestRankAndSubstitute:
         assert err.count("\n") == 1 and err.startswith("error: ")
         assert str(rank) in err and f"{feature}={value}" in err
 
+    def test_substitute_rejects_a_ranking_that_lists_a_value_twice(
+        self, cohort_csv, scan_report, tmp_path, capsys
+    ):
+        # the sweep looks ranks up by value, so a repeated entry would silently
+        # replace the one before it
+        assert run(["rank", "--input", str(cohort_csv), "--outcome", "y",
+                    "--scan-report", str(scan_report), "--out", str(tmp_path / "rank")]) == 0
+        rank = tmp_path / "rank" / "rank_report.json"
+        report = json.loads(rank.read_text())
+        report["relevance"] += report["relevance"]
+        rank.write_text(json.dumps(report))
+        code = run(["substitute", "--input", str(cohort_csv), "--outcome", "y",
+                    "--scan-report", str(scan_report), "--rank-report", str(rank),
+                    "--replicates", "19", "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        first = report["relevance"][0]
+        assert f"{rank}: relevance entry {first['feature']}={first['value']} is listed twice" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("field, value", [
+        ("restart_index", 2.9), ("restart_index", True), ("restart_index", "2"),
+        ("score", "29.236072293462172"), ("score", True), ("score", 10**400),
+    ])
+    def test_rank_rejects_a_wrongly_typed_scan_field(
+        self, cohort_csv, scan_report, tmp_path, capsys, field, value
+    ):
+        doctored = json.loads(scan_report.read_text())
+        if field == "score" and isinstance(value, str):
+            value = repr(doctored["scan"]["score"])  # the right number, as a string
+        doctored["scan"][field] = value
+        patched = tmp_path / "typed.json"
+        patched.write_text(json.dumps(doctored))
+        code = run(["rank", "--input", str(cohort_csv), "--outcome", "y",
+                    "--scan-report", str(patched), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("error: ") and str(patched) in err
+        assert not (tmp_path / "out").exists()
+
+    def test_rank_reads_a_missing_restart_index_as_zero(self, cohort_csv, scan_report, tmp_path):
+        doctored = json.loads(scan_report.read_text())
+        del doctored["scan"]["restart_index"]
+        patched = tmp_path / "no_index.json"
+        patched.write_text(json.dumps(doctored))
+        assert run(["rank", "--input", str(cohort_csv), "--outcome", "y",
+                    "--scan-report", str(patched), "--out", str(tmp_path / "out")]) == 0
+        ranked = json.loads((tmp_path / "out" / "rank_report.json").read_text())
+        assert ranked["scan"]["restart_index"] == 0
+
     def test_substitute_accepts_a_top_k_ranking(self, cohort_csv, scan_report, tmp_path):
         assert run(["rank", "--input", str(cohort_csv), "--outcome", "y", "--top-k", "1",
                     "--scan-report", str(scan_report), "--out", str(tmp_path / "rank")]) == 0
@@ -535,6 +586,7 @@ FLOAT_KNOBS = [f for f in fields(PipelineConfig)
 @pytest.mark.parametrize("knob", FLOAT_KNOBS, ids=lambda f: f.name)
 @pytest.mark.parametrize("where, text", [
     ("flag", "inf"), ("flag", "-inf"), ("flag", "nan"), ("config", "Infinity"), ("config", "NaN"),
+    pytest.param("config", "-" + "9" * 400, id="config-int-past-the-float-range"),
 ])
 def test_non_finite_float_knob_rejected_before_data_is_read(tmp_path, capsys, knob, where, text):
     """The report echoes every knob and JSON has no inf or nan, so such a value

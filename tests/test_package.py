@@ -1,6 +1,7 @@
 """Package-wide properties: the public names and the version, the README's
-library example runs, only the tabular module touches the record arrays, and
-every Dataset is built through its constructor."""
+library example runs, only the tabular module touches the record arrays and
+the cell table, every private function is called in the package, and every
+Dataset is built through its constructor."""
 
 from __future__ import annotations
 
@@ -57,15 +58,43 @@ def test_readme_library_example_runs():
 
 def test_only_tabular_reads_record_arrays():
     """Every stage sees the data through tabular's counting functions, so a
-    new record layout (such as a cell table) is a change to tabular.py alone."""
+    new record layout (such as another cell table) is a change to tabular.py
+    alone."""
     offenders = []
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name == "tabular.py":
             continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Attribute) and node.attr in ("rows", "outcomes"):
+            if isinstance(node, ast.Attribute) and node.attr in ("rows", "outcomes", "cells"):
                 offenders.append(f"{path.name}:{node.lineno} .{node.attr}")
     assert offenders == []
+
+
+def test_every_private_function_is_called_in_the_package():
+    """A function or method of the package that is not one of its public
+    names is referenced by name somewhere in the package outside its own body,
+    so no helper lives on for tests alone: test oracles belong in tests/."""
+    defs, loads = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defs.append((path.name, node))
+            elif isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+                name = node.id if isinstance(node, ast.Name) else node.attr
+                loads.append((name, path.name, node.lineno))
+
+    def referenced_elsewhere(module: str, fn: ast.FunctionDef) -> bool:
+        return any(
+            name == fn.name and not (where == module and fn.lineno <= line <= fn.end_lineno)
+            for name, where, line in loads
+        )
+
+    unused = [
+        f"{module}:{fn.lineno} {fn.name}" for module, fn in defs
+        if fn.name not in PUBLIC_NAMES and not re.fullmatch(r"__\w+__", fn.name)
+        and not referenced_elsewhere(module, fn)
+    ]
+    assert unused == []
 
 
 def test_datasets_are_built_only_by_tabular():

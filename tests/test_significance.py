@@ -55,6 +55,11 @@ class TestPFromNullScores:
         with pytest.raises(ContractError, match="NaN"):
             p_from_null_scores(2.0, np.array([1.0, float("nan"), 3.0]))
 
+    def test_empty_null_sample_rejected(self):
+        # no replicate would give p = 1 and mark it "at the floor"
+        with pytest.raises(ContractError, match="at least one replicate"):
+            p_from_null_scores(1.0, np.array([]))
+
     @given(
         st.lists(st.floats(0, 100, allow_nan=False), min_size=1, max_size=60),
         st.floats(0, 100),

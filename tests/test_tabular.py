@@ -66,6 +66,19 @@ class TestDataset:
         with pytest.raises(ContractError):
             Dataset(s, [[0], [1]], [1, 2])
 
+    def test_unhashable(self, tiny_dataset):
+        # the dataclass's field hash takes the arrays, which numpy will not hash
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(tiny_dataset)
+
+    def test_cell_sums_count_flagged_records_per_cell(self):
+        dataset = random_dataset(np.random.default_rng(5), 300, (3, 2, 4))
+        flags = np.random.default_rng(6).random(dataset.n_records) < 0.3
+        _, index, n = unique_rows_cells(dataset.rows)
+        sums = dataset.cell_sums(flags)
+        assert np.array_equal(sums, np.bincount(index, weights=flags, minlength=len(n)))
+        assert np.array_equal(dataset.cell_sums(dataset.outcomes == 1), dataset.cell_positives)
+
     def test_featureless_table_rejected(self):
         # the restart search would crash at its first step, which takes a feature
         with pytest.raises(ContractError, match="N, M >= 1"):
@@ -577,11 +590,12 @@ class TestLoadCsv:
         assert load_csv(q, "y") == ds
 
     def test_write_csv_bytes_match_row_loop(self, tmp_path):
-        schema = Schema((
-            ("region", ("North, Central", 'Retiree "Unknown"', "<missing>")),
-            ("size", ("s", "m, l", "")),
-        ))
+        region = ("region", ("North, Central", 'Retiree "Unknown"', "<missing>"))
         rows = [[0, 1], [1, 2], [2, 0], [0, 0], [1, 1], [2, 2]]
+        empty = Dataset(Schema((region, ("size", ("s", "m, l", "")))), rows, [1, 0, 0, 1, 1, 0])
+        with pytest.raises(ContractError, match="'size'"):
+            write_csv(empty, tmp_path / "new.csv", "y")
+        schema = Schema((region, ("size", ("s", "m, l", "xl"))))
         dataset = Dataset(schema, rows, [1, 0, 0, 1, 1, 0])
         write_csv(dataset, tmp_path / "new.csv", "y")
 
@@ -593,6 +607,15 @@ class TestLoadCsv:
                 row = [cats[z][dataset.rows[i, z]] for z in range(schema.n_features)]
                 writer.writerow(row + [int(dataset.outcomes[i])])
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    @pytest.mark.parametrize("labels", [("", "x"), ("<missing>", "")])
+    def test_write_csv_refuses_an_empty_label(self, tmp_path, labels):
+        # load_csv reads an empty field as <missing>: ("", "x") would come back
+        # as ("<missing>", "x"), and ("<missing>", "") as one category
+        dataset = Dataset(Schema((("a", ("p", "q")), ("b", labels))), [[0, 0], [1, 1]], [0, 1])
+        with pytest.raises(ContractError, match="feature 'b' has an empty category label"):
+            write_csv(dataset, tmp_path / "t.csv", "y")
+        assert list(tmp_path.iterdir()) == []
 
     def test_round_trip_random(self, tmp_path):
         ds = random_dataset(np.random.default_rng(99), 120, (4, 2, 6))
