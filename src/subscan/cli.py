@@ -376,6 +376,10 @@ def cmd_scan(cfg: PipelineConfig) -> int:
     return 0
 
 
+# a best subgroup that scores 0 has an outcome rate at or below the global one
+_NO_EXCESS = "no subgroup above the global rate was found (score 0); nothing to rank or substitute"
+
+
 def _load_scan_report(cfg: PipelineConfig, dataset: Dataset) -> ScanResult:
     if not cfg.scan_report:
         raise ContractError("--scan-report is required")
@@ -392,6 +396,8 @@ def _load_scan_report(cfg: PipelineConfig, dataset: Dataset) -> ScanResult:
         raise LoadError(f"{path}: malformed scan block ({e!r})") from None
     if not abs(stored) <= sys.float_info.max:  # as for a config float
         raise LoadError(f"{path}: stored score {stored} is not a finite number")
+    if restart_index < 0:
+        raise LoadError(f"{path}: restart_index {restart_index} is negative")
     if descriptor.normalized(dataset.schema).is_empty:
         raise LoadError(f"{path}: descriptor constrains no feature; nothing to rank or substitute")
     panel, effects = evaluate(dataset, descriptor)
@@ -402,6 +408,8 @@ def _load_scan_report(cfg: PipelineConfig, dataset: Dataset) -> ScanResult:
             f"{path}: stored score {stored} does not match the dataset "
             f"(recomputed {panel.score}); wrong input file?"
         )
+    if panel.score == 0.0:
+        raise LoadError(f"{path}: {_NO_EXCESS}")
     return ScanResult(descriptor, panel, effects, restart_index)
 
 
@@ -466,6 +474,8 @@ def cmd_pipeline(cfg: PipelineConfig) -> int:
         result = scan(dataset, cfg.scan_config(), workers=cfg.workers)
     if result.descriptor.is_empty:  # scan returns it normalized; refused before the draw
         raise ContractError("the best subgroup is the whole dataset; nothing to rank or substitute")
+    if result.panel.score == 0.0:
+        raise ContractError(_NO_EXCESS)
     nulls = _null_sample(cfg, dataset, timer)
     with timer.stage("rank"):
         ranking = rank_feature_relevance(dataset, result, cfg.relevance_config())

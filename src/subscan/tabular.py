@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import codecs
 import csv
+import io
 import itertools
 import os
 from collections.abc import Iterable, Iterator, Mapping
@@ -36,6 +37,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from pathlib import Path
+from types import SimpleNamespace
 from typing import IO, NamedTuple
 
 import numpy as np
@@ -45,7 +47,7 @@ from .errors import ContractError, LoadError
 MISSING_LABEL = "<missing>"
 
 _OUTCOMES: Mapping[str, int] = {"0": 0, "1": 1}  # outcome label -> value
-_RECORD_BLOCK = 1 << 16  # generate_synthetic draws and write_csv labels this many records at a time
+_RECORD_BLOCK = 1 << 16  # generate_synthetic draws outcomes for this many records at a time
 
 
 @dataclass(frozen=True)
@@ -559,7 +561,7 @@ def _read_records(path: Path, outcome_column: str) -> Dataset:
     return Dataset(schema, _frozen(rows_array), _frozen(outcomes_array))
 
 
-_BLOCK_BYTES = 1 << 20  # the byte reader reads the file this much at a time
+_BLOCK_BYTES = 1 << 20  # the byte reader reads, and write_csv builds, this much at a time
 _COMMA, _LF, _CR, _ZERO = b",\n\r0"  # byte values
 _KEY_WORDS = 8  # fields of up to this many 8-byte words are keyed with numpy
 _LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype="<u8")  # masks of k low bytes
@@ -731,38 +733,80 @@ def _decoded_codes(
 def write_csv(dataset: Dataset, path: str | Path, outcome_column: str = "y") -> None:
     """Serialize a dataset back to CSV; load_csv on the result reproduces it.
 
-    Records are labelled a block at a time, so the labels held at once (an
-    8-byte pointer per field) stay bounded whatever the dataset's size.
+    The file holds the bytes that the csv module writes for the same rows, and
+    the csv module writes each distinct field once: every category label as a
+    lone field whose line end gives way to a comma, and the outcomes ``0`` and
+    ``1`` with their line ends. Each column's fields are kept zero-padded in
+    the narrowest unsigned words that hold the longest (several 8-byte words
+    past 8 bytes), beside a 0/1 byte mask of their own bytes. A block of
+    records, about ``_BLOCK_BYTES`` of padded fields, is one gather per column
+    into a packed record array and one into its mask; the bytes the mask
+    keeps are written. Memory stays bounded whatever the dataset's size.
     """
     if outcome_column in dataset.schema.feature_names:
         raise ContractError(f"outcome column {outcome_column!r} collides with a feature")
     for name, cats in dataset.schema.features:
         if "" in cats:  # an empty field, which load_csv reads as MISSING_LABEL
             raise ContractError(f"feature {name!r} has an empty category label")
-    labels = [np.asarray(cats, dtype=object) for _, cats in dataset.schema.features]
+    tables = [
+        _field_table([line[:-2] + b"," for line in _csv_lines([label] for label in cats)])
+        for _, cats in dataset.schema.features
+    ] + [_field_table(_csv_lines([["0"], ["1"]]))]
+    record = np.dtype([(f"c{z}", t.dtype, t.shape[1:]) for z, (t, _) in enumerate(tables)])
+    step = max(1, _BLOCK_BYTES // record.itemsize)
+    with _atomic_bytes(path) as fh:
+        fh.write(_csv_lines([[*dataset.schema.feature_names, outcome_column]])[0])
+        for a in range(0, dataset.n_records, step):
+            codes = [*dataset.rows[a:a + step].T, dataset.outcomes[a:a + step]]
+            block, keep = np.empty(len(codes[-1]), record), np.empty(len(codes[-1]), record)
+            for name, (words, mask), index in zip(record.names, tables, codes):
+                block[name], keep[name] = words[index], mask[index]
+            fh.write(block.view(np.uint8)[keep.view(np.bool_)])
 
-    def records() -> Iterator[tuple]:
-        for a in range(0, dataset.n_records, _RECORD_BLOCK):
-            rows = dataset.rows[a:a + _RECORD_BLOCK]
-            columns = [cats[rows[:, z]] for z, cats in enumerate(labels)]
-            yield from zip(*columns, dataset.outcomes[a:a + _RECORD_BLOCK].tolist())
 
-    _write_table(path, [*dataset.schema.feature_names, outcome_column], records())
+def _csv_lines(rows: Iterable[Iterable]) -> list[bytes]:
+    """Each row as the csv module writes it, CRLF-ended, in UTF-8."""
+    lines: list[str] = []
+    csv.writer(SimpleNamespace(write=lines.append)).writerows(rows)  # one write a row
+    return [line.encode("utf-8") for line in lines]
+
+
+def _field_table(fields: list[bytes]) -> tuple[np.ndarray, np.ndarray]:
+    """(words, mask): the fields zero-padded into words, and a 0/1 byte for each of their bytes.
+
+    A row per field, of one unsigned word of 1, 2, 4 or 8 bytes or of several
+    8-byte words, the fewest bytes that hold the longest field; the mask marks
+    the field's own bytes, so a field may hold NUL bytes of its own.
+    """
+    width = max(map(len, fields))
+    size = 1 << (width - 1).bit_length() if width <= 8 else 8 * -(-width // 8)
+    shape = (len(fields), size // 8) if size > 8 else (len(fields),)
+    dtype = np.dtype(f"u{min(size, 8)}")
+    words = b"".join(f.ljust(size, b"\0") for f in fields)
+    mask = b"".join((b"\1" * len(f)).ljust(size, b"\0") for f in fields)
+    return np.frombuffer(words, dtype).reshape(shape), np.frombuffer(mask, dtype).reshape(shape)
 
 
 @contextmanager
-def _atomic_text(path: str | Path) -> Iterator[IO[str]]:
-    """Text file written beside ``path`` and moved onto it only if the block succeeds."""
+def _atomic_bytes(path: str | Path) -> Iterator[IO[bytes]]:
+    """Binary file written beside ``path`` and moved onto it only if the block succeeds."""
     tmp = Path(f"{path}.{os.urandom(6).hex()}.tmp")
     try:
         try:
-            with open(tmp, "x", newline="", encoding="utf-8") as fh:
+            with open(tmp, "xb") as fh:
                 yield fh
             os.replace(tmp, path)
         finally:
             tmp.unlink(missing_ok=True)  # gone already after a successful replace
     except OSError as e:  # a directory at ``path``, no permission, a full disk
         raise ContractError(f"cannot write {path} ({e.strerror})") from None
+
+
+@contextmanager
+def _atomic_text(path: str | Path) -> Iterator[IO[str]]:
+    """UTF-8 text file with untranslated line ends, written as ``_atomic_bytes`` writes."""
+    with _atomic_bytes(path) as raw, io.TextIOWrapper(raw, encoding="utf-8", newline="") as fh:
+        yield fh
 
 
 def _write_table(path: str | Path, header: list[str], rows: Iterable[Iterable]) -> None:

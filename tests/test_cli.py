@@ -272,6 +272,22 @@ def assert_vacuous_reports_refused(command, cohort_csv, scan_report, tmp_path, c
         assert not out.exists()
 
 
+@pytest.fixture(scope="module")
+def zero_score_scan(tmp_path_factory) -> tuple[Path, Path]:
+    """(cohort, scan report) of 20k records x 40 features of 4 categories, where
+    every random restart starts near-empty and the best subgroup scores 0."""
+    out = tmp_path_factory.mktemp("zero")
+    assert run([
+        "synth", "--n", "20000", "--cardinalities", ",".join(["4"] * 40),
+        "--base-rate", "0.05", "--odds-multiplier", "3", "--seed", "4",
+        "--planted", "f0=v0|v1;f1=v0|v1", "--out", str(out),
+    ]) == 0
+    assert run(["scan", "--input", str(out / "cohort.csv"), "--restarts", "5",
+                "--replicates", "19", "--seed", "4", "--out", str(out)]) == 0
+    assert json.loads((out / "scan_report.json").read_text())["scan"]["score"] == 0.0
+    return out / "cohort.csv", out / "scan_report.json"
+
+
 class TestRankAndSubstitute:
     def test_rank_emits_table_and_csv(self, cohort_csv, scan_report, tmp_path, report_schema):
         out = tmp_path / "rank"
@@ -377,6 +393,29 @@ class TestRankAndSubstitute:
         assert err.count("\n") == 1 and err.startswith("error: ") and str(patched) in err
         assert not (tmp_path / "out").exists()
 
+    def test_rank_rejects_a_negative_restart_index(self, cohort_csv, scan_report, tmp_path, capsys):
+        doctored = json.loads(scan_report.read_text())
+        doctored["scan"]["restart_index"] = -3  # the report schema's minimum is 0
+        patched = tmp_path / "negative.json"
+        patched.write_text(json.dumps(doctored))
+        code = run(["rank", "--input", str(cohort_csv), "--outcome", "y",
+                    "--scan-report", str(patched), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"error: {patched}: restart_index -3 is negative\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["rank", "substitute"])
+    def test_zero_score_report_refused(self, zero_score_scan, tmp_path, capsys, command):
+        cohort, report = zero_score_scan
+        code = run([command, "--input", str(cohort), "--scan-report", str(report),
+                    "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and str(report) in err
+        assert "no subgroup above the global rate was found" in err
+        assert not (tmp_path / "out").exists()
+
     def test_rank_reads_a_missing_restart_index_as_zero(self, cohort_csv, scan_report, tmp_path):
         doctored = json.loads(scan_report.read_text())
         del doctored["scan"]["restart_index"]
@@ -473,6 +512,17 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert code == 2
         assert err.count("\n") == 1 and "the best subgroup is the whole dataset" in err
+        assert not (out / "report.json").exists()
+        bootstrap.assert_not_called()
+
+    def test_zero_score_subgroup_exits_2_before_bootstrap(self, zero_score_scan, tmp_path, capsys):
+        out = tmp_path / "p"
+        with mock.patch("subscan.cli.null_score_distribution") as bootstrap:
+            code = run(["pipeline", "--input", str(zero_score_scan[0]), "--restarts", "5",
+                        "--replicates", "19", "--seed", "4", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and "no subgroup above the global rate was found" in err
         assert not (out / "report.json").exists()
         bootstrap.assert_not_called()
 

@@ -3,13 +3,14 @@ from __future__ import annotations
 import codecs
 import csv
 import hashlib
+import io
 import math
 import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import binomtest
 
@@ -30,6 +31,43 @@ from subscan.tabular import (
 )
 
 from conftest import make_recovery_cohort, random_dataset
+
+# characters the csv module quotes or passes through, of 1 to 4 UTF-8 bytes
+CSV_CHARS = st.sampled_from([",", '"', "\r", "\n", " ", "\0", "a", "v", "9", "é", "日", "😀"])
+CSV_LABELS = st.one_of(
+    st.sampled_from(["v9", "v10", " lead", "trail ", "x" * 9, "y" * 65]),
+    st.text(CSV_CHARS, min_size=1, max_size=4),
+    st.builds(lambda text, k: text * k, st.text(CSV_CHARS, min_size=1, max_size=3),
+              st.integers(3, 30)),  # past 8 and past 64 bytes
+)
+
+
+@st.composite
+def written_cohorts(draw):
+    """(schema, rows, outcomes, outcome column, write_csv's block budget in bytes)."""
+    names = draw(st.lists(st.text(CSV_CHARS, max_size=3), min_size=1, max_size=4, unique=True))
+    outcome = draw(st.text(CSV_CHARS, max_size=3).filter(lambda name: name not in names))
+    schema = Schema(tuple(
+        (name, tuple(draw(st.lists(CSV_LABELS, min_size=1, max_size=6, unique=True))))
+        for name in names
+    ))
+    rows = draw(st.lists(
+        st.tuples(*(st.integers(0, len(cats) - 1) for _, cats in schema.features)),
+        min_size=1, max_size=40,
+    ))
+    outcomes = draw(st.lists(st.integers(0, 1), min_size=len(rows), max_size=len(rows)))
+    return schema, rows, outcomes, outcome, draw(st.integers(1, 256))
+
+
+def row_loop_bytes(dataset: Dataset, outcome: str) -> bytes:
+    """The file as the csv module writes it one record at a time: write_csv's reference."""
+    text = io.StringIO(newline="")
+    writer = csv.writer(text)
+    writer.writerow([*dataset.schema.feature_names, outcome])
+    cats = [c for _, c in dataset.schema.features]
+    for row, y in zip(dataset.rows.tolist(), dataset.outcomes.tolist()):
+        writer.writerow([cats[z][v] for z, v in enumerate(row)] + [y])
+    return text.getvalue().encode("utf-8")
 
 
 class TestSchema:
@@ -589,24 +627,42 @@ class TestLoadCsv:
         write_csv(ds, q, "y")
         assert load_csv(q, "y") == ds
 
-    def test_write_csv_bytes_match_row_loop(self, tmp_path):
-        region = ("region", ("North, Central", 'Retiree "Unknown"', "<missing>"))
-        rows = [[0, 1], [1, 2], [2, 0], [0, 0], [1, 1], [2, 2]]
-        empty = Dataset(Schema((region, ("size", ("s", "m, l", "")))), rows, [1, 0, 0, 1, 1, 0])
-        with pytest.raises(ContractError, match="'size'"):
-            write_csv(empty, tmp_path / "new.csv", "y")
-        schema = Schema((region, ("size", ("s", "m, l", "xl"))))
-        dataset = Dataset(schema, rows, [1, 0, 0, 1, 1, 0])
-        write_csv(dataset, tmp_path / "new.csv", "y")
+    @settings(max_examples=150, deadline=None)
+    @given(case=written_cohorts())
+    @example(case=(  # the fixed case this test began with
+        Schema((("region", ("North, Central", 'Retiree "Unknown"', "<missing>")),
+                ("size", ("s", "m, l", "xl")))),
+        [[0, 1], [1, 2], [2, 0], [0, 0], [1, 1], [2, 2]], [1, 0, 0, 1, 1, 0], "y", 1 << 20,
+    ))
+    @example(case=(Schema((("v", ("v9", "v10")),)), [[1]], [1], 'y, "quoted"', 1 << 20))
+    # records of a 2-byte label field and a 3-byte outcome field in 4, 10 to a
+    # 60-byte block: one whole block, one record past it, two whole blocks
+    @example(case=(Schema((("a", ("p", "q")),)), [[0], [1]] * 5, [0, 1] * 5, "y", 60))
+    @example(case=(Schema((("a", ("p", "q")),)), [[0], [1]] * 5 + [[1]], [1] * 11, "y", 60))
+    @example(case=(Schema((("a", ("p", "q")),)), [[1], [0]] * 10, [1, 0] * 10, "y", 60))
+    def test_write_csv_bytes_match_row_loop(self, tmp_path_factory, case):
+        schema, rows, outcomes, outcome, block_bytes = case
+        dataset = Dataset(schema, rows, outcomes)
+        path = tmp_path_factory.getbasetemp() / "row_loop.csv"
+        with mock.patch.object(tabular, "_BLOCK_BYTES", block_bytes):
+            write_csv(dataset, path, outcome)
+        assert path.read_bytes() == row_loop_bytes(dataset, outcome)
 
-        with open(tmp_path / "old.csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)  # the per-record loop write_csv replaced
-            writer.writerow(list(schema.feature_names) + ["y"])
-            cats = [list(c) for _, c in schema.features]
-            for i in range(dataset.n_records):
-                row = [cats[z][dataset.rows[i, z]] for z in range(schema.n_features)]
-                writer.writerow(row + [int(dataset.outcomes[i])])
-        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    def test_write_csv_memory_does_not_grow_with_records(self, tmp_path):
+        # blocks of about 1 MiB of bytes, against 8.2 MiB at 1M x 8 for the
+        # csv module fed 65,536 records at a time as Python label strings
+        peaks = []
+        for n in (200_000, 1_000_000):
+            planted = SubsetDescriptor.from_dict({0: [0, 1], 1: [0, 1]})
+            dataset, _ = generate_synthetic(SyntheticSpec(n, (4,) * 8, 0.05, planted, 3.0, 4))
+            tracemalloc.start()
+            try:
+                write_csv(dataset, tmp_path / "t.csv")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) < 6 * 2**20
+        assert peaks[1] < peaks[0] + 2**20
 
     @pytest.mark.parametrize("labels", [("", "x"), ("<missing>", "")])
     def test_write_csv_refuses_an_empty_label(self, tmp_path, labels):
