@@ -45,6 +45,5 @@ from .tabular import (
     SyntheticSpec,
     generate_synthetic,
     load_csv,
-    subset_counts,
     write_csv,
 )

@@ -384,7 +384,8 @@ def _load_scan_report(cfg: PipelineConfig, dataset: Dataset) -> ScanResult:
     if not cfg.scan_report:
         raise ContractError("--scan-report is required")
     path = Path(cfg.scan_report)
-    block = _read_json_object(path, "scan report").get("scan")
+    payload = _read_json_object(path, "scan report")
+    block = payload.get("scan")
     if block is None:
         raise LoadError(f"{path}: no scan block in report")
     try:
@@ -398,6 +399,10 @@ def _load_scan_report(cfg: PipelineConfig, dataset: Dataset) -> ScanResult:
         raise LoadError(f"{path}: stored score {stored} is not a finite number")
     if restart_index < 0:
         raise LoadError(f"{path}: restart_index {restart_index} is negative")
+    config = payload.get("config")
+    restarts = config.get("restarts") if isinstance(config, dict) else None
+    if type(restarts) is int and restart_index >= restarts:  # a JSON bool is no int
+        raise LoadError(f"{path}: restart_index {restart_index} is past its {restarts} restarts")
     if descriptor.normalized(dataset.schema).is_empty:
         raise LoadError(f"{path}: descriptor constrains no feature; nothing to rank or substitute")
     panel, effects = evaluate(dataset, descriptor)

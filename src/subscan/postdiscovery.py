@@ -10,8 +10,14 @@ descending numeric order, and values whose global deviation is zero carry an
 undefined ratio and rank last.
 
 Cross-substitution replaces anomalous values with values drawn from the same
-feature's complement. The sweep evaluates every candidate independently
-against the original descriptor. The greedy walk tries one list of moves:
+feature's complement. A substitution changes one feature's value set, so its
+member counts are sums of that feature's per-category counts under the
+subgroup's other constraints (``CategoryCounter.counts``). The sweep evaluates
+every candidate independently against the original descriptor: one count over
+the cells per constrained feature, then O(1) work per candidate. The greedy
+walk keeps one counter on its current subgroup, counts the feature of each
+move it attempts, and updates the counter on every applied move. It tries one
+list of moves:
 features in relevance order, each ranked value paired with every complement
 value of the original descriptor, in category order. A move whose value has
 already left the current set is skipped; otherwise it is kept only if it
@@ -31,10 +37,10 @@ from typing import Literal
 import numpy as np
 
 from .errors import ContractError
-from .scan import ScanResult, evaluate
+from .scan import ScanResult, score_values
 from .scoring import EffectMeasures, ScorePanel
 from .significance import BootstrapConfig, null_score_distribution, p_from_null_scores
-from .tabular import CategoryCounter, Dataset, Schema, SubsetDescriptor
+from .tabular import CategoryCounter, Dataset, Schema, SubsetDescriptor, _allowed_masks
 
 
 @dataclass(frozen=True)
@@ -241,6 +247,7 @@ class SubstitutionOutcome:
 def _score_substitution(
     dataset: Dataset,
     candidate: SubstitutionCandidate,
+    table: tuple[np.ndarray, np.ndarray],
     old_score: float,
     old_effects: EffectMeasures | None,
     alpha: float,
@@ -248,9 +255,13 @@ def _score_substitution(
 ) -> tuple[SubstitutionOutcome, ScorePanel, EffectMeasures | None]:
     """(outcome, panel, effects) of a candidate against the subgroup it perturbs.
 
-    An empty member set gets the zero panel, no odds ratio and no p-value.
+    ``table`` is the candidate feature's (counts, positives) under the
+    subgroup's other constraints. An empty member set gets the zero panel, no
+    odds ratio and no p-value.
     """
-    panel, effects = evaluate(dataset, candidate.resulting_descriptor)
+    feature = dataset.schema.feature_index(candidate.feature)
+    values = list(candidate.resulting_descriptor.values_for(feature))
+    panel, effects = score_values(dataset, *table, values)
     empty = panel.n_subset == 0
     new_p, at_floor = (None, False) if empty else p_from_null_scores(panel.score, null_scores)
     outcome = SubstitutionOutcome(
@@ -293,9 +304,12 @@ def single_substitution_sweep(
         return min(ranks.get((c.feature, v), math.inf) for v in c.from_values)
 
     candidates.sort(key=rank)  # a stable sort: ties keep enumeration order
+    masks = _allowed_masks(dataset.schema, result.descriptor)
+    counter = CategoryCounter(dataset, dataset.cell_positives, masks)
+    tables = {dataset.schema.features[f][0]: counter.counts(f) for f in masks}
     return [
         _score_substitution(
-            dataset, c, result.panel.score, result.effects, alpha, null_scores
+            dataset, c, tables[c.feature], result.panel.score, result.effects, alpha, null_scores
         )[0]
         for c in candidates
     ]
@@ -371,6 +385,7 @@ def cross_substitute_greedy(
         ]
 
     applied: list[SubstitutionOutcome] = []
+    counter = CategoryCounter(dataset, dataset.cell_positives, _allowed_masks(schema, current))
     for feature, v, to_value in moves:
         if stopped(panel.score, p_value):
             break  # no longer anomalous, or never was: apply nothing more
@@ -383,7 +398,7 @@ def cross_substitute_greedy(
         if candidate.resulting_descriptor == current:
             continue  # no-op pair
         outcome, new_panel, new_effects = _score_substitution(
-            dataset, candidate, panel.score, effects, alpha, null_scores
+            dataset, candidate, counter.counts(feature), panel.score, effects, alpha, null_scores
         )
         if outcome.empty:
             continue  # emptied the subgroup; revert
@@ -391,6 +406,7 @@ def cross_substitute_greedy(
             continue
         applied.append(outcome)
         current, panel, effects = candidate.resulting_descriptor, new_panel, new_effects
+        counter.set_allowed(feature, _allowed_masks(schema, current)[feature])
         p_value, at_floor = outcome.new_p, outcome.p_at_floor
 
     return GreedyResult(

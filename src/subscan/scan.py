@@ -41,7 +41,7 @@ from .scoring import (
     odds_ratio,
     unguarded_score_array,
 )
-from .tabular import CategoryCounter, Dataset, SubsetDescriptor, subset_counts
+from .tabular import CategoryCounter, Dataset, SubsetDescriptor, _allowed_masks
 
 _STEP_TOL = 1e-9  # slack for float-noise in the ascent assertion
 
@@ -119,11 +119,28 @@ def evaluate(
 ) -> tuple[ScorePanel, EffectMeasures | None]:
     """Score panel and odds ratio of a descriptor's member set.
 
-    An empty member set gets the zero panel (``n_subset == 0``) and no
-    effects; a member set covering the whole dataset has no complement, so
-    its effects are None too.
+    Counts feature 0 under the other features' masks through a
+    ``CategoryCounter`` and sums its counts over feature 0's value set (every
+    category when it is unconstrained) in ``score_values``, which also says
+    what an empty or a whole-dataset member set gets.
     """
-    n_subset, n_positive = subset_counts(dataset, descriptor)
+    allowed = _allowed_masks(dataset.schema, descriptor)
+    counts, positives = CategoryCounter(dataset, dataset.cell_positives, allowed).counts(0)
+    return score_values(dataset, counts, positives, allowed.get(0, slice(None)))
+
+
+def score_values(
+    dataset: Dataset, counts: np.ndarray, positives: np.ndarray, values: Any
+) -> tuple[ScorePanel, EffectMeasures | None]:
+    """Score panel and odds ratio of the records whose category of one feature is in ``values``.
+
+    ``counts`` and ``positives`` are that feature's per-category counts under
+    the other constraints (``CategoryCounter.counts``); ``values`` indexes
+    them: a boolean mask, a list of categories or a slice. An empty member set
+    gets the zero panel (``n_subset == 0``) and no effects; a member set
+    covering the whole dataset has no complement, so its effects are None too.
+    """
+    n_subset, n_positive = int(counts[values].sum()), int(positives[values].sum())
     if n_subset == 0:
         return ScorePanel(0.0, 1.0, 0, 0, dataset.global_mean, 0.0), None
     panel = bernoulli_score(n_positive, n_subset, dataset.global_mean)
@@ -227,16 +244,6 @@ def _run_restart(
     )
 
 
-def _finalize(
-    dataset: Dataset,
-    included: tuple[tuple[int, ...], ...],
-    restart_index: int,
-) -> ScanResult:
-    descriptor = SubsetDescriptor(tuple(enumerate(included))).normalized(dataset.schema)
-    panel, effects = evaluate(dataset, descriptor)
-    return ScanResult(descriptor, panel, effects, restart_index)
-
-
 def _search(
     dataset: Dataset, positives: np.ndarray, config: ScanConfig, workers: int
 ) -> tuple[int, tuple[float, tuple[tuple[int, ...], ...]]]:
@@ -262,4 +269,5 @@ def scan(
     """
     _check_not_degenerate(dataset)
     best_index, (_, included) = _search(dataset, dataset.cell_positives, config, workers)
-    return _finalize(dataset, included, best_index)
+    descriptor = SubsetDescriptor(tuple(enumerate(included))).normalized(dataset.schema)
+    return ScanResult(descriptor, *evaluate(dataset, descriptor), best_index)

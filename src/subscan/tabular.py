@@ -5,10 +5,12 @@ unsigned dtype that holds the widest feature's; human-readable labels live
 only in the Schema. Rows and outcomes are immutable numpy arrays, so datasets
 can be shared freely across parallel workers. Only this module reads them,
 or the cell table built from them: the other modules see the data through
-``subset_counts``, ``CategoryCounter`` (which the scan keeps per restart and
-the relevance ranking builds once with no masks for each feature's marginal
-counts) and ``Dataset.cell_sums``, which tallies a bootstrap replicate's drawn
-outcomes per cell.
+``CategoryCounter``, the one way a member set is counted (the scan keeps one
+per restart, ``scan.evaluate`` builds one per descriptor, the substitution
+stages keep one on the subgroup they perturb, and the relevance ranking builds
+one with no masks for each feature's marginal counts), and through
+``Dataset.cell_sums``, which tallies a bootstrap replicate's drawn outcomes
+per cell.
 
 Every count runs over cells, the distinct feature patterns of a dataset,
 weighted by their record and positive counts: the scan score depends on the
@@ -321,14 +323,6 @@ def _cell_table(rows: np.ndarray, cardinalities: tuple[int, ...]) -> CellTable:
     return CellTable(columns, index, n)
 
 
-def _within(columns: np.ndarray, allowed: Mapping[int, np.ndarray]) -> np.ndarray:
-    """Mask of the entries whose feature values (``columns[f]``) fall in their allowed masks."""
-    mask = np.ones(columns.shape[1], dtype=bool)
-    for f, ok in allowed.items():
-        mask &= ok[columns[f]]
-    return mask
-
-
 def _allowed_masks(schema: Schema, descriptor: SubsetDescriptor) -> dict[int, np.ndarray]:
     """The descriptor as boolean category masks, feature index -> mask."""
     descriptor.validate_against(schema)
@@ -396,13 +390,6 @@ class CategoryCounter:
         card = self._cardinalities[feature]
         counts = np.bincount(col, weights=self._n[inside], minlength=card)
         return counts, np.bincount(col, weights=self._positives[inside], minlength=card)
-
-
-def subset_counts(dataset: Dataset, descriptor: SubsetDescriptor) -> tuple[int, int]:
-    """(size, positive count) of the descriptor's member set."""
-    cells = dataset.cells
-    inside = _within(cells.columns, _allowed_masks(dataset.schema, descriptor))
-    return int(cells.n[inside].sum()), int(dataset.cell_positives[inside].sum())
 
 
 @dataclass(frozen=True)
@@ -474,7 +461,10 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, SubsetDescriptor]:
     # in blocks: the stream of one draw, without its two float64 arrays as long as the data
     allowed, outcomes = _allowed_masks(schema, spec.planted), np.empty(spec.n_records, np.int8)
     for a in range(0, spec.n_records, _RECORD_BLOCK):
-        p = np.where(_within(rows[a:a + _RECORD_BLOCK].T, allowed), p_in, spec.base_rate)
+        inside = np.ones(min(_RECORD_BLOCK, spec.n_records - a), dtype=bool)
+        for f, ok in allowed.items():
+            inside &= ok[rows[a:a + _RECORD_BLOCK, f]]
+        p = np.where(inside, p_in, spec.base_rate)
         outcomes[a:a + _RECORD_BLOCK] = rng.random(len(p)) < p
     return Dataset(schema, _frozen(rows), _frozen(outcomes)), spec.planted
 

@@ -26,11 +26,11 @@ from subscan.scan import (
     ScanConfig,
     ScanResult,
     _check_not_degenerate,
-    _finalize,
     _random_nonempty_subset,
+    evaluate,
 )
 from subscan.scoring import unguarded_score_array
-from subscan.tabular import Dataset, SubsetDescriptor, _allowed_masks, _within
+from subscan.tabular import Dataset, SubsetDescriptor
 
 
 def objective(q: float, n_positive: float, n_subset: float, mu: float) -> float:
@@ -90,8 +90,12 @@ def reference_q(n_positive: float, n_subset: float, mu: float) -> float:
 
 
 def membership_mask(dataset: Dataset, descriptor: SubsetDescriptor) -> np.ndarray:
-    """Boolean mask of records satisfying the descriptor."""
-    return _within(dataset.rows.T, _allowed_masks(dataset.schema, descriptor))
+    """Boolean mask of records satisfying the descriptor, one record column at a time."""
+    descriptor.validate_against(dataset.schema)
+    mask = np.ones(dataset.n_records, dtype=bool)
+    for f, values in descriptor.constraints:
+        mask &= np.isin(dataset.rows[:, f], values)
+    return mask
 
 
 def membership(dataset: Dataset, descriptor: SubsetDescriptor) -> np.ndarray:
@@ -251,11 +255,8 @@ def exhaustive_scan(dataset: Dataset, limit: int = 1_000_000) -> ScanResult:
             best_key = key
             best_constraints = constraints
 
-    included = tuple(
-        dict(best_constraints).get(z, tuple(range(card)))
-        for z, card in enumerate(cards)
-    )
-    return _finalize(dataset, included, 0)
+    descriptor = SubsetDescriptor(best_constraints)
+    return ScanResult(descriptor, *evaluate(dataset, descriptor), 0)
 
 
 def record_category_counts(

@@ -405,6 +405,26 @@ class TestRankAndSubstitute:
         assert err == f"error: {patched}: restart_index -3 is negative\n"
         assert not (tmp_path / "out").exists()
 
+    def test_rank_rejects_a_restart_index_past_the_restarts(
+        self, cohort_csv, scan_report, tmp_path, capsys
+    ):
+        doctored = json.loads(scan_report.read_text())
+        assert doctored["config"]["restarts"] == 10
+        for index in (10, 10**30):
+            doctored["scan"]["restart_index"] = index
+            patched = tmp_path / f"past_{index}.json"
+            patched.write_text(json.dumps(doctored))
+            code = run(["rank", "--input", str(cohort_csv), "--outcome", "y",
+                        "--scan-report", str(patched), "--out", str(tmp_path / "out")])
+            err = capsys.readouterr().err
+            assert code == 2
+            assert err == f"error: {patched}: restart_index {index} is past its 10 restarts\n"
+            assert not (tmp_path / "out").exists()
+        doctored["scan"]["restart_index"] = 9  # the last restart
+        patched.write_text(json.dumps(doctored))
+        assert run(["rank", "--input", str(cohort_csv), "--outcome", "y",
+                    "--scan-report", str(patched), "--out", str(tmp_path / "out")]) == 0
+
     @pytest.mark.parametrize("command", ["rank", "substitute"])
     def test_zero_score_report_refused(self, zero_score_scan, tmp_path, capsys, command):
         cohort, report = zero_score_scan

@@ -25,7 +25,7 @@ PUBLIC_NAMES = {
     "cross_substitute_greedy", "enumerate_substitutions", "evaluate",
     "generate_synthetic", "load_csv", "null_score_distribution", "odds_ratio",
     "p_from_null_scores", "rank_feature_relevance", "scan",
-    "single_substitution_sweep", "subset_counts", "write_csv",
+    "single_substitution_sweep", "write_csv",
 }
 
 

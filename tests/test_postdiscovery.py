@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,10 +20,17 @@ from subscan.postdiscovery import (
     relevance_stats,
     single_substitution_sweep,
 )
-from subscan.scan import ScanConfig, ScanResult, scan
-from subscan.scoring import bernoulli_score
+from subscan.scan import ScanConfig, ScanResult, evaluate, scan
+from subscan.scoring import ScorePanel, bernoulli_score, odds_ratio
 from subscan.significance import BootstrapConfig, null_score_distribution, p_from_null_scores
-from subscan.tabular import Dataset, Schema, SubsetDescriptor, SyntheticSpec, generate_synthetic
+from subscan.tabular import (
+    CategoryCounter,
+    Dataset,
+    Schema,
+    SubsetDescriptor,
+    SyntheticSpec,
+    generate_synthetic,
+)
 
 from conftest import make_recovery_cohort
 
@@ -48,6 +56,31 @@ def discovery(seed: int):
     dataset, _ = make_recovery_cohort(seed=seed)
     result = scan(dataset, ScanConfig(n_restarts=10, seed=1000 + seed))
     return dataset, result
+
+
+def wide_feature_discovery():
+    """A cohort whose planted feature has 40 categories, past the counter's 32-bit
+    word, with its planted descriptor as the scan result."""
+    planted = SubsetDescriptor.from_dict({0: range(8), 1: [0, 1]})
+    dataset, _ = generate_synthetic(SyntheticSpec(
+        n_records=6000, cardinalities=(40, 4, 3), base_rate=0.05, planted=planted,
+        odds_multiplier=4.0, seed=3,
+    ))
+    return dataset, ScanResult(planted, *evaluate(dataset, planted), 0)
+
+
+def record_level(dataset: Dataset, descriptor: SubsetDescriptor):
+    """(panel, effects) of the descriptor from a per-record membership mask."""
+    mask = membership_mask(dataset, descriptor)
+    n_subset, n_positive = int(mask.sum()), int(dataset.outcomes[mask].sum())
+    if n_subset == 0:
+        return ScorePanel(0.0, 1.0, 0, 0, dataset.global_mean, 0.0), None
+    panel = bernoulli_score(n_positive, n_subset, dataset.global_mean)
+    if n_subset == dataset.n_records:
+        return panel, None
+    c = dataset.n_positive - n_positive
+    return panel, odds_ratio(n_positive, n_subset - n_positive, c,
+                             dataset.n_records - n_subset - c)
 
 
 class TestRelevanceStats:
@@ -266,21 +299,21 @@ class TestSweep:
                     assert o.new_score < o.old_score
 
     def test_outcomes_recomputable_from_descriptor(self):
-        dataset, result = discovery(seed=5)
-        boot = small_bootstrap()
-        nulls = null_score_distribution(dataset, boot)
-        ranking = rank_feature_relevance(dataset, result)
-        for o in single_substitution_sweep(
-            dataset, result, ranking, 0.05, boot, null_scores=nulls
-        ):
-            mask = membership_mask(dataset, o.candidate.resulting_descriptor)
-            if o.empty:
-                assert int(mask.sum()) == 0
-                continue
-            again = bernoulli_score(
-                int(dataset.outcomes[mask].sum()), int(mask.sum()), dataset.global_mean
+        # the second cohort's 40-category feature takes the counter's np.take branch
+        for dataset, result in (discovery(seed=5), wide_feature_discovery()):
+            boot = small_bootstrap()
+            nulls = null_score_distribution(dataset, boot)
+            ranking = rank_feature_relevance(dataset, result)
+            outcomes = single_substitution_sweep(
+                dataset, result, ranking, 0.05, boot, null_scores=nulls
             )
-            assert again.score == o.new_score
+            assert outcomes
+            for o in outcomes:
+                descriptor = o.candidate.resulting_descriptor
+                panel, effects = record_level(dataset, descriptor)
+                assert o.empty == (panel.n_subset == 0)
+                assert (o.new_score, o.new_or) == (panel.score, effects and effects.odds_ratio)
+                assert evaluate(dataset, descriptor) == (panel, effects)
 
     def test_ordered_by_relevance_then_enumeration(self):
         dataset, result = discovery(seed=7)
@@ -401,6 +434,46 @@ class TestGreedy:
         )
         assert isinstance(g, GreedyResult)
         assert g.applied  # substitutions accumulate without the descent filter
+
+    @pytest.mark.parametrize("cohort", ["recovery", "wide_feature"])
+    def test_unconditional_outcomes_match_record_level(self, cohort):
+        """Every applied move is scored on the walk's counter after the moves
+        before it: a counter that missed one of them would score against a
+        stale subgroup."""
+        dataset, result = discovery(seed=7) if cohort == "recovery" else wide_feature_discovery()
+        boot = small_bootstrap()
+        nulls = null_score_distribution(dataset, boot)
+        ranking = rank_feature_relevance(dataset, result)
+        g = cross_substitute_greedy(
+            dataset, result, ranking, 0.05, boot,
+            unconditional=True, score_threshold=-1.0, null_scores=nulls,
+        )
+        assert len(g.applied) >= 2
+        for o in g.applied:
+            panel, effects = record_level(dataset, o.candidate.resulting_descriptor)
+            assert (o.new_score, o.new_or) == (panel.score, effects and effects.odds_ratio)
+        assert (g.panel, g.effects) == record_level(dataset, g.descriptor)
+
+
+def test_sweep_counts_each_constrained_feature_once():
+    """The sweep sums every candidate from one table per constrained feature:
+    a per-candidate count over the cells would call ``counts`` once per candidate."""
+    dataset, result = wide_feature_discovery()
+    ranking = rank_feature_relevance(dataset, result)
+    counted = []
+    real = CategoryCounter.counts
+
+    def spy(self, feature):
+        counted.append(feature)
+        return real(self, feature)
+
+    with mock.patch.object(CategoryCounter, "counts", spy):
+        outcomes = single_substitution_sweep(
+            dataset, result, ranking, 0.05, small_bootstrap(), null_scores=np.zeros(19)
+        )
+    assert len(outcomes) > 100
+    assert len(counted) == len(set(counted))
+    assert set(counted) <= {f for f, _ in result.descriptor.constraints}
 
 
 # Pinned outputs of the sweep and the greedy walk. The expectations are literal

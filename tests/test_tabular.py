@@ -17,6 +17,7 @@ from scipy.stats import binomtest
 from oracles import brute_membership, membership, membership_mask, unique_rows_cells
 from subscan import tabular
 from subscan.errors import ContractError, LoadError
+from subscan.scan import evaluate
 from subscan.tabular import (
     CategoryCounter,
     Dataset,
@@ -26,7 +27,6 @@ from subscan.tabular import (
     generate_synthetic,
     load_csv,
     planted_outcome_rate,
-    subset_counts,
     write_csv,
 )
 
@@ -318,7 +318,8 @@ class TestCellTable:
                 int(f): np.flatnonzero(ok).tolist() for f, ok in allowed.items() if ok.any()
             })
             mask = membership_mask(dataset, descriptor)
-            assert subset_counts(dataset, descriptor) == (
+            panel = evaluate(dataset, descriptor)[0]
+            assert (panel.n_subset, panel.n_positive) == (
                 int(mask.sum()), int(dataset.outcomes[mask].sum())
             )
 
