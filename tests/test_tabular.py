@@ -702,7 +702,7 @@ PLAIN_LABELS = ["", "x", "z", " x", "x ", "<missing>", "0", "1", "ñ", "日本",
                 "label_longer_than_8", "längeres_label_über_acht", "w" * 65, "ü" * 40]
 # what the csv module reads differently from a split at "," and line ends, or rejects
 FAULTS = [b"\r", b"\n", b",", b"\x00", b"\xff", b"\xc3", b" ", b"\r\r\n", b'"', "outcome",
-          "blank line"]
+          "blank line", "header CR"]
 
 
 @st.composite
@@ -721,6 +721,9 @@ def plain_csv(draw) -> tuple[bytes, bool]:
         r = draw(st.integers(1, len(records) - 1))
         records[r][y_at] = draw(st.sampled_from([" 1", "0 ", "2", "", "10", "01"]))
     lines = [",".join(r) + draw(st.sampled_from(["\n", "\r\n"])) for r in records]
+    if "header CR" in faults:  # a lone CR or a CRLF inside the header names
+        at = draw(st.integers(0, len(",".join(records[0])) - 1))
+        lines[0] = lines[0][:at] + draw(st.sampled_from(["\r", "\r\n"])) + lines[0][at:]
     if "blank line" in faults:
         lines.insert(draw(st.integers(1, len(lines))), draw(st.sampled_from(["\n", "\r\n"])))
     data = "".join(lines).encode()
@@ -773,6 +776,7 @@ class TestPlainPath:
     @pytest.mark.parametrize("data", [
         b"a,y\nx\rz,1\n",          # the csv module ends a record at a lone CR
         b"a,y\r\r\nx,1\n",
+        b"a\rb,y\nx,1\n",          # a lone CR inside a header name
         b"a,y\nx,10\n",            # an outcome that starts with 0 or 1
         b"a,y\nx,0 \nz, 1\n",      # the csv module strips the outcome
         b"a,y\nx,1\nx\x00,0\n",    # NUL: zero-padded keys would merge the two labels
@@ -780,7 +784,7 @@ class TestPlainPath:
         b"a,y\nx,1\n\nz,0\n",       # a blank line
         b"a,y\n\xc3,1\n",          # not UTF-8
         b"a,y\n" + b"x" * 131_073 + b",1\n",  # a field over csv.field_size_limit()
-    ], ids=["lone_cr", "lone_cr_header", "outcome_10", "outcome_padded", "nul", "quoted",
+    ], ids=["lone_cr", "lone_cr_header", "lone_cr_in_name", "outcome_10", "outcome_padded", "nul", "quoted",
             "blank_line", "not_utf8", "long_field"])
     def test_faults_go_to_the_csv_module(self, tmp_path, data):
         path = tmp_path / "t.csv"
