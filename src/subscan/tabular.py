@@ -20,8 +20,9 @@ than records.
 ``load_csv`` has two readers that give the same Dataset. A plain file (no
 ``"``, LF or CRLF line ends, valid UTF-8, a 0/1 outcome in every row: what
 ``write_csv`` writes for unquoted labels) is parsed with numpy over blocks of
-whole lines, one fixed-width byte key per field; a column whose fields are
-too long for narrow keys is decoded one field at a time. Any other file, and
+whole lines, one fixed-width byte key per field, looked up in a hash table
+of the column's known labels or else sorted; a column whose fields are too
+long for narrow keys is decoded one field at a time. Any other file, and
 every file the byte reader finds a fault in, is read through the csv module
 one record at a time, which accepts it or raises the LoadError. A fault found
 late costs the byte reader's work up to it on top of the csv module's read.
@@ -551,10 +552,17 @@ def _read_records(path: Path, outcome_column: str) -> Dataset:
     return Dataset(schema, _frozen(rows_array), _frozen(outcomes_array))
 
 
-_BLOCK_BYTES = 1 << 20  # the byte reader reads, and write_csv builds, this much at a time
+_BLOCK_BYTES = 1 << 18  # the byte reader reads, and write_csv builds, this much at a time
 _COMMA, _LF, _CR, _ZERO = b",\n\r0"  # byte values
 _KEY_WORDS = 8  # fields of up to this many 8-byte words are keyed with numpy
 _LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype="<u8")  # masks of k low bytes
+# odd; a key's slot is the top bits of key times this. MurmurHash3's finalizer
+# constant parts the keys of "v0" to "v299" in 2**12 slots; 2**64 over the golden
+# ratio leaves two of them in one slot even at 2**20
+_HASH_MULTIPLIER = 0xC4CEB9FE1A85EC53
+_TABLE_CAP = 1 << 10  # a column with more one-word labels is sorted in every block
+_TABLE_BITS = 16  # the largest label table has this many bits of slot
+_VACANT = 1 << 8  # no field's key: a NUL byte below a nonzero one
 
 
 class _NotPlain(Exception):
@@ -571,9 +579,17 @@ def _read_plain(path: Path, outcome_column: str) -> Dataset | None:
     an outcome of exactly ``0`` or ``1``. Splitting such a file at commas and
     line ends reads what the csv module reads. The file is read twice: once
     to count its lines, so the codes go into one preallocated array, and
-    once to parse it. That array starts as uint8 and is widened to uint16,
-    then uint32, when a column's labels outgrow it, before the store that
-    would wrap: at most twice a load. A widening copies only the records
+    once to parse it, in blocks of whole lines of about ``_BLOCK_BYTES``
+    (256 KiB, so that a block's masks and field positions stay in cache). A
+    block's line count is the count of its LF mask, and a CR must end a line:
+    the block holds as many CRs as it has lines that end in CRLF. The header
+    line is checked on its own. Each feature column keeps a ``_LabelTable``
+    of its labels of up to 8 bytes, so a block whose fields are all known
+    takes their codes from its hash table without sorting, up to
+    ``_TABLE_CAP`` (1,024) such labels a column (``_block_codes``). The
+    codes array starts as uint8 and is widened to uint16, then uint32, when
+    a column's labels outgrow it, before the store that would wrap: at most
+    twice a load. A widening copies only the records
     parsed so far, and the pages of the rest are not touched until they are
     stored, so it holds the old and the new codes of those records at once:
     3 bytes a code at the step to uint16, 6 at the step to uint32, against
@@ -603,19 +619,12 @@ def _line_blocks(fh: IO[bytes]) -> Iterator[bytes]:
     for chunk in iter(partial(fh.read, _BLOCK_BYTES), b""):
         cut = chunk.rfind(b"\n") + 1
         if cut:
-            yield _crlf_only(tail + memoryview(chunk)[:cut])
+            yield tail + memoryview(chunk)[:cut]
             tail = chunk[cut:]
         else:
             tail += chunk
     if tail:
-        yield _crlf_only(tail + b"\n")
-
-
-def _crlf_only(block: bytes) -> bytes:
-    """The block; _NotPlain at a CR outside a CRLF, where the csv module ends a record."""
-    if block.count(b"\r") != block.count(b"\r\n"):
-        raise _NotPlain
-    return block
+        yield tail + b"\n"
 
 
 def _parse_plain(
@@ -624,13 +633,17 @@ def _parse_plain(
     """The Dataset of a plain file's line blocks; _NotPlain at the first fault."""
     limit = csv.field_size_limit()
     head, _, first = next(blocks).removeprefix(codecs.BOM_UTF8).partition(b"\n")
-    fields = head.removesuffix(b"\r").split(b",")
+    head = head.removesuffix(b"\r")
+    if b"\r" in head:  # the csv module ends a record at a lone CR
+        raise _NotPlain
+    fields = head.split(b",")
     if max(map(len, fields)) > limit:
         raise _NotPlain
     header = [name.decode("utf-8") for name in fields]
     y_col, feature_cols = _columns(path, header, outcome_column)
 
     codes: list[dict[str, int]] = [{} for _ in feature_cols]
+    tables = [_LabelTable() for _ in feature_cols]
     rows = np.empty((n_records, len(feature_cols)), dtype=np.uint8)
     outcomes = np.empty(n_records, dtype=np.int8)
     done = 0
@@ -639,15 +652,19 @@ def _parse_plain(
         # the 8 bytes from each position of the block, as little-endian words
         words = np.ndarray(len(block), dtype="<u8", buffer=block + bytes(7), strides=(1,))
         # each row's field ends: the positions of its commas and of its LF
-        ends = np.flatnonzero((buf == _COMMA) | (buf == _LF))
-        n = block.count(b"\n")
+        lf = buf == _LF
+        ends = np.flatnonzero(lf | (buf == _COMMA))
+        n = int(np.count_nonzero(lf))
         if len(ends) != n * len(header) or done + n > n_records:
             raise _NotPlain
         ends = ends.reshape(n, len(header))
         if not (buf[ends[:, -1]] == _LF).all():  # then every other end is a comma
             raise _NotPlain
+        crlf = buf[ends[:, -1] - 1] == _CR  # the block ends in LF, so no line looks before it
+        if np.count_nonzero(crlf) != np.count_nonzero(buf == _CR):
+            raise _NotPlain  # a CR outside a CRLF, where the csv module ends a record
         row_starts = np.r_[0, ends[:-1, -1] + 1]
-        ends[:, -1] -= buf[ends[:, -1] - 1] == _CR  # a CRLF line's field ends before its CR
+        ends[:, -1] -= crlf  # a CRLF line's field ends before its CR
         for col in range(len(header)):
             start = ends[:, col - 1] + 1 if col else row_starts
             length = ends[:, col] - start
@@ -660,7 +677,7 @@ def _parse_plain(
                 outcomes[done:done + n] = y
             else:
                 j = col - (col > y_col)
-                block_codes = _block_codes(block, words, start, length, codes[j])
+                block_codes = _block_codes(block, words, start, length, codes[j], tables[j])
                 if len(codes[j]) > np.iinfo(rows.dtype).max + 1:  # the store would wrap
                     narrow, rows = rows, np.empty(rows.shape, _code_dtype([len(codes[j])]))
                     rows[:done + n] = narrow[:done + n]  # this block's earlier columns too
@@ -673,9 +690,67 @@ def _parse_plain(
     return Dataset(schema, _frozen(rows), _frozen(outcomes))
 
 
+class _LabelTable:
+    """The codes of one column's labels of up to 8 bytes, by their one-word keys.
+
+    A label's key is its bytes zero-padded to one little-endian word. Every
+    key known so far is kept in sorted order with its code, so a block that
+    sorts its keys decodes only the new ones. Up to ``_TABLE_CAP`` keys, they
+    also fill a hash table of 2**b slots: a key's slot is the top b bits of
+    ``key * _HASH_MULTIPLIER`` (mod 2**64), and each slot holds a key and
+    its code, a vacant one ``_VACANT``, which equals no field's key. The
+    table is built only when the known keys land in distinct slots, at the
+    fewest bits up to ``_TABLE_BITS`` that part them, so a field's key is
+    known exactly when it equals the key in its slot. Past the cap, or when
+    no table parts the keys, the column has no table for the rest of the file.
+    """
+
+    def __init__(self) -> None:
+        self._keys = np.empty(0, dtype=np.uint64)  # sorted
+        self._codes = np.empty(0, dtype=np.int32)
+        self._table: tuple[np.ndarray, np.ndarray, int] | None = None  # keys, codes, shift
+        self._open = True  # False once the column is past the table
+
+    def lookup(self, keys: np.ndarray) -> np.ndarray | None:
+        """The codes of the keys through the hash table, or None unless it knows every key."""
+        if self._table is None:
+            return None
+        table_keys, table_codes, shift = self._table
+        slot = (keys * _HASH_MULTIPLIER) >> shift
+        return table_codes[slot] if (table_keys[slot] == keys).all() else None
+
+    def known(self, distinct: np.ndarray, codes: np.ndarray) -> np.ndarray:
+        """Set the codes of the known ones among sorted distinct keys; a mask of the others."""
+        if not len(self._keys):
+            return np.ones(len(distinct), dtype=bool)
+        at = np.minimum(np.searchsorted(self._keys, distinct), len(self._keys) - 1)
+        hit = self._keys[at] == distinct
+        codes[hit] = self._codes[at[hit]]
+        return ~hit
+
+    def learn(self, keys: np.ndarray, codes: np.ndarray) -> None:
+        """Add new sorted keys with their codes, and rebuild the hash table."""
+        at = np.searchsorted(self._keys, keys)
+        self._keys, self._codes = np.insert(self._keys, at, keys), np.insert(self._codes, at, codes)
+        self._table = None
+        self._open = self._open and len(self._keys) <= _TABLE_CAP
+        if not self._open:
+            return
+        for bits in range(len(self._keys).bit_length() + 1, _TABLE_BITS + 1):
+            slot = (self._keys * _HASH_MULTIPLIER) >> (64 - bits)
+            taken = np.sort(slot)
+            if (taken[1:] != taken[:-1]).all():  # distinct slots
+                table_keys = np.full(1 << bits, _VACANT, dtype=np.uint64)
+                table_codes = np.zeros(1 << bits, dtype=np.int32)
+                table_keys[slot], table_codes[slot] = self._keys, self._codes
+                self._table = table_keys, table_codes, 64 - bits
+                return
+        self._open = False
+
+
 def _block_codes(
     block: bytes, words: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
-    codes: dict[str, int],
+    codes: dict[str, int], table: _LabelTable,
 ) -> np.ndarray | list[int]:
     """The category index of each field of one column in a block, adding new labels to ``codes``.
 
@@ -683,30 +758,46 @@ def _block_codes(
     field becomes a key of its bytes, zero-padded to whole 8-byte words (a
     plain file has no NUL byte, so distinct fields keep distinct keys): one
     uint64 for a field of up to 8 bytes, else a void scalar of several words.
-    The block's distinct keys join ``codes`` in the order they first appear.
-    Every key is as wide as the column's longest field in the block, and the
-    gather takes one pass per word, so a column with a field of over
-    ``_KEY_WORDS`` words, or whose keys would take more than 8 bytes per byte
-    of the block (one long label among many short ones), is decoded one field
-    at a time instead: time and memory stay linear in the block. Decoding
-    checks that the block is UTF-8, since the rest of it is commas, CRs, LFs
-    and 0/1 outcomes.
+    When every field of the block fits one word, the column's ``table`` is
+    tried first: if its hash table knows every key, at a multiply, a shift,
+    two gathers and a compare per field, those are the codes. Otherwise the
+    block's keys are sorted with ``np.unique``. The distinct keys the table
+    has seen take their codes from it; the others are decoded, one field
+    each, and join ``codes`` in the order they first appear (and, if one
+    word wide, the table, which rebuilds its hash table). Every key is as
+    wide as the column's longest field in the block, and the gather takes
+    one pass per word, so a column with a field of over ``_KEY_WORDS``
+    words, or whose keys would take more than 8 bytes per byte of the block
+    (one long label among many short ones), is decoded one field at a time
+    instead: time and memory stay linear in the block. Decoding checks that
+    the block is UTF-8, since the rest of it is commas, CRs, LFs and 0/1
+    outcomes; a key the table knows was decoded when it joined.
     """
     n_words = max(1, -(-int(lengths.max()) // 8))
     if n_words > _KEY_WORDS or n_words * len(starts) > len(block):
         return _decoded_codes(block, starts, lengths, codes)
-    keys = np.empty((len(starts), n_words), dtype="<u8")
-    for k in range(n_words):
-        pos = np.minimum(starts + 8 * k, len(block) - 1)  # a word past a field's end is masked off
-        keys[:, k] = words[pos] & _LOW_BYTES[np.clip(lengths - 8 * k, 0, 8)]
-    keys = keys[:, 0] if n_words == 1 else keys.view(np.dtype((np.void, 8 * n_words)))[:, 0]
+    if n_words == 1:  # every field starts before its line's LF and has at most 8 bytes
+        keys = words[starts] & _LOW_BYTES[lengths]
+        known = table.lookup(keys)
+        if known is not None:
+            return known
+    else:
+        wide = np.empty((len(starts), n_words), dtype="<u8")
+        for k in range(n_words):
+            pos = np.minimum(starts + 8 * k, len(block) - 1)  # a word past a field's end is masked off
+            wide[:, k] = words[pos] & _LOW_BYTES[np.clip(lengths - 8 * k, 0, 8)]
+        keys = wide.view(np.dtype((np.void, 8 * n_words)))[:, 0]
     distinct, inverse = np.unique(keys, return_inverse=True)
+    lut = np.empty(len(distinct), dtype=np.int32)
+    new = table.known(distinct, lut) if n_words == 1 else np.ones(len(distinct), dtype=bool)
     first = np.full(len(distinct), len(keys))  # each key's first field, found without a stable sort
     np.minimum.at(first, inverse, np.arange(len(keys)))
-    order = np.argsort(first)
-    at = first[order]  # one field of each key, in order of first appearance
-    lut = np.empty(len(first), dtype=np.int32)
+    order = np.flatnonzero(new)
+    order = order[np.argsort(first[order])]
+    at = first[order]  # one field of each new key, in order of first appearance
     lut[order] = _decoded_codes(block, starts[at], lengths[at], codes)
+    if n_words == 1 and len(order):
+        table.learn(distinct[new], lut[new])
     return lut[inverse]
 
 

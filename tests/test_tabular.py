@@ -809,6 +809,74 @@ class TestPlainPath:
         monkeypatch.setattr(tabular, "_BLOCK_BYTES", block)
         assert load_csv(tmp_path / "t.csv", "y") == want
 
+    @given(file=plain_csv(), block=st.sampled_from([1, 5, 16, 64]),
+           multiplier=st.sampled_from([0, 1]))
+    @settings(max_examples=200, deadline=None)
+    def test_colliding_hashes_match_csv_module(self, workdir, file, block, multiplier):
+        # every key lands in one slot, so a column of two labels never gets a table
+        path = workdir / "t.csv"
+        path.write_bytes(file[0])
+        want = load_outcome(tabular._read_records, path)
+        with mock.patch.object(tabular, "_BLOCK_BYTES", block), \
+                mock.patch.object(tabular, "_HASH_MULTIPLIER", multiplier):
+            plain = tabular._read_plain(path, "y")
+            assert load_outcome(load_csv, path) == want
+        if plain is not None:
+            assert isinstance(want, Dataset) and plain == want
+
+    def test_known_labels_are_looked_up_without_a_sort(self, tmp_path, monkeypatch):
+        # the second block brings "a", which sorts before every known label,
+        # so the table is rebuilt; the third holds known labels only
+        blocks = [b"a,y\nm,1\nz,0\nq,1\n", b"z,0\na,1\nm,0\nq,1\n", b"q,1\na,0\nz,1\nm,0\n"]
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"".join(blocks))
+        monkeypatch.setattr(tabular, "_BLOCK_BYTES", len(blocks[0]))
+        with open(path, "rb") as fh:
+            assert list(tabular._line_blocks(fh)) == blocks
+        sorted_keys = []
+        unique = np.unique
+
+        def spy(keys, **kwargs):
+            sorted_keys.append(sorted(keys.tolist()))
+            return unique(keys, **kwargs)
+
+        monkeypatch.setattr(np, "unique", spy)
+        dataset = tabular._read_plain(path, "y")
+        assert sorted_keys == [[ord("m"), ord("q"), ord("z")], [ord("a"), ord("m"), ord("q"), ord("z")]]
+        assert dataset.schema.features == (("a", ("m", "z", "q", "a")),)
+        assert dataset.rows[:, 0].tolist() == [0, 1, 2, 1, 3, 0, 2, 2, 3, 1, 0]
+
+    def test_column_past_the_label_cap(self, tmp_path, monkeypatch):
+        # column a brings about 90 new labels a block and passes the cap in
+        # its twelfth block; column b keeps its table throughout
+        labels = [f"l{i:04d}" for i in range(tabular._TABLE_CAP + 100)]
+        path = tmp_path / "t.csv"
+        path.write_text("a,b,y\n" + "".join(
+            f"{label},b{i % 3},{i % 2}\n{labels[i // 2]},b{i % 5},1\n"
+            for i, label in enumerate(labels)
+        ))
+        monkeypatch.setattr(tabular, "_BLOCK_BYTES", 1 << 12)
+        plain = tabular._read_plain(path, "y")
+        assert plain is not None and plain == tabular._read_records(path, "y")
+        assert plain.schema.features[0][1] == tuple(labels)
+
+    def test_working_memory_is_bounded(self, tmp_path):
+        # at the default block size the parse holds the table and less than
+        # 4 MiB besides: masks, field ends and keys of one block
+        planted = SubsetDescriptor.from_dict({0: [0, 1], 1: [0, 1]})
+        dataset, _ = generate_synthetic(SyntheticSpec(400_000, (4,) * 8, 0.05, planted, 3.0, 4))
+        write_csv(dataset, tmp_path / "t.csv")
+        tracemalloc.start()
+        try:
+            plain = tabular._read_plain(tmp_path / "t.csv", "y")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(plain.outcomes, dataset.outcomes)
+        for (_, labels), (_, want), z in zip(plain.schema.features, dataset.schema.features, range(8)):
+            assert np.array_equal(np.array(labels)[plain.rows[:, z]], np.array(want)[dataset.rows[:, z]])
+        assert peak < plain.rows.nbytes + plain.outcomes.nbytes + 4 * 2**20
+
     @pytest.mark.parametrize("data", [
         b"a,y\n" + b"x,1\n" * 50_000 + b"z" * 4_000 + b",0\n" + b"x,1\n" * 100,
         b"a,y\n" + b"".join(bytes([97 + i % 26]) * 20_000 + b",1\n" for i in range(60)),
