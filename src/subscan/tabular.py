@@ -235,8 +235,8 @@ class Dataset:
         return self.cell_sums(self.outcomes.view(np.bool_))  # outcomes are 0/1 int8
 
     def cell_sums(self, flags: np.ndarray) -> np.ndarray:
-        """(C,) count per cell of the records that ``flags``, an (N,) bool mask, marks."""
-        return np.bincount(self.cells.index[flags], minlength=len(self.cells.n))
+        """(C,) count per cell of the records that ``flags``, an (N,) bool mask, marks, as float64."""
+        return np.bincount(self.cells.index[flags], minlength=len(self.cells.n)).astype(np.float64)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Dataset):
@@ -285,7 +285,7 @@ class CellTable(NamedTuple):
 
     columns: np.ndarray  # (M, C) category indices as rows.dtype, one contiguous row per feature
     index: np.ndarray    # (N,) int32 cell of each record
-    n: np.ndarray        # (C,) records per cell
+    n: np.ndarray        # (C,) records per cell, as float64: the counter's bincount weights
 
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
@@ -313,7 +313,7 @@ def _cell_table(rows: np.ndarray, cardinalities: tuple[int, ...]) -> CellTable:
     present = n > 0
     index = (np.cumsum(present, dtype=np.int32) - 1)[key]  # cell of each record
     del key  # 8 bytes a record, not to be held beside the arange below
-    n = n[present]
+    n = n[present].astype(np.float64)
     representative = np.empty(len(n), dtype=np.intp)
     representative[index] = np.arange(rows.shape[0])
     # one feature at a time: a whole (C, M) gather and its transpose would
@@ -338,7 +338,9 @@ class CategoryCounter:
     """Per-category counts of one feature over the records the other features allow.
 
     Counts the given ``positives`` per cell (``dataset.cell_positives``, or a
-    bootstrap replicate's). Holds a boolean ``allowed`` category mask per
+    bootstrap replicate's), float64 like the cells' record counts, so both
+    are ``np.bincount`` weights as they are and no construction copies
+    them. Holds a boolean ``allowed`` category mask per
     feature; only a feature with no mask is unconstrained. For every cell it keeps
     which features reject it and how many do, so counting a feature costs
     O(cells) and changing one feature's mask updates one row of that
@@ -356,8 +358,8 @@ class CategoryCounter:
         cells = dataset.cells
         self._columns = cells.columns
         self._cardinalities = dataset.schema.cardinalities()
-        self._n = cells.n.astype(np.float64)  # bincount weights
-        self._positives = positives.astype(np.float64)
+        self._n = cells.n
+        self._positives = positives
         dtype = np.min_scalar_type(len(self._columns))  # a cell fails at most every feature
         self._fails = np.zeros(cells.columns.shape, dtype=dtype)
         self._violations = np.zeros(cells.columns.shape[1], dtype=dtype)
