@@ -591,12 +591,12 @@ def _read_plain(path: Path, outcome_column: str) -> Dataset | None:
     ``_TABLE_CAP`` (1,024) such labels a column (``_block_codes``). The
     codes array starts as uint8 and is widened to uint16, then uint32, when
     a column's labels outgrow it, before the store that would wrap: at most
-    twice a load. A widening copies only the records
-    parsed so far, and the pages of the rest are not touched until they are
-    stored, so it holds the old and the new codes of those records at once:
-    3 bytes a code at the step to uint16, 6 at the step to uint32, against
-    the 4 of an int32 table. The step to uint32 costs more than an int32
-    table only if it comes after two thirds of the records.
+    twice a load. A widening copies only the records parsed so far, and the
+    pages of the rest are not touched until they are stored, so it holds the
+    old and the new codes of those records at once: 3 bytes a code at the
+    step to uint16, 6 at the step to uint32, against the 4 of an int32
+    table. The step to uint32 costs more than an int32 table only if it
+    comes after two thirds of the records.
     """
     try:
         with open(path, "rb") as fh:
@@ -662,7 +662,7 @@ def _parse_plain(
         ends = ends.reshape(n, len(header))
         if not (buf[ends[:, -1]] == _LF).all():  # then every other end is a comma
             raise _NotPlain
-        crlf = buf[ends[:, -1] - 1] == _CR  # the block ends in LF, so no line looks before it
+        crlf = buf[ends[:, -1] - 1] == _CR  # an empty first line reads the last byte, an LF
         if np.count_nonzero(crlf) != np.count_nonzero(buf == _CR):
             raise _NotPlain  # a CR outside a CRLF, where the csv module ends a record
         row_starts = np.r_[0, ends[:-1, -1] + 1]
@@ -697,7 +697,8 @@ class _LabelTable:
 
     A label's key is its bytes zero-padded to one little-endian word. Every
     key known so far is kept in sorted order with its code, so a block that
-    sorts its keys decodes only the new ones. Up to ``_TABLE_CAP`` keys, they
+    sorts its keys decodes only the new ones (until, past the cap below, a
+    block repeats none of them). Up to ``_TABLE_CAP`` keys, they
     also fill a hash table of 2**b slots: a key's slot is the top b bits of
     ``key * _HASH_MULTIPLIER`` (mod 2**64), and each slot holds a key and
     its code, a vacant one ``_VACANT``, which equals no field's key. The
@@ -708,8 +709,8 @@ class _LabelTable:
     """
 
     def __init__(self) -> None:
-        self._keys = np.empty(0, dtype=np.uint64)  # sorted
-        self._codes = np.empty(0, dtype=np.int32)
+        self._keys: np.ndarray | None = np.empty(0, dtype=np.uint64)  # sorted
+        self._codes: np.ndarray | None = np.empty(0, dtype=np.int32)
         self._table: tuple[np.ndarray, np.ndarray, int] | None = None  # keys, codes, shift
         self._open = True  # False once the column is past the table
 
@@ -723,15 +724,19 @@ class _LabelTable:
 
     def known(self, distinct: np.ndarray, codes: np.ndarray) -> np.ndarray:
         """Set the codes of the known ones among sorted distinct keys; a mask of the others."""
-        if not len(self._keys):
+        if self._keys is None or not len(self._keys):
             return np.ones(len(distinct), dtype=bool)
         at = np.minimum(np.searchsorted(self._keys, distinct), len(self._keys) - 1)
         hit = self._keys[at] == distinct
         codes[hit] = self._codes[at[hit]]
+        if not (self._open or hit.any()):  # past the table and no label repeats, as in an ID column
+            self._keys = self._codes = None  # keeping the keys costs more than it saves
         return ~hit
 
     def learn(self, keys: np.ndarray, codes: np.ndarray) -> None:
         """Add new sorted keys with their codes, and rebuild the hash table."""
+        if self._keys is None:
+            return
         at = np.searchsorted(self._keys, keys)
         self._keys, self._codes = np.insert(self._keys, at, keys), np.insert(self._codes, at, codes)
         self._table = None

@@ -846,13 +846,15 @@ class TestPlainPath:
         assert dataset.schema.features == (("a", ("m", "z", "q", "a")),)
         assert dataset.rows[:, 0].tolist() == [0, 1, 2, 1, 3, 0, 2, 2, 3, 1, 0]
 
-    def test_column_past_the_label_cap(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("repeated", [True, False], ids=["repeated", "unique"])
+    def test_column_past_the_label_cap(self, tmp_path, monkeypatch, repeated):
         # column a brings about 90 new labels a block and passes the cap in
-        # its twelfth block; column b keeps its table throughout
+        # its twelfth block, with each label on two lines or, as in an ID
+        # column, on one; column b keeps its table throughout
         labels = [f"l{i:04d}" for i in range(tabular._TABLE_CAP + 100)]
         path = tmp_path / "t.csv"
         path.write_text("a,b,y\n" + "".join(
-            f"{label},b{i % 3},{i % 2}\n{labels[i // 2]},b{i % 5},1\n"
+            f"{label},b{i % 3},{i % 2}\n" + (f"{labels[i // 2]},b{i % 5},1\n" if repeated else "")
             for i, label in enumerate(labels)
         ))
         monkeypatch.setattr(tabular, "_BLOCK_BYTES", 1 << 12)
