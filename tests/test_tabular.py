@@ -784,8 +784,8 @@ class TestPlainPath:
         b"a,y\nx,1\n\nz,0\n",       # a blank line
         b"a,y\n\xc3,1\n",          # not UTF-8
         b"a,y\n" + b"x" * 131_073 + b",1\n",  # a field over csv.field_size_limit()
-    ], ids=["lone_cr", "lone_cr_header", "lone_cr_in_name", "outcome_10", "outcome_padded", "nul", "quoted",
-            "blank_line", "not_utf8", "long_field"])
+    ], ids=["lone_cr", "lone_cr_header", "lone_cr_in_name", "outcome_10", "outcome_padded",
+            "nul", "quoted", "blank_line", "not_utf8", "long_field"])
     def test_faults_go_to_the_csv_module(self, tmp_path, data):
         path = tmp_path / "t.csv"
         path.write_bytes(data)
@@ -848,9 +848,9 @@ class TestPlainPath:
 
     @pytest.mark.parametrize("repeated", [True, False], ids=["repeated", "unique"])
     def test_column_past_the_label_cap(self, tmp_path, monkeypatch, repeated):
-        # column a brings about 90 new labels a block and passes the cap in
-        # its twelfth block, with each label on two lines or, as in an ID
-        # column, on one; column b keeps its table throughout
+        # column a brings about 190 new labels a block, each on two lines,
+        # or 370, each on one as in an ID column, and passes the cap in its
+        # sixth or third block; column b keeps its table throughout
         labels = [f"l{i:04d}" for i in range(tabular._TABLE_CAP + 100)]
         path = tmp_path / "t.csv"
         path.write_text("a,b,y\n" + "".join(
@@ -864,7 +864,7 @@ class TestPlainPath:
 
     def test_working_memory_is_bounded(self, tmp_path):
         # at the default block size the parse holds the table and less than
-        # 4 MiB besides: masks, field ends and keys of one block
+        # 4 MiB besides, the masks, field ends and keys of about one block
         planted = SubsetDescriptor.from_dict({0: [0, 1], 1: [0, 1]})
         dataset, _ = generate_synthetic(SyntheticSpec(400_000, (4,) * 8, 0.05, planted, 3.0, 4))
         write_csv(dataset, tmp_path / "t.csv")
@@ -875,7 +875,8 @@ class TestPlainPath:
         finally:
             tracemalloc.stop()
         assert np.array_equal(plain.outcomes, dataset.outcomes)
-        for (_, labels), (_, want), z in zip(plain.schema.features, dataset.schema.features, range(8)):
+        for z, ((_, labels), (_, want)) in enumerate(zip(plain.schema.features,
+                                                          dataset.schema.features)):
             assert np.array_equal(np.array(labels)[plain.rows[:, z]], np.array(want)[dataset.rows[:, z]])
         assert peak < plain.rows.nbytes + plain.outcomes.nbytes + 4 * 2**20
 
