@@ -386,6 +386,9 @@ def cross_substitute_greedy(
 
     applied: list[SubstitutionOutcome] = []
     counter = CategoryCounter(dataset, dataset.cell_positives, _allowed_masks(schema, current))
+    # A feature's moves form one block and change only that feature's mask,
+    # which its own counts ignore: one count serves the whole block.
+    counted, table = -1, None
     for feature, v, to_value in moves:
         if stopped(panel.score, p_value):
             break  # no longer anomalous, or never was: apply nothing more
@@ -397,8 +400,10 @@ def cross_substitute_greedy(
         candidate = _substitution(schema, current, feature, (v,), to_value)
         if candidate.resulting_descriptor == current:
             continue  # no-op pair
+        if feature != counted:
+            counted, table = feature, counter.counts(feature)
         outcome, new_panel, new_effects = _score_substitution(
-            dataset, candidate, counter.counts(feature), panel.score, effects, alpha, null_scores
+            dataset, candidate, table, panel.score, effects, alpha, null_scores
         )
         if outcome.empty:
             continue  # emptied the subgroup; revert

@@ -6,11 +6,12 @@ features. A feature step relaxes that feature's constraint, aggregates
 constraint (a ``CategoryCounter`` over the dataset's cells, updated only when
 a feature's value set changes), and hands those counts to ``best_prefix``:
 the LTSS step, which orders categories by positive rate and scores every
-prefix of that ordering. For this score the best prefix matches the best of
-all value subsets (the test suite audits every step against subset
-enumeration), which is what keeps the step linear instead of exponential in
-the feature's cardinality. A restart has converged when a full sweep changes
-nothing.
+prefix of that ordering, in Python floats for a feature of up to 16
+categories and in numpy arrays past that, with the same bits either way. For
+this score the best prefix matches the best of all value subsets (the test
+suite audits every step against subset enumeration), which is what keeps the
+step linear instead of exponential in the feature's cardinality. A restart
+has converged when a full sweep changes nothing.
 
 A feature's step is skipped when no other feature's value set has changed
 since that feature's last step. The skip is exact: the feature's counts are
@@ -29,6 +30,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import partial
+from itertools import accumulate
 from typing import Any, Callable, Literal, Sequence
 
 import numpy as np
@@ -39,11 +41,13 @@ from .scoring import (
     ScorePanel,
     bernoulli_score,
     odds_ratio,
+    score_list,
     unguarded_score_array,
 )
 from .tabular import CategoryCounter, Dataset, SubsetDescriptor, _allowed_masks
 
 _STEP_TOL = 1e-9  # slack for float-noise in the ascent assertion
+_LIST_STEP_MAX = 16  # widest feature stepped in Python floats; past it arrays are faster
 
 
 _installed: Callable[[Any], Any] | None = None  # the task function of a pool worker
@@ -179,19 +183,32 @@ def best_prefix(
     index) and scores every prefix of that order; the first best prefix wins,
     so the set is the smallest among equal scores. Returns the included-category
     mask, never empty, and its score. ``counts`` and ``positives`` are int
-    arrays or float64 arrays of exact integers. Call it under
-    ``np.errstate(divide="ignore", invalid="ignore")``, as a restart does for
-    all of its steps (see ``unguarded_score_array``).
+    arrays or float64 arrays of exact integers. A feature of up to
+    ``_LIST_STEP_MAX`` categories is stepped in Python floats through
+    ``score_list``, a wider one in arrays through ``unguarded_score_array``;
+    both give the same mask and the same bits.
     """
-    rates = positives / np.maximum(counts, 1)  # an empty category has no positives: rate 0
-    perm = np.lexsort((-counts, -rates))  # stable: equal keys keep the lower index first
-    _, prefix_scores = unguarded_score_array(
-        positives[perm].cumsum(dtype=np.float64), counts[perm].cumsum(dtype=np.float64), mu
-    )
-    k = int(np.argmax(prefix_scores))  # first max -> fewest categories
+    if len(counts) > _LIST_STEP_MAX:
+        rates = positives / np.maximum(counts, 1)  # an empty category has no positives: rate 0
+        perm = np.lexsort((-counts, -rates))  # stable: equal keys keep the lower index first
+        with np.errstate(divide="ignore", invalid="ignore"):  # empty and all-positive prefixes
+            _, prefix_scores = unguarded_score_array(
+                positives[perm].cumsum(dtype=np.float64), counts[perm].cumsum(dtype=np.float64),
+                mu,
+            )
+        k = int(np.argmax(prefix_scores))  # first max -> fewest categories
+        order, score = perm[: k + 1], float(prefix_scores[k])
+    else:
+        n, c = counts.tolist(), positives.tolist()
+        order = sorted(range(len(n)), key=lambda h: (-(c[h] / max(n[h], 1)), -n[h]))  # stable
+        _, prefix_scores = score_list(  # running sums of integers below 2**53 are exact
+            list(accumulate(c[h] for h in order)), list(accumulate(n[h] for h in order)), mu
+        )
+        k = max(range(len(order)), key=prefix_scores.__getitem__)  # first max, as argmax
+        order, score = order[: k + 1], prefix_scores[k]
     included = np.zeros(len(counts), dtype=bool)
-    included[perm[: k + 1]] = True
-    return included, float(prefix_scores[k])
+    included[order] = True
+    return included, score
 
 
 def _run_restart(
@@ -215,29 +232,29 @@ def _run_restart(
     first = order[0]
     counts, positives = counter.counts(first)  # the member counts, and the first step's counts
     stamp, seen = 0, [-1] * n_features  # value-set changes; stamp at each feature's last step
-    with np.errstate(divide="ignore", invalid="ignore"):  # for every score of the restart
-        current_score = float(unguarded_score_array(
-            positives[included[first]].sum(), counts[included[first]].sum(), mu)[1])
-        for _ in range(config.max_passes):
-            pass_start = stamp
-            for z in order:
-                if seen[z] == stamp:  # the skip of the module docstring
-                    continue
-                if seen[first] >= 0:  # every step after the first counts afresh
-                    counts, positives = counter.counts(z)
-                new_inc, best_score = best_prefix(counts, positives, mu)
-                if best_score < current_score - _STEP_TOL * (1.0 + abs(current_score)):
-                    raise AssertionError(
-                        f"ascent step decreased the score: {current_score} -> {best_score}"
-                    )
-                if not np.array_equal(new_inc, included[z]):
-                    included[z] = new_inc
-                    counter.set_allowed(z, new_inc)
-                    stamp += 1
-                seen[z] = stamp
-                current_score = best_score
-            if stamp == pass_start:
-                break
+    start = included[first]
+    current_score = score_list(
+        [float(positives[start].sum())], [float(counts[start].sum())], mu)[1][0]
+    for _ in range(config.max_passes):
+        pass_start = stamp
+        for z in order:
+            if seen[z] == stamp:  # the skip of the module docstring
+                continue
+            if seen[first] >= 0:  # every step after the first counts afresh
+                counts, positives = counter.counts(z)
+            new_inc, best_score = best_prefix(counts, positives, mu)
+            if best_score < current_score - _STEP_TOL * (1.0 + abs(current_score)):
+                raise AssertionError(
+                    f"ascent step decreased the score: {current_score} -> {best_score}"
+                )
+            if new_inc.tobytes() != included[z].tobytes():
+                included[z] = new_inc
+                counter.set_allowed(z, new_inc)
+                stamp += 1
+            seen[z] = stamp
+            current_score = best_score
+        if stamp == pass_start:
+            break
 
     return current_score, tuple(
         tuple(int(v) for v in np.flatnonzero(inc)) for inc in included.values()

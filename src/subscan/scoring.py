@@ -8,9 +8,11 @@ outcome mean mu, is
 where q multiplies the baseline outcome odds mu/(1-mu) inside the subset. The
 maximizer has the closed form q* = C*(1-mu) / (mu*(N_S-C)), clamped at 1; an
 all-positive subset (C == N_S) takes the q -> infinity limit -N_S*log(mu).
-q* and the score come from one expression, ``unguarded_score_array``, which
-every score of the package goes through: ``bernoulli_score``, the scan's start
-score and its feature steps. Each caller holds the ``np.errstate`` it needs.
+q* and the score are stated twice, with the same float operations in the
+same order, so the two give the same bits: ``score_list`` over Python floats,
+for ``bernoulli_score``, the scan's start score and every feature step of up
+to 16 categories, and ``unguarded_score_array`` over numpy arrays, for the
+steps of wider features.
 
 Natural logarithms throughout; any other base rescales every score by the same
 constant and cannot change which subset ranks highest.
@@ -19,6 +21,7 @@ constant and cannot change which subset ranks highest.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +52,36 @@ def unguarded_score_array(
     return q, np.maximum(score, 0.0)
 
 
+def score_list(
+    pos: Sequence[float], tot: Sequence[float], mu: float
+) -> tuple[list[float], list[float]]:
+    """(q*, score) of exact integer counts in Python floats: ``unguarded_score_array``'s bits.
+
+    Every float operation is the array statement's, in its order, and Python
+    floats are IEEE doubles like numpy's, so each q* and score is the same
+    bits. All 2k logarithms go through one ``np.log`` call, because
+    ``math.log`` rounds differently from it on some inputs; the all-positive
+    limit takes the array statement's ``math.log(mu)``. An empty or
+    all-positive subset takes its value without dividing by zero: score 0
+    with q* nan (empty), or q* inf.
+    """
+    q = []
+    for c, n in zip(pos, tot):
+        if c == n:
+            q.append(math.inf if n else math.nan)
+        elif c / n <= mu:  # same division as subset rates
+            q.append(1.0)
+        else:
+            q.append(max((c * (1.0 - mu)) / (mu * (n - c)), 1.0))
+    logs = np.log(q + [1.0 - mu + x * mu for x in q]).tolist()
+    log_mu = math.log(mu)
+    scores = []
+    for c, n, log_q, log_r in zip(pos, tot, logs, logs[len(q):]):
+        s = -n * log_mu if c == n else c * log_q - n * log_r
+        scores.append(0.0 if s <= 0.0 else s)  # np.maximum(s, 0.0), a NaN kept
+    return q, scores
+
+
 @dataclass(frozen=True)
 class ScorePanel:
     """Score and the counts it was computed from."""
@@ -68,8 +101,8 @@ class ScorePanel:
 def bernoulli_score(n_positive: int, n_subset: int, global_mean: float) -> ScorePanel:
     """Score a subset from its counts; see the module docstring for the formula.
 
-    The score and ``q_mle`` come from ``unguarded_score_array``, so the score
-    is the scan's score of the same counts, bit for bit. Rejects counts and
+    The score and ``q_mle`` come from ``score_list``, so the score is the
+    scan's score of the same counts, bit for bit. Rejects counts and
     means outside their domains.
     """
     if not 0.0 < global_mean < 1.0:
@@ -81,11 +114,10 @@ def bernoulli_score(n_positive: int, n_subset: int, global_mean: float) -> Score
             f"n_positive must lie in [0, n_subset], got {n_positive} of {n_subset}"
         )
     mu = float(global_mean)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        q, score = unguarded_score_array(np.float64(n_positive), np.float64(n_subset), mu)
+    (q,), (score,) = score_list([float(n_positive)], [float(n_subset)], mu)
     return ScorePanel(
-        score=float(score),
-        q_mle=float(q),
+        score=score,
+        q_mle=q,
         n_subset=int(n_subset),
         n_positive=int(n_positive),
         global_mean=mu,

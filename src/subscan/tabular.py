@@ -201,7 +201,8 @@ class Dataset:
         outcomes = _integers(self.outcomes, "outcomes")
         if outcomes.shape != (rows.shape[0],):
             raise ContractError("outcomes must be a length-N vector")
-        bad = (outcomes < 0) | (outcomes > 1)  # checked before narrowing, where a 257 would wrap
+        # checked before narrowing, where a 257 would wrap; as unsigned, a negative is large
+        bad = outcomes.view(f"{outcomes.dtype.byteorder}u{outcomes.itemsize}") > 1
         if bad.any():
             raise ContractError(f"outcome at row {int(np.argmax(bad))} is not 0/1")
         outcomes = _adopted(outcomes, np.int8)
@@ -363,6 +364,11 @@ class CategoryCounter:
         dtype = np.min_scalar_type(len(self._columns))  # a cell fails at most every feature
         self._fails = np.zeros(cells.columns.shape, dtype=dtype)
         self._violations = np.zeros(cells.columns.shape[1], dtype=dtype)
+        # each feature's rejected-category word type (see the class docstring)
+        self._words = [
+            np.min_scalar_type((1 << card) - 1).type if card <= 32 else None
+            for card in self._cardinalities
+        ]
         for f, ok in allowed.items():
             self.set_allowed(f, ok)
 
@@ -370,11 +376,10 @@ class CategoryCounter:
         """Replace ``feature``'s allowed category mask."""
         fails = self._fails[feature]
         self._violations -= fails
-        card = self._cardinalities[feature]
-        if card <= 32:  # shift a word of rejected-category bits (see the class docstring)
-            rejected = int.from_bytes(np.packbits(~allowed, bitorder="little").tobytes(), "little")
-            word = np.min_scalar_type((1 << card) - 1).type(rejected)
-            np.right_shift(word, self._columns[feature], out=fails, casting="unsafe")
+        word = self._words[feature]
+        if word is not None:  # shift a word of rejected-category bits (see the class docstring)
+            rejected = sum(1 << h for h, ok in enumerate(allowed.tolist()) if not ok)
+            np.right_shift(word(rejected), self._columns[feature], out=fails, casting="unsafe")
             fails &= 1  # the cast into ``fails`` kept bit 0 of each shifted word
         else:  # "raise" would buffer ``out``; no cell category is out of range to clip
             np.take((~allowed).astype(fails.dtype), self._columns[feature], out=fails, mode="clip")
@@ -388,7 +393,7 @@ class CategoryCounter:
         integer cell weights below 2**53) as float64, or as int64 when no cell
         is inside, which is ``np.bincount``'s type for no input.
         """
-        inside = np.flatnonzero(self._violations == self._fails[feature])
+        inside = (self._violations == self._fails[feature]).nonzero()[0]
         col = self._columns[feature][inside]
         card = self._cardinalities[feature]
         counts = np.bincount(col, weights=self._n[inside], minlength=card)

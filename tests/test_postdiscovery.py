@@ -455,11 +455,8 @@ class TestGreedy:
         assert (g.panel, g.effects) == record_level(dataset, g.descriptor)
 
 
-def test_sweep_counts_each_constrained_feature_once():
-    """The sweep sums every candidate from one table per constrained feature:
-    a per-candidate count over the cells would call ``counts`` once per candidate."""
-    dataset, result = wide_feature_discovery()
-    ranking = rank_feature_relevance(dataset, result)
+def counts_calls(fn, *args, **kwargs):
+    """(``fn(*args, **kwargs)``, the features ``CategoryCounter.counts`` counted in call order)."""
     counted = []
     real = CategoryCounter.counts
 
@@ -468,12 +465,36 @@ def test_sweep_counts_each_constrained_feature_once():
         return real(self, feature)
 
     with mock.patch.object(CategoryCounter, "counts", spy):
-        outcomes = single_substitution_sweep(
-            dataset, result, ranking, 0.05, small_bootstrap(), null_scores=np.zeros(19)
-        )
+        return fn(*args, **kwargs), counted
+
+
+def test_sweep_counts_each_constrained_feature_once():
+    """The sweep sums every candidate from one table per constrained feature:
+    a per-candidate count over the cells would call ``counts`` once per candidate."""
+    dataset, result = wide_feature_discovery()
+    ranking = rank_feature_relevance(dataset, result)
+    outcomes, counted = counts_calls(
+        single_substitution_sweep,
+        dataset, result, ranking, 0.05, small_bootstrap(), null_scores=np.zeros(19),
+    )
     assert len(outcomes) > 100
     assert len(counted) == len(set(counted))
     assert set(counted) <= {f for f, _ in result.descriptor.constraints}
+
+
+def test_greedy_counts_each_walked_feature_once():
+    """A feature's moves form one block and ``counts`` ignores that feature's own
+    mask, so the walk counts once per feature, not once per attempted move."""
+    dataset, result = wide_feature_discovery()
+    ranking = rank_feature_relevance(dataset, result)
+    g, counted = counts_calls(
+        cross_substitute_greedy,
+        dataset, result, ranking, 0.05, small_bootstrap(),
+        unconditional=True, score_threshold=-1.0, null_scores=np.zeros(19),
+    )
+    walked = [dataset.schema.feature_index(o.candidate.feature) for o in g.applied]
+    assert len(walked) > 2 * len(set(walked))  # several moves per feature
+    assert counted == list(dict.fromkeys(walked))
 
 
 # Pinned outputs of the sweep and the greedy walk. The expectations are literal

@@ -111,9 +111,9 @@ class TestScan:
 
 
 @st.composite
-def category_counts(draw):
+def category_counts(draw, max_cardinality=8):
     """Per-category (counts, positives) of one feature, zero-count categories included."""
-    cardinality = draw(st.integers(1, 8))
+    cardinality = draw(st.integers(1, max_cardinality))
     counts = draw(st.lists(st.integers(0, 60), min_size=cardinality, max_size=cardinality))
     positives = [draw(st.integers(0, c)) for c in counts]
     return np.array(counts, dtype=np.int64), np.array(positives, dtype=np.int64)
@@ -242,6 +242,14 @@ class TestCellEngine:
         assert null_score_distribution(dataset, config).tolist() == record_null_scores(
             dataset, config)
 
+    def test_list_and_array_steps_match_record_engine(self):
+        """Features of 3 and 16 categories step in Python floats, of 17 and 40
+        in arrays; the record engine steps on int64 counts, the cells on float64."""
+        dataset = random_dataset(np.random.default_rng(11), 1500, (3, 16, 17, 40), 0.1)
+        for seed, order in ((5, "fixed"), (6, "shuffled")):
+            config = ScanConfig(n_restarts=4, seed=seed, feature_order=order)
+            assert scan(dataset, config) == with_record_engine(scan, dataset, config)
+
 
 def record_null_scores(dataset: Dataset, config: BootstrapConfig) -> list[float]:
     """The record engine's scan of a full Dataset that carries each replicate's
@@ -310,8 +318,7 @@ class TestBestPrefix:
     @settings(max_examples=300, deadline=None)
     def test_matches_subset_enumeration(self, counts_positives, mu):
         counts, positives = counts_positives
-        with np.errstate(divide="ignore", invalid="ignore"):  # as a restart holds it
-            included, score = best_prefix(counts, positives, mu)
+        included, score = best_prefix(counts, positives, mu)
         assert included.dtype == bool and included.shape == counts.shape
         assert included.any()
         own = bernoulli_score_of(counts, positives, included, mu)
@@ -328,11 +335,26 @@ class TestBestPrefix:
     def test_order_ties(self, counts, positives, want):
         """Every prefix scores 0 here, so the step keeps the first category in its order."""
         for dtype in (np.int64, np.float64):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                included, score = best_prefix(
-                    np.array(counts, dtype=dtype), np.array(positives, dtype=dtype), 0.5
-                )
+            included, score = best_prefix(
+                np.array(counts, dtype=dtype), np.array(positives, dtype=dtype), 0.5
+            )
             assert included.tolist() == want and score == 0.0
+
+    @given(category_counts(max_cardinality=16), st.floats(1e-6, 1.0 - 1e-6),
+           st.sampled_from([np.int64, np.float64]))
+    @settings(max_examples=400, deadline=None)
+    def test_list_step_matches_array_step(self, counts_positives, mu, dtype):
+        """Up to 16 categories the step runs in Python floats; in arrays it
+        takes the same mask and the same bits, and neither needs the caller's
+        ``np.errstate``."""
+        counts, positives = (a.astype(dtype) for a in counts_positives)
+        with np.errstate(all="raise"):
+            included, score = best_prefix(counts, positives, mu)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(importlib.import_module("subscan.scan"), "_LIST_STEP_MAX", 0)
+                array_included, array_score = best_prefix(counts, positives, mu)
+        assert included.tolist() == array_included.tolist()
+        assert score.hex() == array_score.hex()
 
     def test_audit_rejects_a_wrong_step(self):
         def first_category_only(counts, positives, mu):
@@ -345,8 +367,7 @@ class TestBestPrefix:
         counts, positives = np.array([10, 10, 10]), np.array([0, 9, 1])
         audit = StepAudit(first_category_only)
         with pytest.raises(AssertionError, match="missed the optimal value subset"):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                audit(counts, positives, 0.3)
+            audit(counts, positives, 0.3)
         assert audit.audited == 0
 
     def test_audit_rejects_a_misreported_score(self):
@@ -355,8 +376,7 @@ class TestBestPrefix:
             return included, score + 1.0
 
         with pytest.raises(AssertionError, match="reported"):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                StepAudit(inflated)(np.array([10, 10]), np.array([8, 1]), 0.3)
+            StepAudit(inflated)(np.array([10, 10]), np.array([8, 1]), 0.3)
 
 
 def bernoulli_score_of(counts, positives, included, mu) -> float:

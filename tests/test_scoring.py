@@ -13,6 +13,7 @@ from subscan.scoring import (
     EffectMeasures,
     bernoulli_score,
     odds_ratio,
+    score_list,
     unguarded_score_array,
 )
 
@@ -137,6 +138,55 @@ class TestBernoulliScore:
         for i in range(4):
             assert arr[i] == bernoulli_score(pos[i], tot[i], 0.1).score
         assert arr[4] == 0.0  # empty subsets score zero in the vectorized path
+
+
+@st.composite
+def subset_counts(draw) -> tuple[int, int]:
+    """(positives, records) of one subset, empty and all-positive ones often."""
+    tot = draw(st.one_of(st.just(0), st.integers(1, 20), st.integers(1, 2**40)))
+    return draw(st.one_of(st.just(0), st.just(tot), st.integers(0, tot))), tot
+
+
+MEANS = st.one_of(
+    st.floats(1e-12, 1e-6), st.floats(1e-6, 1.0 - 1e-6), st.floats(1.0 - 1e-6, 1.0 - 1e-12)
+)
+
+
+def assert_array_bits(pos, tot, mu) -> None:
+    """``score_list`` gives ``unguarded_score_array``'s q* and scores under ``float.hex``."""
+    with np.errstate(all="raise"):  # no division by zero, no invalid operation
+        q, score = score_list(pos, tot, mu)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q_array, score_array = unguarded_score_array(
+            np.array(pos, dtype=np.float64), np.array(tot, dtype=np.float64), mu
+        )
+    assert [x.hex() for x in q] == [x.hex() for x in q_array.tolist()]
+    assert [x.hex() for x in score] == [x.hex() for x in score_array.tolist()]
+
+
+class TestScoreList:
+    """``score_list`` is ``unguarded_score_array`` in Python floats, bit for bit."""
+
+    @given(st.lists(subset_counts(), min_size=1, max_size=20), MEANS)
+    @settings(max_examples=400, deadline=None)
+    def test_matches_array_bitwise(self, subsets, mu):
+        pos, tot = (list(c) for c in zip(*subsets))
+        assert_array_bits(pos, tot, mu)
+
+    def test_matches_array_bitwise_above_the_mean(self):
+        """Subsets above the mean take both logarithms of a q* past 1, where
+        ``math.log`` and ``np.log`` disagree in the last bit on a few inputs."""
+        rng = np.random.default_rng(11)
+        tot = rng.integers(1, 10**6, size=5000)
+        pos = rng.binomial(tot, rng.uniform(0.0, 1.0, size=5000))
+        for mu in (0.003, 0.05, 0.3, 0.9):
+            assert_array_bits(pos.astype(np.float64).tolist(), tot.astype(np.float64).tolist(), mu)
+
+    def test_defined_values(self):
+        q, score = score_list([0, 0, 4], [0, 4, 4], 0.25)
+        assert math.isnan(q[0]) and q[1:] == [1.0, math.inf]
+        assert [s.hex() for s in score[:2]] == [(0.0).hex()] * 2
+        assert score[2] == -4 * math.log(0.25)
 
 
 class TestOddsRatio:

@@ -146,7 +146,10 @@ class TestDataset:
     @pytest.mark.parametrize("rows, outcomes, message", [
         (np.array([[2**32], [1]]), [1, 0], "outside the range"),
         ([[0], [1]], np.array([257, 0]), "outcome at row 0 is not 0/1"),
-    ], ids=["rows", "outcomes"])
+        ([[0], [1]], np.array([1, -1], dtype=np.int64), "outcome at row 1 is not 0/1"),
+        ([[0], [1]], np.array([0, 2**63], dtype=np.uint64), "outcome at row 1 is not 0/1"),
+        ([[0], [1]], np.array([-1, 0], dtype=">i4"), "outcome at row 0 is not 0/1"),
+    ], ids=["rows", "outcomes", "negative_int64", "uint64_top_bit", "big_endian"])
     def test_values_that_would_wrap_rejected(self, rows, outcomes, message):
         with pytest.raises(ContractError, match=message):
             Dataset(Schema((("a", ("x", "y")),)), rows, outcomes)
