@@ -34,6 +34,7 @@ import codecs
 import csv
 import io
 import itertools
+import math
 import os
 from collections.abc import Iterable, Iterator, Mapping
 from contextlib import contextmanager
@@ -50,7 +51,7 @@ from .errors import ContractError, LoadError
 MISSING_LABEL = "<missing>"
 
 _OUTCOMES: Mapping[str, int] = {"0": 0, "1": 1}  # outcome label -> value
-_RECORD_BLOCK = 1 << 16  # generate_synthetic draws outcomes for this many records at a time
+_RECORD_BLOCK = 1 << 16  # records a block in generate_synthetic's draws and the cell build
 
 
 @dataclass(frozen=True)
@@ -299,24 +300,49 @@ def _renumbered(key: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def _cell_table(rows: np.ndarray, cardinalities: tuple[int, ...]) -> CellTable:
-    """Group records by feature pattern: a mixed-radix int64 key per record, cells in key order."""
-    key = np.zeros(rows.shape[0], dtype=np.int64)
-    span = 1  # every key lies in [0, span)
-    for z, card in enumerate(cardinalities):
-        if span > _INT64_MAX // card:
-            key, span = _renumbered(key)  # key * card would wrap and merge distinct cells
-        key *= card
-        key += rows[:, z]
-        span *= card
-    if span > len(key):
-        key, span = _renumbered(key)  # else the key table would outgrow the records
-    n = np.bincount(key, minlength=span)
+    """Group records by feature pattern: a mixed-radix key per record, cells in key order.
+
+    When the key span, the product of the cardinalities, is at most the
+    record count and below 2**31, each record's key is built in the int32
+    cell index itself and counted a block of records at a time, in blocks of
+    at least ``span`` records since each ``np.bincount`` costs O(span). So the
+    build holds no per-record array besides the index. A wider span takes an
+    int64 key per record, renumbered densely through ``np.unique`` (and its
+    temporaries) when it would wrap or outgrow the records. Either way each
+    key then becomes its cell in place, and each cell's representative record
+    is picked, a block of records at a time.
+    """
+    span = math.prod(cardinalities)  # every key lies in [0, span)
+    if span <= min(len(rows), np.iinfo(np.int32).max):
+        key = index = np.empty(len(rows), dtype=np.int32)
+        n, block = np.zeros(span, dtype=np.intp), max(_RECORD_BLOCK, span)
+        for a in range(0, len(rows), block):
+            b = index[a:a + block]
+            b[:] = rows[a:a + block, 0]
+            for z in range(1, len(cardinalities)):
+                b *= cardinalities[z]
+                b += rows[a:a + block, z]
+            n += np.bincount(b, minlength=span)  # counts an intp copy of the block
+    else:
+        key, span = np.zeros(len(rows), dtype=np.int64), 1
+        for z, card in enumerate(cardinalities):
+            if span > _INT64_MAX // card:
+                key, span = _renumbered(key)  # key * card would wrap and merge distinct cells
+            key *= card
+            key += rows[:, z]
+            span *= card
+        if span > len(key):
+            key, span = _renumbered(key)  # else the key table would outgrow the records
+        n = np.bincount(key, minlength=span)
+        index = np.empty(len(rows), dtype=np.int32)
     present = n > 0
-    index = (np.cumsum(present, dtype=np.int32) - 1)[key]  # cell of each record
-    del key  # 8 bytes a record, not to be held beside the arange below
+    cell = np.cumsum(present, dtype=np.int32) - 1  # cell of each key
     n = n[present].astype(np.float64)
     representative = np.empty(len(n), dtype=np.intp)
-    representative[index] = np.arange(rows.shape[0])
+    for a in range(0, len(rows), _RECORD_BLOCK):  # each key becomes its cell in place
+        b = index[a:a + _RECORD_BLOCK]
+        b[:] = cell[key[a:a + _RECORD_BLOCK]]
+        representative[b] = np.arange(a, a + len(b))  # the last record of a cell wins
     # one feature at a time: a whole (C, M) gather and its transpose would
     # add two table-sized temporaries to the peak memory
     columns = np.empty((rows.shape[1], len(n)), dtype=rows.dtype)

@@ -254,6 +254,41 @@ def overflowing_dataset() -> Dataset:
     return Dataset(schema, rows, (rng.random(300) < 0.3).astype(np.int8))
 
 
+REGIMES = ["span < N", "span == N", "span > N", "key overflow"]
+
+
+def drawn_cells_dataset(regime: str, data) -> Dataset:
+    """A dataset whose key span (the product of its cardinalities) relates to its
+    record count as ``regime`` says, with few values per feature, mostly 0, so
+    that records share cells."""
+    if regime == "key overflow":  # at least 2**64 keys
+        cards = [data.draw(st.integers(2, 3)) for _ in range(64)]
+    else:
+        low = 2 if regime == "span > N" else 1
+        cards = data.draw(st.lists(st.integers(low, 5), min_size=1, max_size=4))
+    span = int(np.prod(cards, dtype=object))
+    low, high = {
+        "span < N": (span + 1, span + 300), "span == N": (span, span),
+        "span > N": (1, span - 1), "key overflow": (1, 300),
+    }[regime]
+    n_records = data.draw(st.integers(low, min(high, low + 300)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    rows = (rng.integers(0, cards, (n_records, len(cards)))
+            * (rng.random((n_records, len(cards))) < 0.4)).astype(np.int32)
+    schema = Schema(tuple((f"f{z}", tuple(f"v{h}" for h in range(c)))
+                          for z, c in enumerate(cards)))
+    return Dataset(schema, rows, rng.integers(0, 2, n_records))
+
+
+def assert_matches_unique_rows(dataset: Dataset) -> None:
+    cells = dataset.cells
+    columns, index, n = unique_rows_cells(dataset.rows)
+    assert cells.columns.dtype == dataset.rows.dtype and cells.index.dtype == np.int32
+    assert np.array_equal(cells.columns, columns)
+    assert np.array_equal(cells.index, index)
+    assert np.array_equal(cells.n, n)
+
+
 class TestCellTable:
     @given(st.data())
     @settings(max_examples=60, deadline=None)
@@ -263,35 +298,37 @@ class TestCellTable:
         seed = data.draw(st.integers(0, 2**16))
         assert_cell_table_invariants(random_dataset(np.random.default_rng(seed), n_records, cards))
 
-    @pytest.mark.parametrize("regime", ["span < N", "span == N", "span > N", "key overflow"])
+    @pytest.mark.parametrize("regime", REGIMES)
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)
     def test_matches_unique_rows(self, regime, data):
         """np.unique over whole rows, whether the keys are counted in a table of every key
         (span <= N) or renumbered first (span > N, and before a key would wrap)."""
-        if regime == "key overflow":  # at least 2**64 keys
-            cards = [data.draw(st.integers(2, 3)) for _ in range(64)]
-        else:
-            low = 2 if regime == "span > N" else 1
-            cards = data.draw(st.lists(st.integers(low, 5), min_size=1, max_size=4))
-        span = int(np.prod(cards, dtype=object))
-        low, high = {
-            "span < N": (span + 1, span + 300), "span == N": (span, span),
-            "span > N": (1, span - 1), "key overflow": (1, 300),
-        }[regime]
-        n_records = data.draw(st.integers(low, min(high, low + 300)))
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
-        # few values per feature, mostly 0, so records share cells
-        rows = (rng.integers(0, cards, (n_records, len(cards)))
-                * (rng.random((n_records, len(cards))) < 0.4)).astype(np.int32)
-        schema = Schema(tuple((f"f{z}", tuple(f"v{h}" for h in range(c)))
-                              for z, c in enumerate(cards)))
-        cells = Dataset(schema, rows, rng.integers(0, 2, n_records)).cells
-        columns, index, n = unique_rows_cells(rows)
-        assert cells.columns.dtype == np.uint8 and cells.index.dtype == np.int32
-        assert np.array_equal(cells.columns, columns)
-        assert np.array_equal(cells.index, index)
-        assert np.array_equal(cells.n, n)
+        assert_matches_unique_rows(drawn_cells_dataset(regime, data))
+
+    @pytest.mark.parametrize("regime", REGIMES)
+    @given(data=st.data(), block=st.integers(1, 8))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_unique_rows_across_blocks(self, regime, data, block):
+        """As above, with blocks of a few records, so that the records span several
+        blocks; a key span above the block size makes the counting block grow to it."""
+        with mock.patch.object(tabular, "_RECORD_BLOCK", block):
+            dataset = drawn_cells_dataset(regime, data)
+            assert_matches_unique_rows(dataset)
+            assert_cell_table_invariants(dataset)
+
+    @pytest.mark.parametrize("n_records, cards, block, dtype", [
+        (200, (2, 3), 16, np.uint8),        # span 6 below the block: 13 blocks
+        (500, (4, 5, 3), 8, np.uint8),      # span 60 above it: counted in blocks of 60
+        (3000, (300, 2, 3), 64, np.uint16),  # span 1,800: two counting blocks
+    ], ids=["span_below_block", "span_above_block", "uint16"])
+    def test_direct_keys_across_blocks(self, monkeypatch, n_records, cards, block, dtype):
+        monkeypatch.setattr(tabular, "_RECORD_BLOCK", block)
+        monkeypatch.setattr(tabular, "_renumbered", mock.Mock(side_effect=AssertionError))
+        dataset = random_dataset(np.random.default_rng(n_records), n_records, cards)
+        assert dataset.rows.dtype == dtype
+        assert_matches_unique_rows(dataset)
+        assert_cell_table_invariants(dataset)
 
     def test_one_cell_per_pattern(self, tiny_dataset):
         assert len(tiny_dataset.cells.n) == 6
@@ -882,6 +919,20 @@ class TestPlainPath:
                                                           dataset.schema.features)):
             assert np.array_equal(np.array(labels)[plain.rows[:, z]], np.array(want)[dataset.rows[:, z]])
         assert peak < plain.rows.nbytes + plain.outcomes.nbytes + 4 * 2**20
+
+    def test_cell_build_memory_is_bounded(self):
+        # a key span of 4**8 <= N: the build holds the table it returns and
+        # less than 1.5 MiB besides, a block's keys and counts, no per-record key
+        planted = SubsetDescriptor.from_dict({0: [0, 1], 1: [0, 1]})
+        dataset, _ = generate_synthetic(SyntheticSpec(400_000, (4,) * 8, 0.05, planted, 3.0, 4))
+        tracemalloc.start()
+        try:
+            cells = dataset.cells
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert_cell_table_invariants(dataset)
+        assert peak < sum(array.nbytes for array in cells) + 1.5 * 2**20
 
     @pytest.mark.parametrize("data", [
         b"a,y\n" + b"x,1\n" * 50_000 + b"z" * 4_000 + b",0\n" + b"x,1\n" * 100,
