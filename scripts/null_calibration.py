@@ -16,13 +16,11 @@ import numpy as np
 
 from subscan.scan import ScanConfig, scan
 from subscan.significance import BootstrapConfig, null_score_distribution, p_from_null_scores
-from subscan.tabular import Dataset, Schema
+from subscan.tabular import Dataset, _synthetic_schema
 
 
 def null_dataset(rng: np.random.Generator, n: int, cards: tuple[int, ...], rate: float) -> Dataset:
-    schema = Schema(
-        tuple((f"f{z}", tuple(f"v{h}" for h in range(c))) for z, c in enumerate(cards))
-    )
+    schema = _synthetic_schema(cards)
     rows = np.column_stack([rng.integers(0, c, size=n) for c in cards]).astype(np.int32)
     while True:
         y = (rng.random(n) < rate).astype(np.int8)

@@ -11,8 +11,9 @@ import csv
 import sys
 import time
 
+from subscan.cli import _parse_planted
 from subscan.scan import ScanConfig, scan
-from subscan.tabular import SubsetDescriptor, SyntheticSpec, generate_synthetic
+from subscan.tabular import SyntheticSpec, generate_synthetic
 
 
 def value_set(descriptor, cardinalities):
@@ -27,10 +28,7 @@ def value_set(descriptor, cardinalities):
 
 def run(args: argparse.Namespace) -> None:
     cards = tuple(int(c) for c in args.cardinalities.split(","))
-    planted = SubsetDescriptor.from_dict(
-        {int(c.split("=")[0][1:]): [int(v[1:]) for v in c.split("=")[1].split("|")]
-         for c in args.planted.split(";")}
-    )
+    planted = _parse_planted(args.planted, cards)
     writer = csv.writer(sys.stdout)
     writer.writerow(["odds_multiplier", "n_cohorts", "exact", "off_by_one", "seconds"])
     for q in args.multipliers:

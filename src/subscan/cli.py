@@ -421,7 +421,8 @@ def _load_scan_report(cfg: PipelineConfig, dataset: Dataset) -> ScanResult:
 def _ranking_from_report(
     path_str: str, descriptor: dict[str, list[str]]
 ) -> list[RelevanceEntry]:
-    """The saved ranking; LoadError unless each entry names a distinct value of ``descriptor``."""
+    """The saved ranking; LoadError unless each entry names a distinct value of
+    ``descriptor`` and keeps the report schema's bounds on ``rank`` and ``e_value``."""
     path = Path(path_str)
     rows = _read_json_object(path, "rank report").get("relevance")
     if rows is None:
@@ -436,6 +437,9 @@ def _ranking_from_report(
         raise LoadError(f"{path}: malformed relevance block ({e!r})") from None
     unlisted = {(f, v) for f, vs in descriptor.items() for v in vs}
     for e in ranking:
+        if e.rank < 1 or not 0 <= e.e_value <= 1:
+            raise LoadError(f"{path}: relevance entry {e.feature}={e.value} has rank {e.rank} "
+                            f"and e_value {e.e_value}; want rank >= 1 and e_value in [0, 1]")
         if (e.feature, e.value) not in unlisted:
             taken = e.value in descriptor.get(e.feature, ())  # by an earlier entry
             fault = "is listed twice" if taken else "is not a value of the scan descriptor"

@@ -46,7 +46,6 @@ from .scoring import (
 )
 from .tabular import CategoryCounter, Dataset, SubsetDescriptor, _allowed_masks
 
-_STEP_TOL = 1e-9  # slack for float-noise in the ascent assertion
 _LIST_STEP_MAX = 16  # widest feature stepped in Python floats; past it arrays are faster
 
 
@@ -217,7 +216,11 @@ def _run_restart(
     config: ScanConfig,
     seed_seq: np.random.SeedSequence,
 ) -> tuple[float, tuple[tuple[int, ...], ...]]:
-    """One restart over ``cell_positives``: (score, per-feature included values)."""
+    """One restart over ``cell_positives``: (last step's score, per-feature included values).
+
+    The last step's score is that of the member set the restart ends on, since
+    a skipped step would return the same value set and the same bits.
+    """
     rng = np.random.default_rng(seed_seq)
     mu = int(cell_positives.sum()) / dataset.n_records
     n_features = dataset.schema.n_features
@@ -229,34 +232,22 @@ def _run_restart(
     order = rng.permutation(n_features) if shuffled else np.arange(n_features)
 
     counter = CategoryCounter(dataset, cell_positives, included)
-    first = order[0]
-    counts, positives = counter.counts(first)  # the member counts, and the first step's counts
     stamp, seen = 0, [-1] * n_features  # value-set changes; stamp at each feature's last step
-    start = included[first]
-    current_score = score_list(
-        [float(positives[start].sum())], [float(counts[start].sum())], mu)[1][0]
     for _ in range(config.max_passes):
         pass_start = stamp
         for z in order:
             if seen[z] == stamp:  # the skip of the module docstring
                 continue
-            if seen[first] >= 0:  # every step after the first counts afresh
-                counts, positives = counter.counts(z)
-            new_inc, best_score = best_prefix(counts, positives, mu)
-            if best_score < current_score - _STEP_TOL * (1.0 + abs(current_score)):
-                raise AssertionError(
-                    f"ascent step decreased the score: {current_score} -> {best_score}"
-                )
+            new_inc, score = best_prefix(*counter.counts(z), mu)
             if new_inc.tobytes() != included[z].tobytes():
                 included[z] = new_inc
                 counter.set_allowed(z, new_inc)
                 stamp += 1
             seen[z] = stamp
-            current_score = best_score
         if stamp == pass_start:
             break
 
-    return current_score, tuple(
+    return score, tuple(
         tuple(int(v) for v in np.flatnonzero(inc)) for inc in included.values()
     )
 

@@ -10,9 +10,8 @@ maximizer has the closed form q* = C*(1-mu) / (mu*(N_S-C)), clamped at 1; an
 all-positive subset (C == N_S) takes the q -> infinity limit -N_S*log(mu).
 q* and the score are stated twice, with the same float operations in the
 same order, so the two give the same bits: ``score_list`` over Python floats,
-for ``bernoulli_score``, the scan's start score and every feature step of up
-to 16 categories, and ``unguarded_score_array`` over numpy arrays, for the
-steps of wider features.
+for ``bernoulli_score`` and every feature step of up to 16 categories, and
+``unguarded_score_array`` over numpy arrays, for the steps of wider features.
 
 Natural logarithms throughout; any other base rescales every score by the same
 constant and cannot change which subset ranks highest.

@@ -9,6 +9,8 @@ package's array form bit for bit.
 ``exhaustive_scan`` checks the search, not the score, so it scores descriptors
 with the package's closed form; ``record_run_restart`` checks the counting,
 not the step, so it takes its steps with the package's ``best_prefix``.
+``record_run_restart`` also holds the only ascent audit: no step of a restart
+may lower its score, which the package's restart loop does not check itself.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from itertools import combinations, product
 import numpy as np
 
 from subscan.scan import (
-    _STEP_TOL,
     ScanConfig,
     ScanResult,
     _check_not_degenerate,
@@ -31,6 +32,8 @@ from subscan.scan import (
 )
 from subscan.scoring import unguarded_score_array
 from subscan.tabular import Dataset, SubsetDescriptor
+
+_STEP_TOL = 1e-9  # slack for float noise in the ascent audit of record_run_restart
 
 
 def objective(q: float, n_positive: float, n_subset: float, mu: float) -> float:

@@ -374,6 +374,30 @@ class TestRankAndSubstitute:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("field, value", [
+        ("rank", -7), ("rank", 0), ("e_value", 99.0), ("e_value", -0.5), ("e_value", float("nan")),
+    ])
+    def test_substitute_rejects_a_ranking_outside_the_schema_bounds(
+        self, cohort_csv, scan_report, tmp_path, capsys, field, value
+    ):
+        # the report schema holds rank >= 1 and e_value in [0, 1]
+        assert run(["rank", "--input", str(cohort_csv), "--outcome", "y",
+                    "--scan-report", str(scan_report), "--out", str(tmp_path / "rank")]) == 0
+        rank = tmp_path / "rank" / "rank_report.json"
+        report = json.loads(rank.read_text())
+        for entry in report["relevance"]:
+            entry[field] = value
+        rank.write_text(json.dumps(report))
+        code = run(["substitute", "--input", str(cohort_csv), "--outcome", "y",
+                    "--scan-report", str(scan_report), "--rank-report", str(rank),
+                    "--replicates", "19", "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        first = report["relevance"][0]
+        assert f"{rank}: relevance entry {first['feature']}={first['value']} has rank" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("field, value", [
         ("restart_index", 2.9), ("restart_index", True), ("restart_index", "2"),
         ("score", "29.236072293462172"), ("score", True), ("score", 10**400),
     ])

@@ -1,7 +1,7 @@
 """Package-wide properties: the public names and the version, the README's
 library example runs, only the tabular module touches the record arrays and
-the cell table, every private function is called in the package, and every
-Dataset is built through its constructor."""
+the cell table, every private function is called in the package, the package
+holds no assertion, and every Dataset is built through its constructor."""
 
 from __future__ import annotations
 
@@ -95,6 +95,21 @@ def test_every_private_function_is_called_in_the_package():
         and not referenced_elsewhere(module, fn)
     ]
     assert unused == []
+
+
+def test_package_holds_no_assertion():
+    """The package states a broken contract with its own errors, which the CLI
+    turns into a one-line message and exit 2: an ``assert`` vanishes under
+    ``python -O`` and an ``AssertionError`` ends in a traceback. Audits of
+    the search, such as the ascent check, live in tests/oracles.py."""
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Assert):
+                offenders.append(f"{path.name}:{node.lineno} assert")
+            elif isinstance(node, ast.Name) and node.id == "AssertionError":
+                offenders.append(f"{path.name}:{node.lineno} AssertionError")
+    assert offenders == []
 
 
 def test_datasets_are_built_only_by_tabular():

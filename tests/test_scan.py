@@ -8,7 +8,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -20,7 +20,7 @@ from oracles import (
     record_run_restart,
 )
 from subscan.errors import DegenerateDataError
-from subscan.scan import ScanConfig, _run_restart, best_prefix, parallel_map, scan
+from subscan.scan import ScanConfig, _run_restart, best_prefix, evaluate, parallel_map, scan
 from subscan.scoring import bernoulli_score
 from subscan.significance import BootstrapConfig, _replicate_score, null_score_distribution
 from subscan.tabular import Dataset, Schema, SubsetDescriptor
@@ -311,6 +311,39 @@ class TestStepSkip:
         assert exact(stepped) == exact(every)
         assert oracle_calls >= 2 * dataset.schema.n_features  # two passes or more
         assert calls < oracle_calls
+
+
+@st.composite
+def datasets_with_a_wide_feature(draw) -> tuple[Dataset, np.ndarray]:
+    """(A small dataset with one feature of 17-24 categories, a replicate's
+    outcome draw over its records), neither of them all 0 or all 1."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    narrow = draw(st.lists(st.integers(2, 5), min_size=1, max_size=3))
+    cards = (draw(st.integers(17, 24)), *narrow)
+    n_records = draw(st.integers(30, 150))
+    dataset = random_dataset(rng, n_records, cards, draw(st.floats(0.05, 0.5)))
+    replicate = rng.random(n_records) < dataset.global_mean
+    assume(0 < replicate.sum() < n_records)
+    return dataset, replicate
+
+
+class TestRestartScore:
+    """A restart returns the score of the member set it ends on: its last
+    step's score is the one ``evaluate`` gives its included values."""
+
+    @given(datasets_with_a_wide_feature(), st.integers(0, 2**16),
+           st.sampled_from(["fixed", "shuffled"]), st.integers(1, 3))
+    @settings(max_examples=100, deadline=None)
+    def test_score_is_the_evaluated_score_of_its_values(self, drawn, seed, order, max_passes):
+        dataset, draw = drawn
+        config = ScanConfig(max_passes=max_passes, feature_order=order)
+        replicate = Dataset(dataset.schema, dataset.rows, draw)
+        seq = np.random.SeedSequence(seed)
+        for positives, counted in ((dataset.cell_positives, dataset),
+                                   (dataset.cell_sums(draw), replicate)):
+            score, included = _run_restart(dataset, positives, config, seq)
+            panel, _ = evaluate(counted, SubsetDescriptor(tuple(enumerate(included))))
+            assert score.hex() == panel.score.hex()
 
 
 class TestBestPrefix:

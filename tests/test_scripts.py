@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import csv
 import importlib.util
 import os
@@ -10,6 +11,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from subscan.errors import ContractError
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -44,6 +47,15 @@ def load_script(name: str):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.mark.parametrize("planted", ["f0", "f0=x1"])
+def test_recovery_experiment_refuses_a_planted_spec_outside_the_schema(planted):
+    # the CLI's planted parser: "f0" lacks its values and x1 is no category of f0
+    args = argparse.Namespace(n=300, cardinalities="2,3", planted=planted, base_rate=0.05,
+                              multipliers=[3.0], cohorts=1, restarts=1)
+    with pytest.raises(ContractError):
+        load_script("recovery_experiment").run(args)
 
 
 def test_line_count_total_is_the_sum_of_its_modules(capsys):
