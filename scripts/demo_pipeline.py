@@ -2,29 +2,32 @@
 """End-to-end demo: plant a subgroup, rediscover it, rank it, substitute it away.
 
 Writes the cohort and all reports under --out and prints the headline numbers.
+A subcommand that fails ends the demo with that subcommand's exit code.
 """
 
 import argparse
 import json
+import sys
 from pathlib import Path
 
 from subscan.cli import main as subscan
 
 
-def run(args: argparse.Namespace) -> None:
+def run(args: argparse.Namespace) -> int:
     out = Path(args.out)
     synth_dir = out / "cohort"
-    assert subscan([
+    code = subscan([
         "synth", "--n", str(args.n), "--cardinalities", args.cardinalities,
         "--base-rate", str(args.base_rate), "--odds-multiplier", str(args.odds_multiplier),
         "--seed", str(args.seed), "--planted", args.planted, "--out", str(synth_dir),
-    ]) == 0
-    assert subscan([
+    ]) or subscan([
         "pipeline", "--input", str(synth_dir / "cohort.csv"), "--outcome", "y",
         "--restarts", str(args.restarts), "--replicates", str(args.replicates),
         "--seed", str(args.seed + 1), "--workers", str(args.workers),
         "--out", str(out / "pipeline"),
-    ]) == 0
+    ])
+    if code:
+        return code
 
     planted = json.loads((synth_dir / "planted.json").read_text())
     report = json.loads((out / "pipeline" / "report.json").read_text())
@@ -42,6 +45,7 @@ def run(args: argparse.Namespace) -> None:
     for step in greedy["applied"]:
         print(f"   [{step['feature']}: {'|'.join(step['from_values'])} -> "
               f"{step['to_value']}]  {step['old_score']:.2f} -> {step['new_score']:.2f}")
+    return 0
 
 
 if __name__ == "__main__":
@@ -56,4 +60,4 @@ if __name__ == "__main__":
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--workers", type=int, default=1)
     ap.add_argument("--out", default="demo_out")
-    run(ap.parse_args())
+    sys.exit(run(ap.parse_args()))

@@ -3,7 +3,8 @@
 
 For each odds multiplier, generates cohorts over a seed range, scans each, and
 reports how often the planted descriptor is recovered exactly or within one
-feature value. Emits a CSV row per multiplier.
+feature value. Emits a CSV row per multiplier. Exits like ``subscan``: 2 with
+one ``error:`` line on bad input.
 """
 
 import argparse
@@ -11,12 +12,14 @@ import csv
 import sys
 import time
 
-from subscan.cli import _parse_planted
+from subscan.cli import _parse_planted, exit_status, parse_cardinalities
+from subscan.errors import SubscanError
 from subscan.scan import ScanConfig, scan
-from subscan.tabular import SyntheticSpec, generate_synthetic
+from subscan.tabular import SubsetDescriptor, SyntheticSpec, generate_synthetic
 
 
-def value_set(descriptor, cardinalities):
+def value_set(descriptor: SubsetDescriptor, cardinalities: tuple[int, ...]) -> set[tuple[int, int]]:
+    """Descriptor as (feature, value) pairs, unconstrained features fully included."""
     pairs = set()
     for z, card in enumerate(cardinalities):
         values = descriptor.values_for(z)
@@ -27,7 +30,7 @@ def value_set(descriptor, cardinalities):
 
 
 def run(args: argparse.Namespace) -> None:
-    cards = tuple(int(c) for c in args.cardinalities.split(","))
+    cards = parse_cardinalities(args.cardinalities)
     planted = _parse_planted(args.planted, cards)
     writer = csv.writer(sys.stdout)
     writer.writerow(["odds_multiplier", "n_cohorts", "exact", "off_by_one", "seconds"])
@@ -56,4 +59,7 @@ if __name__ == "__main__":
                     default=[1.5, 2.0, 2.5, 3.0, 4.0])
     ap.add_argument("--cohorts", type=int, default=50)
     ap.add_argument("--restarts", type=int, default=10)
-    run(ap.parse_args())
+    try:
+        run(ap.parse_args())
+    except SubscanError as exc:
+        sys.exit(exit_status(exc))

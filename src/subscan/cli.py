@@ -255,6 +255,18 @@ def _require_input(cfg: PipelineConfig) -> Dataset:
     return load_csv(cfg.input, cfg.outcome)
 
 
+def parse_cardinalities(text: str) -> tuple[int, ...]:
+    """The category counts of a --cardinalities list such as '2,3,4'; ContractError
+    unless each is an integer of at least 1."""
+    try:
+        cards = tuple(int(c) for c in text.split(","))
+    except ValueError:
+        cards = (0,)
+    if min(cards) < 1:
+        raise ContractError(f"bad --cardinalities {text!r}; expected counts >= 1, e.g. 2,3,4")
+    return cards
+
+
 def _parse_planted(
     spec_string: str, cardinalities: tuple[int, ...]
 ) -> SubsetDescriptor:
@@ -290,12 +302,7 @@ def cmd_synth(cfg: PipelineConfig) -> int:
         raise ContractError("synth requires --n and --cardinalities")
     if cfg.base_rate is None or cfg.odds_multiplier is None:
         raise ContractError("synth requires --base-rate and --odds-multiplier")
-    try:
-        cards = tuple(int(c) for c in cfg.cardinalities.split(","))
-    except ValueError:
-        raise ContractError(
-            f"bad --cardinalities {cfg.cardinalities!r}; expected e.g. 2,3,4"
-        ) from None
+    cards = parse_cardinalities(cfg.cardinalities)
     planted = _parse_planted(cfg.planted, cards) if cfg.planted else _default_planted(cards)
     spec = SyntheticSpec(
         n_records=cfg.n,
@@ -531,16 +538,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def exit_status(exc: SubscanError) -> int:
+    """Print ``exc`` as the one ``error:`` line on stderr and return its exit code:
+    3 for degenerate data, 2 for any other usage or input error."""
+    print(f"error: {exc}", file=sys.stderr)
+    return 3 if isinstance(exc, DegenerateDataError) else 2
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = _merged_config(args)
         _check_out(cfg, args.subcommand)  # a bad --out fails before any data is read
         return int(args.func(cfg))
     except SubscanError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3 if isinstance(exc, DegenerateDataError) else 2
+        return exit_status(exc)
 
 
 if __name__ == "__main__":

@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import importlib
 
-import numpy as np
 import pytest
 
+# the experiment scripts' own cohort helpers, so that the tests run the scripts' code
+from null_calibration import null_dataset as random_dataset
 from oracles import StepAudit
+from recovery_experiment import value_set as descriptor_value_set
 from subscan.scan import ScanConfig
 from subscan.tabular import (
     Dataset,
@@ -36,41 +38,6 @@ def recovery_spec(seed: int, n_records: int = 2000) -> SyntheticSpec:
 
 def make_recovery_cohort(seed: int, n_records: int = 2000):
     return generate_synthetic(recovery_spec(seed, n_records))
-
-
-def descriptor_value_set(
-    descriptor: SubsetDescriptor, cardinalities: tuple[int, ...]
-) -> set[tuple[int, int]]:
-    """Descriptor as (feature, value) pairs, unconstrained features fully included."""
-    pairs = set()
-    for z, card in enumerate(cardinalities):
-        values = descriptor.values_for(z)
-        if values is None:
-            values = tuple(range(card))
-        pairs.update((z, v) for v in values)
-    return pairs
-
-
-def random_dataset(
-    rng: np.random.Generator,
-    n_records: int,
-    cardinalities: tuple[int, ...],
-    positive_rate: float = 0.3,
-) -> Dataset:
-    """Unstructured dataset with iid outcomes; redraws a degenerate outcome column."""
-    schema = Schema(
-        tuple(
-            (f"f{z}", tuple(f"v{h}" for h in range(card)))
-            for z, card in enumerate(cardinalities)
-        )
-    )
-    rows = np.column_stack(
-        [rng.integers(0, card, size=n_records) for card in cardinalities]
-    ).astype(np.int32)
-    while True:
-        y = (rng.random(n_records) < positive_rate).astype(np.int8)
-        if 0 < y.sum() < n_records:
-            return Dataset(schema, rows, y)
 
 
 @pytest.fixture

@@ -48,6 +48,7 @@ from conftest import (
     random_dataset,
     recovery_spec,
 )
+from null_calibration import null_p_value
 
 
 def report(criterion: int, detail: str) -> None:
@@ -153,15 +154,10 @@ def test_criterion_4_p_value_floor_and_calibration(cohort_family):
 
     low = 0
     n_datasets = 200
-    for i in range(n_datasets):
-        rng = np.random.default_rng(90_000 + i)
-        null_ds = random_dataset(rng, 240, (3, 3, 2), positive_rate=0.3)
-        config = ScanConfig(n_restarts=3, seed=3000 + i)
-        observed = scan(null_ds, config).panel.score
-        null_scores = null_score_distribution(
-            null_ds, BootstrapConfig(n_replicates=99, scan_config=replace(config, seed=60_000 + i))
-        )
-        low += p_from_null_scores(observed, null_scores)[0] <= 0.05
+    for i in range(n_datasets):  # scripts/null_calibration.py's step, with its seeds given
+        _, p_value, _ = null_p_value(90_000 + i, 3000 + i, 60_000 + i, 240, (3, 3, 2), 0.3,
+                                     restarts=3, replicates=99)
+        low += p_value <= 0.05
     fraction = low / n_datasets
     elapsed = time.perf_counter() - start
     assert 0.01 <= fraction <= 0.12, f"null calibration off: P(p<=0.05) = {fraction}"

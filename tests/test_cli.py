@@ -11,13 +11,17 @@ from unittest import mock
 import jsonschema
 import pytest
 
-from subscan.cli import PipelineConfig, main
+from subscan.cli import PipelineConfig, main as run
 from subscan.report import write_json
 from subscan.tabular import load_csv
 
 
-def run(argv: list[str]) -> int:
-    return main(argv)
+def refused(argv: list[str], capsys) -> str:
+    """The one ``error:`` line that ``subscan argv`` prints on stderr as it exits 2."""
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
 
 
 @pytest.fixture(scope="module")
@@ -76,19 +80,23 @@ class TestSynth:
         assert abs(mu - target) <= 3 * (target * (1 - target) / n) ** 0.5
 
     def test_odds_multiplier_at_most_one_rejected(self, tmp_path, capsys):
-        code = run(["synth", "--n", "100", "--cardinalities", "2,2", "--base-rate",
-                    "0.1", "--odds-multiplier", "1.0", "--seed", "0",
-                    "--out", str(tmp_path)])
-        assert code == 2
-        assert "odds_multiplier" in capsys.readouterr().err
+        err = refused(["synth", "--n", "100", "--cardinalities", "2,2", "--base-rate", "0.1",
+                       "--odds-multiplier", "1.0", "--seed", "0", "--out", str(tmp_path)], capsys)
+        assert "odds_multiplier" in err
 
     def test_outcome_colliding_with_a_feature_fails_before_work(self, tmp_path, capsys):
         out = tmp_path / "fresh"
-        code = run(["synth", "--n", "100", "--cardinalities", "2,3", "--base-rate", "0.1",
-                    "--odds-multiplier", "2", "--outcome", "f0", "--out", str(out)])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.startswith("error: ") and "'f0'" in err
+        err = refused(["synth", "--n", "100", "--cardinalities", "2,3", "--base-rate", "0.1",
+                       "--odds-multiplier", "2", "--outcome", "f0", "--out", str(out)], capsys)
+        assert "'f0'" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cards", ["1,1", "3,a", "3,0"])
+    def test_bad_cardinalities_rejected_before_work(self, tmp_path, capsys, cards):
+        # 1,1 has no feature to plant a subgroup in, and no --planted is given
+        out = tmp_path / "fresh"
+        refused(["synth", "--n", "100", "--cardinalities", cards, "--base-rate", "0.1",
+                 "--odds-multiplier", "2", "--out", str(out)], capsys)
         assert not out.exists()
 
     def test_missing_required_knob_rejected(self, tmp_path):
@@ -98,19 +106,15 @@ class TestSynth:
         "planted", ["f2=v0", "f0=v3", "f0", "g0=v0", "f0=v0;", "f0=v0|v0", "f0=v0;f0=v1"]
     )
     def test_bad_planted_descriptor_rejected(self, tmp_path, capsys, planted):
-        code = run(["synth", "--n", "100", "--cardinalities", "2,3", "--base-rate", "0.1",
-                    "--odds-multiplier", "2", "--planted", planted, "--out", str(tmp_path)])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        refused(["synth", "--n", "100", "--cardinalities", "2,3", "--base-rate", "0.1",
+                 "--odds-multiplier", "2", "--planted", planted, "--out", str(tmp_path)], capsys)
         assert not (tmp_path / "cohort.csv").exists()
 
     def test_repeated_planted_feature_named(self, tmp_path, capsys):
-        code = run(["synth", "--n", "100", "--cardinalities", "2,3", "--base-rate", "0.1",
-                    "--odds-multiplier", "2", "--planted", "f1=v0;f0=v0; f0=v1",
-                    "--out", str(tmp_path)])
-        assert code == 2
-        assert "'f0'" in capsys.readouterr().err
+        err = refused(["synth", "--n", "100", "--cardinalities", "2,3", "--base-rate", "0.1",
+                       "--odds-multiplier", "2", "--planted", "f1=v0;f0=v0; f0=v1",
+                       "--out", str(tmp_path)], capsys)
+        assert "'f0'" in err
 
 
 class TestScan:
@@ -127,10 +131,9 @@ class TestScan:
         assert payload["dataset"]["n_records"] == 2000
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
-        code = run(["scan", "--input", str(tmp_path / "nope.csv"), "--outcome", "y",
-                    "--out", str(tmp_path)])
-        assert code == 2
-        assert "no such file" in capsys.readouterr().err
+        err = refused(["scan", "--input", str(tmp_path / "nope.csv"), "--outcome", "y",
+                       "--out", str(tmp_path)], capsys)
+        assert "no such file" in err
 
     def test_degenerate_outcomes_exit_3(self, tmp_path):
         p = tmp_path / "flat.csv"
@@ -145,9 +148,8 @@ class TestScan:
         (["substitute", "--top-k", "1", "--delta-threshold", "0.1"], "mutually exclusive"),
     ])
     def test_bad_knob_rejected_before_data_is_read(self, tmp_path, capsys, argv, message):
-        code = run(argv + ["--input", str(tmp_path / "missing.csv"), "--out", str(tmp_path)])
-        assert code == 2
-        err = capsys.readouterr().err
+        err = refused(argv + ["--input", str(tmp_path / "missing.csv"), "--out", str(tmp_path)],
+                      capsys)
         assert message in err and "no such file" not in err
 
     @pytest.mark.parametrize("name, content", [
@@ -157,10 +159,8 @@ class TestScan:
     def test_unreadable_csv_exits_2(self, tmp_path, capsys, name, content):
         bad = tmp_path / name
         bad.write_bytes(content)
-        code = run(["scan", "--input", str(bad), "--outcome", "y", "--out", str(tmp_path)])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        err = refused(["scan", "--input", str(bad), "--outcome", "y", "--out", str(tmp_path)],
+                      capsys)
         assert str(bad) in err
 
     def test_directory_as_input_or_config_exits_2(self, tmp_path, capsys):
@@ -177,11 +177,8 @@ class TestScan:
     def test_unwritable_out_exits_2(self, cohort_csv, tmp_path, capsys, out, named):
         (tmp_path / "afile").write_text("not a directory\n")
         (tmp_path / "d" / "scan_report.json").mkdir(parents=True)
-        code = run(["scan", "--input", str(cohort_csv), "--restarts", "1",
-                    "--replicates", "1", "--out", str(tmp_path / out)])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        err = refused(["scan", "--input", str(cohort_csv), "--restarts", "1",
+                       "--replicates", "1", "--out", str(tmp_path / out)], capsys)
         assert str(tmp_path / named) in err
         assert not list(tmp_path.rglob("*.tmp"))
 
@@ -198,20 +195,16 @@ class TestScan:
             (out / name).write_bytes(b"old\n")
         before = {p: p.read_bytes() for p in out.iterdir() if p.is_file()}
         for data in (tmp_path / "missing.csv", cohort_csv):  # it fails before data is read
-            code = run([command, "--input", str(data), "--restarts", "1",
-                        "--replicates", "19", "--out", str(out)])
-            assert code == 2
-            err = capsys.readouterr().err
+            err = refused([command, "--input", str(data), "--restarts", "1",
+                           "--replicates", "19", "--out", str(out)], capsys)
             assert err == f"error: cannot write {out / blocked} (Is a directory)\n"
         assert {p: p.read_bytes() for p in out.iterdir() if p.is_file()} == before
         assert (out / blocked).is_dir() and len(list(out.iterdir())) == 1 + len(others)
 
     def test_out_under_a_file_rejected_before_data_is_read(self, tmp_path, capsys):
         (tmp_path / "afile").write_text("not a directory\n")
-        code = run(["substitute", "--input", str(tmp_path / "missing.csv"),
-                    "--out", str(tmp_path / "afile")])
-        assert code == 2
-        err = capsys.readouterr().err
+        err = refused(["substitute", "--input", str(tmp_path / "missing.csv"),
+                       "--out", str(tmp_path / "afile")], capsys)
         assert "--out" in err and "no such file" not in err
 
     @pytest.mark.parametrize("data", [None, b"a,y\nx,1\nz,2\n"], ids=["missing", "non_binary"])
@@ -219,29 +212,23 @@ class TestScan:
         cohort = tmp_path / "cohort.csv"
         if data is not None:
             cohort.write_bytes(data)
-        code = run(["scan", "--input", str(cohort), "--out", str(tmp_path / "newdir" / "sub")])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        refused(["scan", "--input", str(cohort), "--out", str(tmp_path / "newdir" / "sub")], capsys)
         assert not (tmp_path / "newdir").exists()
 
     def test_out_without_permission_rejected_before_data_is_read(
         self, tmp_path, capsys, monkeypatch
     ):
         monkeypatch.setattr("subscan.cli.os.access", lambda path, mode: False)
-        code = run(["scan", "--input", str(tmp_path / "missing.csv"),
-                    "--out", str(tmp_path / "newdir")])
-        assert code == 2
-        err = capsys.readouterr().err
+        err = refused(["scan", "--input", str(tmp_path / "missing.csv"),
+                       "--out", str(tmp_path / "newdir")], capsys)
         out = tmp_path / "newdir"
         assert err == f"error: --out {out}: cannot write in {tmp_path} (Permission denied)\n"
         assert not (tmp_path / "newdir").exists()
 
     def test_zero_restarts_rejected_before_work(self, cohort_csv, tmp_path, capsys):
-        code = run(["scan", "--input", str(cohort_csv), "--outcome", "y",
-                    "--restarts", "0", "--out", str(tmp_path)])
-        assert code == 2
-        assert "n_restarts" in capsys.readouterr().err
+        err = refused(["scan", "--input", str(cohort_csv), "--outcome", "y",
+                       "--restarts", "0", "--out", str(tmp_path)], capsys)
+        assert "n_restarts" in err
 
 
 @pytest.fixture(scope="module")
@@ -264,11 +251,9 @@ def assert_vacuous_reports_refused(command, cohort_csv, scan_report, tmp_path, c
         patched = tmp_path / f"vacuous{i}.json"
         patched.write_text(json.dumps(doctored))
         out = tmp_path / f"out{i}"
-        code = run([command, "--input", str(cohort_csv), "--outcome", "y",
-                    "--scan-report", str(patched), "--out", str(out)])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert err.count("\n") == 1 and err.startswith("error: ") and str(patched) in err
+        err = refused([command, "--input", str(cohort_csv), "--outcome", "y",
+                       "--scan-report", str(patched), "--out", str(out)], capsys)
+        assert str(patched) in err
         assert not out.exists()
 
 
@@ -311,10 +296,9 @@ class TestRankAndSubstitute:
         doctored["scan"]["score"] += 5.0
         patched = tmp_path / "bad_scan.json"
         patched.write_text(json.dumps(doctored))
-        code = run(["rank", "--input", str(cohort_csv), "--outcome", "y",
-                    "--scan-report", str(patched), "--out", str(tmp_path)])
-        assert code == 2
-        assert "does not match" in capsys.readouterr().err
+        err = refused(["rank", "--input", str(cohort_csv), "--outcome", "y",
+                       "--scan-report", str(patched), "--out", str(tmp_path)], capsys)
+        assert "does not match" in err
 
     def test_substitute_emits_plot_csv(self, cohort_csv, scan_report, tmp_path, report_schema):
         out = tmp_path / "subst"
@@ -344,12 +328,9 @@ class TestRankAndSubstitute:
             {"feature": feature, "value": value, "e_value": 0.1, "subset_deviation": -0.9,
              "global_deviation": 0.05, "deviation_ratio": -18.0, "rank": 2},
         ]}))
-        code = run(["substitute", "--input", str(cohort_csv), "--outcome", "y",
-                    "--scan-report", str(scan_report), "--rank-report", str(rank),
-                    "--replicates", "19", "--out", str(tmp_path / "out")])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.startswith("error: ")
+        err = refused(["substitute", "--input", str(cohort_csv), "--outcome", "y",
+                       "--scan-report", str(scan_report), "--rank-report", str(rank),
+                       "--replicates", "19", "--out", str(tmp_path / "out")], capsys)
         assert str(rank) in err and f"{feature}={value}" in err
 
     def test_substitute_rejects_a_ranking_that_lists_a_value_twice(
@@ -363,12 +344,9 @@ class TestRankAndSubstitute:
         report = json.loads(rank.read_text())
         report["relevance"] += report["relevance"]
         rank.write_text(json.dumps(report))
-        code = run(["substitute", "--input", str(cohort_csv), "--outcome", "y",
-                    "--scan-report", str(scan_report), "--rank-report", str(rank),
-                    "--replicates", "19", "--out", str(tmp_path / "out")])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.startswith("error: ")
+        err = refused(["substitute", "--input", str(cohort_csv), "--outcome", "y",
+                       "--scan-report", str(scan_report), "--rank-report", str(rank),
+                       "--replicates", "19", "--out", str(tmp_path / "out")], capsys)
         first = report["relevance"][0]
         assert f"{rank}: relevance entry {first['feature']}={first['value']} is listed twice" in err
         assert not (tmp_path / "out").exists()
@@ -387,12 +365,9 @@ class TestRankAndSubstitute:
         for entry in report["relevance"]:
             entry[field] = value
         rank.write_text(json.dumps(report))
-        code = run(["substitute", "--input", str(cohort_csv), "--outcome", "y",
-                    "--scan-report", str(scan_report), "--rank-report", str(rank),
-                    "--replicates", "19", "--out", str(tmp_path / "out")])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.startswith("error: ")
+        err = refused(["substitute", "--input", str(cohort_csv), "--outcome", "y",
+                       "--scan-report", str(scan_report), "--rank-report", str(rank),
+                       "--replicates", "19", "--out", str(tmp_path / "out")], capsys)
         first = report["relevance"][0]
         assert f"{rank}: relevance entry {first['feature']}={first['value']} has rank" in err
         assert not (tmp_path / "out").exists()
@@ -410,11 +385,9 @@ class TestRankAndSubstitute:
         doctored["scan"][field] = value
         patched = tmp_path / "typed.json"
         patched.write_text(json.dumps(doctored))
-        code = run(["rank", "--input", str(cohort_csv), "--outcome", "y",
-                    "--scan-report", str(patched), "--out", str(tmp_path / "out")])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert err.count("\n") == 1 and err.startswith("error: ") and str(patched) in err
+        err = refused(["rank", "--input", str(cohort_csv), "--outcome", "y",
+                       "--scan-report", str(patched), "--out", str(tmp_path / "out")], capsys)
+        assert str(patched) in err
         assert not (tmp_path / "out").exists()
 
     def test_rank_rejects_a_negative_restart_index(self, cohort_csv, scan_report, tmp_path, capsys):
@@ -422,10 +395,8 @@ class TestRankAndSubstitute:
         doctored["scan"]["restart_index"] = -3  # the report schema's minimum is 0
         patched = tmp_path / "negative.json"
         patched.write_text(json.dumps(doctored))
-        code = run(["rank", "--input", str(cohort_csv), "--outcome", "y",
-                    "--scan-report", str(patched), "--out", str(tmp_path / "out")])
-        err = capsys.readouterr().err
-        assert code == 2
+        err = refused(["rank", "--input", str(cohort_csv), "--outcome", "y",
+                       "--scan-report", str(patched), "--out", str(tmp_path / "out")], capsys)
         assert err == f"error: {patched}: restart_index -3 is negative\n"
         assert not (tmp_path / "out").exists()
 
@@ -438,10 +409,8 @@ class TestRankAndSubstitute:
             doctored["scan"]["restart_index"] = index
             patched = tmp_path / f"past_{index}.json"
             patched.write_text(json.dumps(doctored))
-            code = run(["rank", "--input", str(cohort_csv), "--outcome", "y",
-                        "--scan-report", str(patched), "--out", str(tmp_path / "out")])
-            err = capsys.readouterr().err
-            assert code == 2
+            err = refused(["rank", "--input", str(cohort_csv), "--outcome", "y",
+                           "--scan-report", str(patched), "--out", str(tmp_path / "out")], capsys)
             assert err == f"error: {patched}: restart_index {index} is past its 10 restarts\n"
             assert not (tmp_path / "out").exists()
         doctored["scan"]["restart_index"] = 9  # the last restart
@@ -449,14 +418,21 @@ class TestRankAndSubstitute:
         assert run(["rank", "--input", str(cohort_csv), "--outcome", "y",
                     "--scan-report", str(patched), "--out", str(tmp_path / "out")]) == 0
 
+    def test_rank_refuses_a_descriptor_that_matches_no_record(self, tmp_path, capsys):
+        cohort, saved = tmp_path / "cohort.csv", tmp_path / "scan.json"
+        cohort.write_text("a,b,y\nx,p,1\nz,q,0\nx,p,0\n")  # no record is a=x, b=q
+        saved.write_text('{"scan": {"descriptor": {"a": ["x"], "b": ["q"]}, "score": 0.0}}')
+        err = refused(["rank", "--input", str(cohort), "--scan-report", str(saved),
+                       "--out", str(tmp_path / "out")], capsys)
+        assert err == f"error: {saved}: descriptor matches no record of the dataset\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["rank", "substitute"])
     def test_zero_score_report_refused(self, zero_score_scan, tmp_path, capsys, command):
         cohort, report = zero_score_scan
-        code = run([command, "--input", str(cohort), "--scan-report", str(report),
-                    "--out", str(tmp_path / "out")])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert err.count("\n") == 1 and str(report) in err
+        err = refused([command, "--input", str(cohort), "--scan-report", str(report),
+                       "--out", str(tmp_path / "out")], capsys)
+        assert str(report) in err
         assert "no subgroup above the global rate was found" in err
         assert not (tmp_path / "out").exists()
 
@@ -512,11 +488,8 @@ def test_malformed_saved_report_exits_2(case, cohort_csv, scan_report, tmp_path,
         argv += ["--scan-report", str(bad)]
     else:
         argv += ["--scan-report", str(scan_report), "--rank-report", str(bad)]
-    assert run(argv) == 2
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
-    assert err.count("\n") == 1 and err.startswith("error: ")
-    assert str(bad) in err
+    err = refused(argv, capsys)
+    assert "Traceback" not in err and str(bad) in err
 
 
 class TestPipeline:
@@ -551,22 +524,18 @@ class TestPipeline:
         data.write_text("a,y\nx,0\nx,1\nx,0\nx,1\n")
         out = tmp_path / "p"
         with mock.patch("subscan.cli.null_score_distribution") as bootstrap:
-            code = run(["pipeline", "--input", str(data), "--outcome", "y",
-                        "--replicates", "19", "--out", str(out)])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert err.count("\n") == 1 and "the best subgroup is the whole dataset" in err
+            err = refused(["pipeline", "--input", str(data), "--outcome", "y",
+                           "--replicates", "19", "--out", str(out)], capsys)
+        assert "the best subgroup is the whole dataset" in err
         assert not (out / "report.json").exists()
         bootstrap.assert_not_called()
 
     def test_zero_score_subgroup_exits_2_before_bootstrap(self, zero_score_scan, tmp_path, capsys):
         out = tmp_path / "p"
         with mock.patch("subscan.cli.null_score_distribution") as bootstrap:
-            code = run(["pipeline", "--input", str(zero_score_scan[0]), "--restarts", "5",
-                        "--replicates", "19", "--seed", "4", "--out", str(out)])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert err.count("\n") == 1 and "no subgroup above the global rate was found" in err
+            err = refused(["pipeline", "--input", str(zero_score_scan[0]), "--restarts", "5",
+                           "--replicates", "19", "--seed", "4", "--out", str(out)], capsys)
+        assert "no subgroup above the global rate was found" in err
         assert not (out / "report.json").exists()
         bootstrap.assert_not_called()
 
@@ -620,11 +589,9 @@ class TestReplicatesAgainstAlpha:
         return argv
 
     def test_too_few_replicates_rejected(self, command, tmp_path, capsys):
-        code = run(command + ["--replicates", "18", "--alpha", "0.05",
-                              "--out", str(tmp_path / "out")])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: --replicates 18 ") and err.count("\n") == 1
+        err = refused(command + ["--replicates", "18", "--alpha", "0.05",
+                                 "--out", str(tmp_path / "out")], capsys)
+        assert err.startswith("error: --replicates 18 ")
         assert "at least 19 replicates" in err
         assert not (tmp_path / "out").exists()
 
@@ -654,17 +621,15 @@ class TestConfigFile:
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         conf = tmp_path / "conf.json"
         conf.write_text(json.dumps({"restart_count": 3}))
-        assert run(["scan", "--config", str(conf), "--out", str(tmp_path)]) == 2
-        assert "unknown config key" in capsys.readouterr().err
+        assert "unknown config key" in refused(["scan", "--config", str(conf),
+                                                "--out", str(tmp_path)], capsys)
 
     @pytest.mark.parametrize("key, value", [("restarts", "10"), ("workers", "2")])
     def test_wrongly_typed_value_rejected(self, cohort_csv, tmp_path, capsys, key, value):
         conf = tmp_path / "conf.json"
         conf.write_text(json.dumps({"input": str(cohort_csv), key: value}))
-        assert run(["scan", "--config", str(conf), "--out", str(tmp_path)]) == 2
-        err = capsys.readouterr().err
+        err = refused(["scan", "--config", str(conf), "--out", str(tmp_path)], capsys)
         assert err.startswith(f"error: config key {key!r} must be int")
-        assert err.count("\n") == 1
 
     def test_invalid_json_rejected(self, tmp_path):
         conf = tmp_path / "conf.json"
@@ -698,9 +663,7 @@ def test_non_finite_float_knob_rejected_before_data_is_read(tmp_path, capsys, kn
     else:
         (tmp_path / "conf.json").write_text(f'{{"{knob.name}": {text}}}')
         argv += ["--config", str(tmp_path / "conf.json")]
-    assert run(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {knob.name} must be a finite number") and err.count("\n") == 1
+    assert refused(argv, capsys).startswith(f"error: {knob.name} must be a finite number")
     assert not (tmp_path / "out").exists()
 
 

@@ -1,7 +1,8 @@
 """Package-wide properties: the public names and the version, the README's
 library example runs, only the tabular module touches the record arrays and
-the cell table, every private function is called in the package, the package
-holds no assertion, and every Dataset is built through its constructor."""
+the cell table, every private function is called in the package, neither the
+package nor its scripts hold an assertion, and every Dataset is built through
+its constructor."""
 
 from __future__ import annotations
 
@@ -98,12 +99,13 @@ def test_every_private_function_is_called_in_the_package():
 
 
 def test_package_holds_no_assertion():
-    """The package states a broken contract with its own errors, which the CLI
-    turns into a one-line message and exit 2: an ``assert`` vanishes under
-    ``python -O`` and an ``AssertionError`` ends in a traceback. Audits of
-    the search, such as the ascent check, live in tests/oracles.py."""
+    """The package and its scripts state a broken contract with their own errors
+    and exit codes, as the CLI does with a one-line message and exit 2: an
+    ``assert`` vanishes under ``python -O`` and an ``AssertionError`` ends in a
+    traceback. Audits of the search, such as the ascent check, live in
+    tests/oracles.py."""
     offenders = []
-    for path in sorted(PACKAGE.glob("*.py")):
+    for path in sorted([*PACKAGE.glob("*.py"), *(ROOT / "scripts").glob("*.py")]):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Assert):
                 offenders.append(f"{path.name}:{node.lineno} assert")

@@ -435,6 +435,19 @@ class TestGreedy:
         assert isinstance(g, GreedyResult)
         assert g.applied  # substitutions accumulate without the descent filter
 
+    def test_a_move_that_empties_the_subgroup_is_reverted(self):
+        schema = Schema((("f0", ("v0", "v1", "v2")), ("f1", ("v0", "v1"))))
+        rows = [[0, 0]] * 20 + [[1, 1]] * 20 + [[2, 0]] * 20 + [[0, 1]] * 20
+        outcomes = [1] * 15 + [0] * 45 + [1] * 2 + [0] * 18
+        dataset = Dataset(schema, rows, outcomes)
+        start = SubsetDescriptor.from_dict({0: [0], 1: [0]})
+        result = ScanResult(start, *evaluate(dataset, start), 0)
+        # f0: v0 -> v1 leaves no record (no row is v1, v0) and is not kept; v0 -> v2 is
+        g = cross_substitute_greedy(dataset, result, [entry("f0", "v0", -1.0)], 0.05,
+                                    small_bootstrap(), null_scores=np.ones(30))
+        assert [o.candidate.to_value for o in g.applied] == ["v2"]
+        assert g.descriptor == SubsetDescriptor.from_dict({0: [2], 1: [0]}) and g.denormalized
+
     @pytest.mark.parametrize("cohort", ["recovery", "wide_feature"])
     def test_unconditional_outcomes_match_record_level(self, cohort):
         """Every applied move is scored on the walk's counter after the moves

@@ -23,7 +23,7 @@ from subscan.errors import DegenerateDataError
 from subscan.scan import ScanConfig, _run_restart, best_prefix, evaluate, parallel_map, scan
 from subscan.scoring import bernoulli_score
 from subscan.significance import BootstrapConfig, _replicate_score, null_score_distribution
-from subscan.tabular import Dataset, Schema, SubsetDescriptor
+from subscan.tabular import Dataset, Schema, SubsetDescriptor, _synthetic_schema
 
 from conftest import make_recovery_cohort, random_dataset
 
@@ -194,13 +194,10 @@ def sparse_datasets(draw) -> Dataset:
     n_records = draw(st.integers(20, 120))
     cards = draw(st.lists(st.integers(1, 5), min_size=1, max_size=4))
     used = [draw(st.integers(1, card)) for card in cards]
-    schema = Schema(tuple(
-        (f"f{z}", tuple(f"v{h}" for h in range(card))) for z, card in enumerate(cards)
-    ))
     rows = np.column_stack([rng.integers(0, k, size=n_records) for k in used])
     y = np.zeros(n_records, dtype=np.int8)
     y[rng.choice(n_records, size=draw(st.integers(1, n_records - 1)), replace=False)] = 1
-    return Dataset(schema, rows, y)
+    return Dataset(_synthetic_schema(cards), rows, y)
 
 
 def with_record_engine(fn, *args, **kwargs):

@@ -1,10 +1,9 @@
-"""Each script in ``scripts/`` runs to completion on tiny arguments."""
+"""Each script in ``scripts/`` runs to completion on tiny arguments, and
+refuses bad input the way ``subscan`` does."""
 
 from __future__ import annotations
 
-import argparse
 import csv
-import importlib.util
 import os
 import subprocess
 import sys
@@ -12,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from subscan.errors import ContractError
+import line_count
+from subscan.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -30,36 +30,51 @@ def test_every_script_has_tiny_arguments():
     assert sorted(p.name for p in (ROOT / "scripts").glob("*.py")) == sorted(TINY_ARGS)
 
 
+def run_script(script: str, argv: list[str], cwd: Path) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / script), *argv], cwd=cwd,
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
 @pytest.mark.parametrize("script", sorted(TINY_ARGS))
 def test_script_runs(script, tmp_path):
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    argv = [sys.executable, str(ROOT / "scripts" / script), *TINY_ARGS[script]]
-    if script == "demo_pipeline.py":
-        argv += ["--out", str(tmp_path / "demo")]
-    done = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True,
-                          timeout=120)
+    done = run_script(script, TINY_ARGS[script], tmp_path)  # the demo writes under tmp_path
     assert done.returncode == 0, done.stderr
 
 
-
-def load_script(name: str):
-    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+def refusal(script: str, argv: list[str], cwd: Path) -> str:
+    """The one ``error:`` line that ``script`` prints on stderr as it exits 2 on ``argv``."""
+    done = run_script(script, argv, cwd)
+    assert (done.returncode, done.stdout) == (2, ""), done.stderr
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1, done.stderr
+    return done.stderr
 
 
 @pytest.mark.parametrize("planted", ["f0", "f0=x1"])
-def test_recovery_experiment_refuses_a_planted_spec_outside_the_schema(planted):
+def test_recovery_experiment_refuses_a_planted_spec_outside_the_schema(planted, tmp_path):
     # the CLI's planted parser: "f0" lacks its values and x1 is no category of f0
-    args = argparse.Namespace(n=300, cardinalities="2,3", planted=planted, base_rate=0.05,
-                              multipliers=[3.0], cohorts=1, restarts=1)
-    with pytest.raises(ContractError):
-        load_script("recovery_experiment").run(args)
+    refusal("recovery_experiment.py", ["--planted", planted], tmp_path)
+
+
+@pytest.mark.parametrize("knob, value", [
+    ("datasets", "0"), ("n", "1"), ("rate", "0"), ("rate", "1"), ("seed", "-1"),
+])
+def test_null_calibration_refuses_a_knob_it_cannot_run_with(knob, value, tmp_path):
+    # each would otherwise end in a division by zero, an endless redraw or a traceback
+    err = refusal("null_calibration.py", [f"--{knob}", value], tmp_path)
+    assert err.startswith("error: want --datasets >= 1")
+
+
+@pytest.mark.parametrize("script", ["recovery_experiment.py", "null_calibration.py"])
+@pytest.mark.parametrize("cards", ["3,a", "3,0"])
+def test_scripts_refuse_bad_cardinalities_as_synth_does(script, cards, tmp_path, capsys):
+    assert main(["synth", "--n", "10", "--cardinalities", cards, "--base-rate", "0.1",
+                 "--odds-multiplier", "2", "--out", str(tmp_path)]) == 2
+    assert refusal(script, ["--cardinalities", cards], tmp_path) == capsys.readouterr().err
 
 
 def test_line_count_total_is_the_sum_of_its_modules(capsys):
-    load_script("line_count").run()
+    line_count.run()
     header, *modules, total = csv.reader(capsys.readouterr().out.splitlines())
     assert header == ["module", "raw_lines", "code_lines"]
     package = ROOT / "src" / "subscan"
@@ -98,4 +113,4 @@ def f(a,
 
 def test_line_count_counts_code_lines_only():
     # import, class C, y = 1, def f(a, b):, x = [, a, b, ], s = ... over two lines, return
-    assert load_script("line_count").code_lines(KNOWN_SOURCE) == 12
+    assert line_count.code_lines(KNOWN_SOURCE) == 12

@@ -275,9 +275,7 @@ def drawn_cells_dataset(regime: str, data) -> Dataset:
     rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
     rows = (rng.integers(0, cards, (n_records, len(cards)))
             * (rng.random((n_records, len(cards))) < 0.4)).astype(np.int32)
-    schema = Schema(tuple((f"f{z}", tuple(f"v{h}" for h in range(c)))
-                          for z, c in enumerate(cards)))
-    return Dataset(schema, rows, rng.integers(0, 2, n_records))
+    return Dataset(tabular._synthetic_schema(cards), rows, rng.integers(0, 2, n_records))
 
 
 def assert_matches_unique_rows(dataset: Dataset) -> None:
@@ -824,8 +822,9 @@ class TestPlainPath:
         b"a,y\nx,1\n\nz,0\n",       # a blank line
         b"a,y\n\xc3,1\n",          # not UTF-8
         b"a,y\n" + b"x" * 131_073 + b",1\n",  # a field over csv.field_size_limit()
+        b"a,b,y\nx,z,0,1\nx,1\n",  # rows of 4 and 2 cells: 6 field ends, 3 a row on average
     ], ids=["lone_cr", "lone_cr_header", "lone_cr_in_name", "outcome_10", "outcome_padded",
-            "nul", "quoted", "blank_line", "not_utf8", "long_field"])
+            "nul", "quoted", "blank_line", "not_utf8", "long_field", "ragged_rows_balance"])
     def test_faults_go_to_the_csv_module(self, tmp_path, data):
         path = tmp_path / "t.csv"
         path.write_bytes(data)
