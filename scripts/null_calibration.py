@@ -14,7 +14,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from subscan.cli import exit_status, parse_cardinalities
+from subscan.cli import check_workers_and_alpha, exit_status, parse_cardinalities
 from subscan.errors import ContractError, SubscanError
 from subscan.scan import ScanConfig, scan
 from subscan.significance import BootstrapConfig, null_score_distribution, p_from_null_scores
@@ -52,6 +52,7 @@ def run(args: argparse.Namespace) -> None:
     if args.datasets < 1 or args.n < 2 or not 0.0 < args.rate < 1.0 or args.seed < 0:
         raise ContractError("want --datasets >= 1, --n >= 2, --rate in (0, 1) and --seed >= 0; "
                             f"got {args.datasets}, {args.n}, {args.rate} and {args.seed}")
+    check_workers_and_alpha(args.workers, args.alpha)  # as the CLI refuses them
     writer = csv.writer(sys.stdout)
     writer.writerow(["dataset", "observed_score", "p_value", "at_floor"])
     low = 0

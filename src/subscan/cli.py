@@ -187,10 +187,7 @@ def _merged_config(args: argparse.Namespace) -> PipelineConfig:
         # false for inf, nan and an int past the float range, where math.isfinite raises
         if _declared(hint) is float and value is not None and not abs(value) <= sys.float_info.max:
             raise ContractError(f"{key} must be a finite number, got {value}")
-    if cfg.workers < 1:
-        raise ContractError("workers must be >= 1")
-    if not 0.0 < cfg.alpha < 1.0:
-        raise ContractError("alpha must lie in (0, 1)")
+    check_workers_and_alpha(cfg.workers, cfg.alpha)
     cfg.bootstrap_config()  # and the scan config: bad knobs fail before data is read
     cfg.relevance_config()
     if args.subcommand in ("pipeline", "substitute") and 1 / (cfg.replicates + 1) > cfg.alpha:
@@ -253,6 +250,14 @@ def _require_input(cfg: PipelineConfig) -> Dataset:
     if not cfg.input:
         raise ContractError("--input is required")
     return load_csv(cfg.input, cfg.outcome)
+
+
+def check_workers_and_alpha(workers: int, alpha: float) -> None:
+    """Refuse a worker count below 1 or a significance level outside (0, 1)."""
+    if workers < 1:
+        raise ContractError("workers must be >= 1")
+    if not 0.0 < alpha < 1.0:
+        raise ContractError("alpha must lie in (0, 1)")
 
 
 def parse_cardinalities(text: str) -> tuple[int, ...]:

@@ -70,8 +70,10 @@ def parallel_map(fn: Callable[[Any], Any], tasks: Sequence[Any], workers: int) -
     Results come back in task order and every task is computed the same way
     on any worker, so the output does not depend on the worker count. ``fn``
     must be picklable: a module-level function or a ``functools.partial`` of
-    one.
+    one. A worker count below 1 is refused.
     """
+    if workers < 1:
+        raise ContractError("workers must be >= 1")
     # under the fork start method the pool starts max_workers processes at once
     workers = min(workers, len(tasks), os.cpu_count() or 1)
     if workers > 1:

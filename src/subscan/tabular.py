@@ -1,11 +1,14 @@
 """Tabular data model: schema, dataset, subgroup descriptors, CSV I/O, synthetic cohorts.
 
-Categories are encoded as dense integer indices per feature, in the smallest
-unsigned dtype that holds the widest feature's; human-readable labels live
-only in the Schema. Rows and outcomes are immutable numpy arrays, so datasets
-can be shared freely across parallel workers. Only this module reads them,
-or the cell table built from them: the other modules see the data through
-``CategoryCounter``, the one way a member set is counted (the scan keeps one
+Categories are encoded as dense integer indices per feature; human-readable
+labels live only in the Schema. Each record's indices are packed into one
+integer key as the record is read or drawn, one bit field per feature, and
+the keys become the cell table: a dataset keeps no N x M table of indices
+past construction, and ``Dataset.rows`` rebuilds one from the cells on each
+access. The cells and the outcomes are read-only numpy arrays, so datasets
+can be shared freely across parallel workers. Only this module reads them:
+the other modules see the data through ``CategoryCounter``, the one way a
+member set is counted (the scan keeps one
 per restart, ``scan.evaluate`` builds one per descriptor, the substitution
 stages keep one on the subgroup they perturb, and the relevance ranking builds
 one with no masks for each feature's marginal counts), and through
@@ -22,7 +25,8 @@ than records.
 ``write_csv`` writes for unquoted labels) is parsed with numpy over blocks of
 whole lines, one fixed-width byte key per field, looked up in a hash table
 of the column's known labels or else sorted; a column whose fields are too
-long for narrow keys is decoded one field at a time. Any other file, and
+long for narrow keys is decoded one field at a time, and the codes are
+packed into the records' keys a block at a time. Any other file, and
 every file the byte reader finds a fault in, is read through the csv module
 one record at a time, which accepts it or raises the LoadError. A fault found
 late costs the byte reader's work up to it on top of the csv module's read.
@@ -180,56 +184,66 @@ class SubsetDescriptor:
         return SubsetDescriptor(kept)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Dataset:
-    """Immutable categorical table with a binary outcome per record and its outcome totals."""
+    """Immutable categorical table with a binary outcome per record and its outcome totals.
+
+    ``Dataset(schema, rows, outcomes)`` checks an (N, M) array of category
+    indices and its 0/1 outcomes, packs each record into one key
+    (``_Packing``) and keeps only the cell table those keys make, beside the
+    outcomes: the rows are not kept. The loaders and ``generate_synthetic``
+    pack their records as they read or draw them and pass them as ``_Packed``.
+    """
 
     schema: Schema
-    rows: np.ndarray        # (N, M) category indices in _code_dtype(schema.cardinalities())
     outcomes: np.ndarray    # (N,) int8 in {0, 1}
-    n_positive: int = field(init=False)
-    global_mean: float = field(init=False)
+    cells: CellTable        # the distinct feature patterns of the records
+    n_positive: int
+    global_mean: float
 
-    def __post_init__(self) -> None:
-        rows = _integers(self.rows, "rows")
-        if rows.ndim != 2 or min(rows.shape) < 1:
-            raise ContractError("rows must be an (N, M) array with N, M >= 1")
-        if rows.shape[1] != self.schema.n_features:
-            raise ContractError(
-                f"rows have {rows.shape[1]} columns but schema has "
-                f"{self.schema.n_features} features"
-            )
-        outcomes = _integers(self.outcomes, "outcomes")
-        if outcomes.shape != (rows.shape[0],):
+    def __init__(self, schema: Schema, rows: object, outcomes: object) -> None:
+        cardinalities = schema.cardinalities()
+        if not isinstance(rows, _Packed):
+            rows = _integers(rows, "rows")
+            if rows.ndim != 2 or min(rows.shape) < 1:
+                raise ContractError("rows must be an (N, M) array with N, M >= 1")
+            if rows.shape[1] != schema.n_features:
+                raise ContractError(
+                    f"rows have {rows.shape[1]} columns but schema has {schema.n_features} features"
+                )
+            for z, card in enumerate(cardinalities):
+                col = rows[:, z]  # checked before packing, where a -1 would wrap
+                if col.min() < 0 or col.max() >= card:
+                    raise ContractError(
+                        f"category index out of range in feature {schema.features[z][0]!r}: "
+                        f"rows hold values outside the range [0, {card})"
+                    )
+            rows = _packed(rows, cardinalities)
+        elif rows.packing != _Packing.of(cardinalities):
+            raise ContractError("packed records do not fit the schema")
+        outcomes = _integers(outcomes, "outcomes")
+        if outcomes.shape != (len(rows.keys),):
             raise ContractError("outcomes must be a length-N vector")
         # checked before narrowing, where a 257 would wrap; as unsigned, a negative is large
-        bad = outcomes.view(f"{outcomes.dtype.byteorder}u{outcomes.itemsize}") > 1
-        if bad.any():
-            raise ContractError(f"outcome at row {int(np.argmax(bad))} is not 0/1")
+        unsigned = outcomes.view(f"{outcomes.dtype.byteorder}u{outcomes.itemsize}")
+        if unsigned.max() > 1:
+            raise ContractError(f"outcome at row {int(np.argmax(unsigned > 1))} is not 0/1")
         outcomes = _adopted(outcomes, np.int8)
-        cardinalities = self.schema.cardinalities()
-        for z, card in enumerate(cardinalities):
-            col = rows[:, z]  # checked before narrowing, where a -1 would wrap
-            if col.min() < 0 or col.max() >= card:
-                raise ContractError(
-                    f"category index out of range in feature {self.schema.features[z][0]!r}: "
-                    f"rows hold values outside the range [0, {card})"
-                )
-        rows = _adopted(rows, _code_dtype(cardinalities))
         n_positive = int(outcomes.sum())
-        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "schema", schema)
         object.__setattr__(self, "outcomes", outcomes)
+        object.__setattr__(self, "cells", _cell_table(*rows, cardinalities))
         object.__setattr__(self, "n_positive", n_positive)
-        object.__setattr__(self, "global_mean", n_positive / rows.shape[0])
+        object.__setattr__(self, "global_mean", n_positive / len(outcomes))
 
     @property
     def n_records(self) -> int:
-        return int(self.rows.shape[0])
+        return len(self.outcomes)
 
-    @cached_property
-    def cells(self) -> CellTable:
-        """The distinct feature patterns of the records, built on first use."""
-        return _cell_table(self.rows, self.schema.cardinalities())
+    @property
+    def rows(self) -> np.ndarray:
+        """(N, M) read-only category indices, in the cells' dtype, rebuilt from the cells."""
+        return _frozen(np.take(self.cells.columns, self.cells.index, axis=1).T.copy())
 
     @cached_property
     def cell_positives(self) -> np.ndarray:
@@ -243,10 +257,11 @@ class Dataset:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Dataset):
             return NotImplemented
-        return (
+        return (  # the cells are in one order, so equal cells are equal rows
             self.schema == other.schema
-            and np.array_equal(self.rows, other.rows)
             and np.array_equal(self.outcomes, other.outcomes)
+            and np.array_equal(self.cells.index, other.cells.index)
+            and np.array_equal(self.cells.columns, other.cells.columns)
         )
 
 
@@ -282,73 +297,144 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return array
 
 
-class CellTable(NamedTuple):
-    """The cells of a dataset: its distinct feature patterns, in lexicographic order."""
+class _Packing(NamedTuple):
+    """Where each feature's category index sits in a record's key.
 
-    columns: np.ndarray  # (M, C) category indices as rows.dtype, one contiguous row per feature
+    A feature of h categories takes a bit field of the fewest bits that hold
+    h - 1 (none for h = 1). The fields follow feature order, the first in a
+    word taking its top bits, and none is split between two words, so keys
+    compared word by word compare records in the lexicographic order of
+    their indices. A key is one int32 word up to 31 bits, so that it can
+    become the int32 cell index in place, one int64 word up to 63 bits, and
+    past that a row of uint64 words of up to 64 bits each.
+    """
+
+    widths: tuple[int, ...]              # bits a feature
+    fields: tuple[tuple[int, int], ...]  # (word, shift) a feature
+    dtype: np.dtype
+    n_words: int
+
+    @classmethod
+    def of(cls, cardinalities: Iterable[int]) -> _Packing:
+        widths = tuple((card - 1).bit_length() for card in cardinalities)
+        room = 31 if sum(widths) <= 31 else 63 if sum(widths) <= 63 else 64
+        used, ends = [0], []  # bits taken in each word; (word, bits taken in it) after each field
+        for width in widths:
+            if used[-1] + width > room:
+                used.append(0)
+            used[-1] += width
+            ends.append((len(used) - 1, used[-1]))
+        fields = tuple((word, used[word] - end) for word, end in ends)
+        return cls(widths, fields, np.dtype({31: np.int32, 63: np.int64, 64: np.uint64}[room]),
+                   len(used))
+
+    def keys(self, n_records: int) -> np.ndarray:
+        """(n_records, words) keys of all-zero fields."""
+        return np.zeros((n_records, self.n_words), dtype=self.dtype)
+
+    def codes(self, keys: np.ndarray, z: int) -> np.ndarray:
+        """Feature ``z``'s category index in each of ``keys``, in their dtype."""
+        word, shift = self.fields[z]
+        return (keys[:, word] >> shift) & ((1 << self.widths[z]) - 1)
+
+    def store(self, keys: np.ndarray, z: int, codes: Iterable[int]) -> None:
+        """Write ``codes`` into feature ``z``'s field of ``keys``, all zero, a block at a time."""
+        word, shift = self.fields[z]
+        for a in range(0, len(codes), _RECORD_BLOCK):
+            part = np.asarray(codes[a:a + _RECORD_BLOCK]).astype(self.dtype)
+            part <<= shift
+            keys[a:a + len(part), word] |= part
+
+
+class _Packed(NamedTuple):
+    """Records packed into keys, as the loaders pass them to ``Dataset``."""
+
+    keys: np.ndarray
+    packing: _Packing
+
+
+def _packed(rows: np.ndarray, cardinalities: tuple[int, ...]) -> _Packed:
+    """An (N, M) array of category indices, packed a block of records at a time."""
+    packing = _Packing.of(cardinalities)
+    keys = packing.keys(len(rows))
+    for z in range(len(cardinalities)):
+        packing.store(keys, z, rows[:, z])
+    return _Packed(keys, packing)
+
+
+def _repacked(keys: np.ndarray, old: _Packing, new: _Packing, stop: int) -> np.ndarray:
+    """``keys`` with the records before ``stop`` moved from ``old`` fields to ``new``.
+
+    A block of records at a time, in place when both packings have the same
+    words, else into new keys; the records from ``stop`` on stay all zero.
+    """
+    moved = keys if (old.dtype, old.n_words) == (new.dtype, new.n_words) else new.keys(len(keys))
+    for a in range(0, stop, _RECORD_BLOCK):
+        block = keys[a:min(stop, a + _RECORD_BLOCK)]
+        wider = new.keys(len(block))
+        for z in range(len(new.widths)):
+            new.store(wider, z, old.codes(block, z))
+        moved[a:a + len(block)] = wider
+    return moved
+
+
+class CellTable(NamedTuple):
+    """The cells of a dataset: its distinct feature patterns, in lexicographic order.
+
+    Beside the outcomes, this is all a dataset keeps of its records. The
+    columns' dtype is the smallest unsigned one that holds the widest
+    feature's category indices. All three arrays are read-only.
+    """
+
+    columns: np.ndarray  # (M, C) category indices, one contiguous row per feature
     index: np.ndarray    # (N,) int32 cell of each record
     n: np.ndarray        # (C,) records per cell, as float64: the counter's bincount weights
 
 
-_INT64_MAX = int(np.iinfo(np.int64).max)
+def _renumbered(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(distinct keys, each record's cell as int32, records per cell as float64), through a sort.
 
-
-def _renumbered(key: np.ndarray) -> tuple[np.ndarray, int]:
-    """(the keys renumbered densely in the same order, their span), through a sort."""
-    distinct, key = np.unique(key, return_inverse=True)
-    return key, len(distinct)
-
-
-def _cell_table(rows: np.ndarray, cardinalities: tuple[int, ...]) -> CellTable:
-    """Group records by feature pattern: a mixed-radix key per record, cells in key order.
-
-    When the key span, the product of the cardinalities, is at most the
-    record count and below 2**31, each record's key is built in the int32
-    cell index itself and counted a block of records at a time, in blocks of
-    at least ``span`` records since each ``np.bincount`` costs O(span). So the
-    build holds no per-record array besides the index. A wider span takes an
-    int64 key per record, renumbered densely through ``np.unique`` (and its
-    temporaries) when it would wrap or outgrow the records. Either way each
-    key then becomes its cell in place, and each cell's representative record
-    is picked, a block of records at a time.
+    A key of several words is sorted as one void scalar of their big-endian
+    bytes, which compare as the words do, the first word first.
     """
-    span = math.prod(cardinalities)  # every key lies in [0, span)
-    if span <= min(len(rows), np.iinfo(np.int32).max):
-        key = index = np.empty(len(rows), dtype=np.int32)
+    words = keys.shape[1]
+    if words > 1:
+        keys = keys.astype(">u8").view(np.dtype((np.void, 8 * words)))
+    distinct, index, n = np.unique(keys.reshape(-1), return_inverse=True, return_counts=True)
+    if words > 1:
+        distinct = distinct.view(">u8")
+    return distinct.reshape(-1, words), index.astype(np.int32), n.astype(np.float64)
+
+
+def _cell_table(keys: np.ndarray, packing: _Packing, cardinalities: tuple[int, ...]) -> CellTable:
+    """Group records by their keys: the cells in key order, which is lexicographic.
+
+    When the keys are int32 and their span (one past the key of every
+    feature's last category) is at most the record count, the keys become
+    the cell index in place. They are counted a block of records at a time,
+    in blocks of at least ``span`` records since each ``np.bincount`` costs
+    O(span), and then each key becomes its cell. So the build holds no
+    per-record array besides the index. Other keys are renumbered densely
+    through ``np.unique`` (and its temporaries). Either way the cells'
+    columns are decoded from the distinct keys.
+    """
+    span = 1 + sum((card - 1) << shift for card, (_, shift) in zip(cardinalities, packing.fields))
+    if packing.dtype == np.int32 and span <= len(keys):
+        index = keys.reshape(-1)
         n, block = np.zeros(span, dtype=np.intp), max(_RECORD_BLOCK, span)
-        for a in range(0, len(rows), block):
-            b = index[a:a + block]
-            b[:] = rows[a:a + block, 0]
-            for z in range(1, len(cardinalities)):
-                b *= cardinalities[z]
-                b += rows[a:a + block, z]
-            n += np.bincount(b, minlength=span)  # counts an intp copy of the block
+        for a in range(0, len(index), block):
+            n += np.bincount(index[a:a + block], minlength=span)  # counts an intp copy of the block
+        present = n > 0
+        cell = np.cumsum(present, dtype=np.int32) - 1  # cell of each key
+        for a in range(0, len(index), _RECORD_BLOCK):
+            index[a:a + _RECORD_BLOCK] = cell[index[a:a + _RECORD_BLOCK]]
+        distinct, n = np.flatnonzero(present)[:, None], n[present].astype(np.float64)
     else:
-        key, span = np.zeros(len(rows), dtype=np.int64), 1
-        for z, card in enumerate(cardinalities):
-            if span > _INT64_MAX // card:
-                key, span = _renumbered(key)  # key * card would wrap and merge distinct cells
-            key *= card
-            key += rows[:, z]
-            span *= card
-        if span > len(key):
-            key, span = _renumbered(key)  # else the key table would outgrow the records
-        n = np.bincount(key, minlength=span)
-        index = np.empty(len(rows), dtype=np.int32)
-    present = n > 0
-    cell = np.cumsum(present, dtype=np.int32) - 1  # cell of each key
-    n = n[present].astype(np.float64)
-    representative = np.empty(len(n), dtype=np.intp)
-    for a in range(0, len(rows), _RECORD_BLOCK):  # each key becomes its cell in place
-        b = index[a:a + _RECORD_BLOCK]
-        b[:] = cell[key[a:a + _RECORD_BLOCK]]
-        representative[b] = np.arange(a, a + len(b))  # the last record of a cell wins
-    # one feature at a time: a whole (C, M) gather and its transpose would
-    # add two table-sized temporaries to the peak memory
-    columns = np.empty((rows.shape[1], len(n)), dtype=rows.dtype)
-    for z in range(rows.shape[1]):
-        columns[z] = rows[representative, z]
-    return CellTable(columns, index, n)
+        distinct, index, n = _renumbered(keys)
+    columns = np.empty((len(cardinalities), len(n)), dtype=_code_dtype(cardinalities))
+    for z in range(len(cardinalities)):
+        columns[z] = packing.codes(distinct, z)
+    return CellTable(_frozen(columns), _frozen(index), _frozen(n))
 
 
 def _allowed_masks(schema: Schema, descriptor: SubsetDescriptor) -> dict[int, np.ndarray]:
@@ -488,19 +574,24 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, SubsetDescriptor]:
     p_in = planted_outcome_rate(spec)
     schema = spec.schema()
     rng = np.random.default_rng(spec.seed)
-    rows = np.empty((spec.n_records, len(spec.cardinalities)), _code_dtype(spec.cardinalities))
+    packing = _Packing.of(spec.cardinalities)
+    keys = None if packing.dtype == np.int32 else packing.keys(spec.n_records)
     for z, card in enumerate(spec.cardinalities):
-        rows[:, z] = rng.integers(0, card, size=spec.n_records, dtype=np.int32)
+        codes = rng.integers(0, card, size=spec.n_records, dtype=np.int32)
+        if keys is None:  # the first draw becomes the int32 keys in place: one array less
+            keys = np.left_shift(codes, packing.fields[0][1], out=codes)[:, None]
+        else:
+            packing.store(keys, z, codes)
 
     # in blocks: the stream of one draw, without its two float64 arrays as long as the data
     allowed, outcomes = _allowed_masks(schema, spec.planted), np.empty(spec.n_records, np.int8)
     for a in range(0, spec.n_records, _RECORD_BLOCK):
         inside = np.ones(min(_RECORD_BLOCK, spec.n_records - a), dtype=bool)
         for f, ok in allowed.items():
-            inside &= ok[rows[a:a + _RECORD_BLOCK, f]]
+            inside &= ok[packing.codes(keys[a:a + _RECORD_BLOCK], f)]
         p = np.where(inside, p_in, spec.base_rate)
         outcomes[a:a + _RECORD_BLOCK] = rng.random(len(p)) < p
-    return Dataset(schema, _frozen(rows), _frozen(outcomes)), spec.planted
+    return Dataset(schema, _Packed(keys, packing), _frozen(outcomes)), spec.planted
 
 
 def load_csv(path: str | Path, outcome_column: str) -> Dataset:
@@ -580,9 +671,9 @@ def _read_records(path: Path, outcome_column: str) -> Dataset:
     if not rows:
         raise LoadError(f"{path}: no data rows")
     schema = Schema(tuple((header[col], tuple(codes[j])) for j, col in enumerate(feature_cols)))
-    rows_array = np.array(rows, dtype=_code_dtype(map(len, codes)))
+    rows_array = np.array(rows, dtype=_code_dtype(schema.cardinalities()))
     outcomes_array = np.array(outcomes, dtype=np.int8)
-    return Dataset(schema, _frozen(rows_array), _frozen(outcomes_array))
+    return Dataset(schema, _packed(rows_array, schema.cardinalities()), _frozen(outcomes_array))
 
 
 _BLOCK_BYTES = 1 << 18  # the byte reader reads, and write_csv builds, this much at a time
@@ -619,15 +710,15 @@ def _read_plain(path: Path, outcome_column: str) -> Dataset | None:
     line is checked on its own. Each feature column keeps a ``_LabelTable``
     of its labels of up to 8 bytes, so a block whose fields are all known
     takes their codes from its hash table without sorting, up to
-    ``_TABLE_CAP`` (1,024) such labels a column (``_block_codes``). The
-    codes array starts as uint8 and is widened to uint16, then uint32, when
-    a column's labels outgrow it, before the store that would wrap: at most
-    twice a load. A widening copies only the records parsed so far, and the
-    pages of the rest are not touched until they are stored, so it holds the
-    old and the new codes of those records at once: 3 bytes a code at the
-    step to uint16, 6 at the step to uint32, against the 4 of an int32
-    table. The step to uint32 costs more than an int32 table only if it
-    comes after two thirds of the records.
+    ``_TABLE_CAP`` (1,024) such labels a column (``_block_codes``). Each
+    block's codes go straight into the records' keys (``_Packing``), whose
+    fields start empty. When a column's labels outgrow its field, before
+    the store that would overflow it, the field widens to the bits its
+    labels need and the records parsed so far are re-packed, a block at a
+    time: at most log2(cardinality) times a column. That is in place while
+    the keys keep their words; past 31 or 63 bits, or past another 64, the
+    keys move to wider words and the old and new keys of those records are
+    held at once. The keys of one int32 word become the int32 cell index.
     """
     try:
         with open(path, "rb") as fh:
@@ -641,7 +732,8 @@ def _read_plain(path: Path, outcome_column: str) -> Dataset | None:
             if n_records < 1:
                 raise _NotPlain
             fh.seek(0)
-            return _parse_plain(path, _line_blocks(fh), n_records, outcome_column)
+            # the parse's block temporaries are gone before the cell build
+            return Dataset(*_parse_plain(path, _line_blocks(fh), n_records, outcome_column))
     except (_NotPlain, LoadError, OSError, UnicodeDecodeError):
         return None
 
@@ -662,8 +754,8 @@ def _line_blocks(fh: IO[bytes]) -> Iterator[bytes]:
 
 def _parse_plain(
     path: Path, blocks: Iterator[bytes], n_records: int, outcome_column: str
-) -> Dataset:
-    """The Dataset of a plain file's line blocks; _NotPlain at the first fault."""
+) -> tuple[Schema, _Packed, np.ndarray]:
+    """(schema, packed records, outcomes) of a plain file's line blocks; _NotPlain at a fault."""
     limit = csv.field_size_limit()
     head, _, first = next(blocks).removeprefix(codecs.BOM_UTF8).partition(b"\n")
     head = head.removesuffix(b"\r")
@@ -677,7 +769,8 @@ def _parse_plain(
 
     codes: list[dict[str, int]] = [{} for _ in feature_cols]
     tables = [_LabelTable() for _ in feature_cols]
-    rows = np.empty((n_records, len(feature_cols)), dtype=np.uint8)
+    packing = _Packing.of([1] * len(feature_cols))
+    keys = packing.keys(n_records)
     outcomes = np.empty(n_records, dtype=np.int8)
     done = 0
     for block in itertools.chain([first] if first else [], blocks):  # after the header
@@ -711,16 +804,16 @@ def _parse_plain(
             else:
                 j = col - (col > y_col)
                 block_codes = _block_codes(block, words, start, length, codes[j], tables[j])
-                if len(codes[j]) > np.iinfo(rows.dtype).max + 1:  # the store would wrap
-                    narrow, rows = rows, np.empty(rows.shape, _code_dtype([len(codes[j])]))
-                    rows[:done + n] = narrow[:done + n]  # this block's earlier columns too
-                    del narrow
-                rows[done:done + n, j] = block_codes
+                if len(codes[j]) > 1 << packing.widths[j]:  # the store would overflow its field
+                    wider = _Packing.of([len(labels) or 1 for labels in codes])
+                    # this block's earlier columns too
+                    keys, packing = _repacked(keys, packing, wider, done + n), wider
+                packing.store(keys[done:done + n], j, block_codes)
         done += n
     if done != n_records:
         raise _NotPlain
     schema = Schema(tuple((header[col], tuple(codes[j])) for j, col in enumerate(feature_cols)))
-    return Dataset(schema, _frozen(rows), _frozen(outcomes))
+    return schema, _Packed(keys, packing), _frozen(outcomes)
 
 
 class _LabelTable:
@@ -858,9 +951,10 @@ def write_csv(dataset: Dataset, path: str | Path, outcome_column: str = "y") -> 
     ``1`` with their line ends. Each column's fields are kept zero-padded in
     the narrowest unsigned words that hold the longest (several 8-byte words
     past 8 bytes), beside a 0/1 byte mask of their own bytes. A block of
-    records, about ``_BLOCK_BYTES`` of padded fields, is one gather per column
-    into a packed record array and one into its mask; the bytes the mask
-    keeps are written. Memory stays bounded whatever the dataset's size.
+    records, about ``_BLOCK_BYTES`` of padded fields, is decoded from the
+    cells in one gather, then one gather per column into a packed record
+    array and one into its mask; the bytes the mask keeps are written.
+    Memory stays bounded whatever the dataset's size.
     """
     if outcome_column in dataset.schema.feature_names:
         raise ContractError(f"outcome column {outcome_column!r} collides with a feature")
@@ -875,8 +969,9 @@ def write_csv(dataset: Dataset, path: str | Path, outcome_column: str = "y") -> 
     step = max(1, _BLOCK_BYTES // record.itemsize)
     with _atomic_bytes(path) as fh:
         fh.write(_csv_lines([[*dataset.schema.feature_names, outcome_column]])[0])
+        columns, cells, _ = dataset.cells
         for a in range(0, dataset.n_records, step):
-            codes = [*dataset.rows[a:a + step].T, dataset.outcomes[a:a + step]]
+            codes = [*np.take(columns, cells[a:a + step], axis=1), dataset.outcomes[a:a + step]]
             block, keep = np.empty(len(codes[-1]), record), np.empty(len(codes[-1]), record)
             for name, (words, mask), index in zip(record.names, tables, codes):
                 block[name], keep[name] = words[index], mask[index]

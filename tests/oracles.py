@@ -5,7 +5,9 @@ maximization instead of the closed form, pure-Python row loops instead of
 vectorized masks, full subset enumeration instead of prefix scans and
 coordinate ascent, and per-record masks instead of the cell table.
 ``reference_q`` restates the closed form in scalar floats, to pin the
-package's array form bit for bit.
+package's array form bit for bit. ``reference_cell_table`` builds the cells
+from an N x M table of category indices, as the package did before it packed
+each record into a key as it is read.
 ``exhaustive_scan`` checks the search, not the score, so it scores descriptors
 with the package's closed form; ``record_run_restart`` checks the counting,
 not the step, so it takes its steps with the package's ``best_prefix``.
@@ -31,7 +33,7 @@ from subscan.scan import (
     evaluate,
 )
 from subscan.scoring import unguarded_score_array
-from subscan.tabular import Dataset, SubsetDescriptor
+from subscan.tabular import CellTable, Dataset, SubsetDescriptor, _code_dtype
 
 _STEP_TOL = 1e-9  # slack for float noise in the ascent audit of record_run_restart
 
@@ -118,6 +120,64 @@ def unique_rows_cells(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     """
     distinct, index, n = np.unique(rows, axis=0, return_inverse=True, return_counts=True)
     return distinct.T, index.reshape(-1), n
+
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
+_CELL_BLOCK = 1 << 16  # records a block in reference_cell_table
+
+
+def _renumbered(key: np.ndarray) -> tuple[np.ndarray, int]:
+    """(the keys renumbered densely in the same order, their span), through a sort."""
+    distinct, key = np.unique(key, return_inverse=True)
+    return key, len(distinct)
+
+
+def reference_cell_table(rows: np.ndarray, cardinalities: tuple[int, ...]) -> CellTable:
+    """The cell table of an (N, M) array of category indices, built from the rows themselves.
+
+    The package's build before records were packed as they are read: a
+    mixed-radix key per record, in the int32 index when the key span (the
+    product of the cardinalities) is at most the record count, else an int64
+    key renumbered through ``np.unique`` whenever it would wrap or outgrow the
+    records; then each cell's columns are copied from its last record. The
+    rows are first narrowed to the dtype the package's columns take.
+    """
+    rows = np.asarray(rows).astype(_code_dtype(cardinalities))
+    span = math.prod(cardinalities)  # every key lies in [0, span)
+    if span <= min(len(rows), np.iinfo(np.int32).max):
+        key = index = np.empty(len(rows), dtype=np.int32)
+        n, block = np.zeros(span, dtype=np.intp), max(_CELL_BLOCK, span)
+        for a in range(0, len(rows), block):
+            b = index[a:a + block]
+            b[:] = rows[a:a + block, 0]
+            for z in range(1, len(cardinalities)):
+                b *= cardinalities[z]
+                b += rows[a:a + block, z]
+            n += np.bincount(b, minlength=span)
+    else:
+        key, span = np.zeros(len(rows), dtype=np.int64), 1
+        for z, card in enumerate(cardinalities):
+            if span > _INT64_MAX // card:
+                key, span = _renumbered(key)  # key * card would wrap and merge distinct cells
+            key *= card
+            key += rows[:, z]
+            span *= card
+        if span > len(key):
+            key, span = _renumbered(key)
+        n = np.bincount(key, minlength=span)
+        index = np.empty(len(rows), dtype=np.int32)
+    present = n > 0
+    cell = np.cumsum(present, dtype=np.int32) - 1  # cell of each key
+    n = n[present].astype(np.float64)
+    representative = np.empty(len(n), dtype=np.intp)
+    for a in range(0, len(rows), _CELL_BLOCK):
+        b = index[a:a + _CELL_BLOCK]
+        b[:] = cell[key[a:a + _CELL_BLOCK]]
+        representative[b] = np.arange(a, a + len(b))  # the last record of a cell wins
+    columns = np.empty((rows.shape[1], len(n)), dtype=rows.dtype)
+    for z in range(rows.shape[1]):
+        columns[z] = rows[representative, z]
+    return CellTable(columns, index, n)
 
 
 def brute_membership(rows, constraints: dict[int, set[int]]) -> set[int]:

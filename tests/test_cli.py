@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
 from importlib import resources
 from pathlib import Path
@@ -271,6 +274,20 @@ def zero_score_scan(tmp_path_factory) -> tuple[Path, Path]:
                 "--replicates", "19", "--seed", "4", "--out", str(out)]) == 0
     assert json.loads((out / "scan_report.json").read_text())["scan"]["score"] == 0.0
     return out / "cohort.csv", out / "scan_report.json"
+
+
+def test_rank_never_imports_numpy_random(cohort_csv, scan_report, tmp_path):
+    """Importing numpy.random costs ~6 MiB of RSS, through secrets, hashlib and
+    libcrypto, and rank draws nothing: a draw added to an import path of rank
+    would raise its peak memory unseen."""
+    code = ("import sys; from subscan.cli import main; "
+            "print(main(sys.argv[1:]), 'numpy.random' in sys.modules)")
+    argv = ["rank", "--input", str(cohort_csv), "--outcome", "y",
+            "--scan-report", str(scan_report), "--out", str(tmp_path / "rank")]
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+    assert done.stdout.split() == ["0", "False"], done.stderr
 
 
 class TestRankAndSubstitute:

@@ -19,7 +19,7 @@ from oracles import (
     membership_mask,
     record_run_restart,
 )
-from subscan.errors import DegenerateDataError
+from subscan.errors import ContractError, DegenerateDataError
 from subscan.scan import ScanConfig, _run_restart, best_prefix, evaluate, parallel_map, scan
 from subscan.scoring import bernoulli_score
 from subscan.significance import BootstrapConfig, _replicate_score, null_score_distribution
@@ -454,3 +454,13 @@ class TestExhaustive:
         outcomes = [1, 0, 0, 1] * 6
         result = exhaustive_scan(Dataset(schema, rows, outcomes))
         assert result.descriptor == SubsetDescriptor.from_dict({0: [0], 1: [0]})
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+def test_fewer_than_one_worker_refused(workers):
+    # the CLI refuses these counts; the library ran them serially
+    with pytest.raises(ContractError, match="workers must be >= 1"):
+        parallel_map(abs, [-1, -2], workers)
+    dataset, _ = make_recovery_cohort(seed=1, n_records=200)
+    with pytest.raises(ContractError, match="workers must be >= 1"):
+        scan(dataset, ScanConfig(n_restarts=2, seed=0), workers=workers)

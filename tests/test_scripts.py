@@ -65,6 +65,14 @@ def test_null_calibration_refuses_a_knob_it_cannot_run_with(knob, value, tmp_pat
     assert err.startswith("error: want --datasets >= 1")
 
 
+@pytest.mark.parametrize("knob, value", [("workers", "0"), ("alpha", "2"), ("alpha", "0")])
+def test_null_calibration_refuses_knobs_as_the_cli_does(knob, value, tmp_path, capsys):
+    # the script ran on --workers 0, and printed P(p <= 2.0) = 1.0000 on --alpha 2
+    assert main(["scan", "--input", str(tmp_path / "cohort.csv"), f"--{knob}", value,
+                 "--out", str(tmp_path / "out")]) == 2
+    assert refusal("null_calibration.py", [f"--{knob}", value], tmp_path) == capsys.readouterr().err
+
+
 @pytest.mark.parametrize("script", ["recovery_experiment.py", "null_calibration.py"])
 @pytest.mark.parametrize("cards", ["3,a", "3,0"])
 def test_scripts_refuse_bad_cardinalities_as_synth_does(script, cards, tmp_path, capsys):

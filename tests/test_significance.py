@@ -158,3 +158,9 @@ class TestDegenerateRedraw:
                     _replicate_score(dataset, config, rep)
                 return
         pytest.fail("no degenerate first draw found among 50 replicates")
+
+
+def test_null_score_distribution_refuses_fewer_than_one_worker():
+    dataset, _ = make_recovery_cohort(seed=1, n_records=200)
+    with pytest.raises(ContractError, match="workers must be >= 1"):
+        null_score_distribution(dataset, small_config(replicates=2), workers=0)

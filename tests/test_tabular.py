@@ -10,16 +10,23 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import binomtest
 
-from oracles import brute_membership, membership, membership_mask, unique_rows_cells
+from oracles import (
+    brute_membership,
+    membership,
+    membership_mask,
+    reference_cell_table,
+    unique_rows_cells,
+)
 from subscan import tabular
 from subscan.errors import ContractError, LoadError
 from subscan.scan import evaluate
 from subscan.tabular import (
     CategoryCounter,
+    CellTable,
     Dataset,
     Schema,
     SubsetDescriptor,
@@ -70,6 +77,21 @@ def row_loop_bytes(dataset: Dataset, outcome: str) -> bytes:
     return text.getvalue().encode("utf-8")
 
 
+def dataset_and_rows(seed: int, n_records: int,
+                     cards: tuple[int, ...]) -> tuple[Dataset, np.ndarray]:
+    """A dataset of uniform category draws and random outcomes, with the rows it was made from."""
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(0, cards, (n_records, len(cards)))
+    return Dataset(tabular._synthetic_schema(cards), rows, rng.integers(0, 2, n_records)), rows
+
+
+def synthetic_rows(spec: SyntheticSpec) -> np.ndarray:
+    """The category indices that generate_synthetic draws: an int32 column a feature, in order."""
+    rng = np.random.default_rng(spec.seed)
+    return np.column_stack([rng.integers(0, card, size=spec.n_records, dtype=np.int32)
+                            for card in spec.cardinalities])
+
+
 class TestSchema:
     def test_duplicate_feature_names_rejected(self):
         with pytest.raises(ContractError):
@@ -110,9 +132,9 @@ class TestDataset:
             hash(tiny_dataset)
 
     def test_cell_sums_count_flagged_records_per_cell(self):
-        dataset = random_dataset(np.random.default_rng(5), 300, (3, 2, 4))
+        dataset, rows = dataset_and_rows(5, 300, (3, 2, 4))
         flags = np.random.default_rng(6).random(dataset.n_records) < 0.3
-        _, index, n = unique_rows_cells(dataset.rows)
+        _, index, n = unique_rows_cells(rows)
         sums = dataset.cell_sums(flags)
         assert np.array_equal(sums, np.bincount(index, weights=flags, minlength=len(n)))
         assert np.array_equal(dataset.cell_sums(dataset.outcomes == 1), dataset.cell_positives)
@@ -177,11 +199,10 @@ class TestDataset:
         assert not dataset.rows.flags.writeable and not dataset.outcomes.flags.writeable
 
     def test_read_only_owned_arrays_are_adopted(self):
-        rows, outcomes = np.array([[0], [1]], dtype=np.uint8), np.array([1, 0], dtype=np.int8)
-        rows.setflags(write=False)
+        outcomes = np.array([1, 0], dtype=np.int8)
         outcomes.setflags(write=False)
-        dataset = Dataset(Schema((("a", ("x", "y")),)), rows, outcomes)
-        assert np.shares_memory(dataset.rows, rows) and np.shares_memory(dataset.outcomes, outcomes)
+        dataset = Dataset(Schema((("a", ("x", "y")),)), [[0], [1]], outcomes)
+        assert np.shares_memory(dataset.outcomes, outcomes)
 
     def test_read_only_owned_int32_rows_are_narrowed(self):
         rows = np.array([[0, 2], [1, 0]], dtype=np.int32)
@@ -225,11 +246,13 @@ class TestDataset:
                 assert array.flags.owndata and not array.flags.writeable
 
 
-def assert_cell_table_invariants(dataset: Dataset) -> None:
+def assert_cell_table_invariants(dataset: Dataset, rows: np.ndarray) -> None:
+    """The cells of ``dataset`` against ``rows``, the category indices it was made from."""
     cells = dataset.cells
     n_cells = len(cells.n)
     assert cells.columns.shape == (dataset.schema.n_features, n_cells)
-    assert cells.columns.dtype == dataset.rows.dtype and cells.index.dtype == np.int32
+    assert cells.columns.dtype == np.min_scalar_type(max(dataset.schema.cardinalities()) - 1)
+    assert cells.index.dtype == np.int32
     assert all(row.flags.c_contiguous for row in cells.columns)
     assert int(cells.n.sum()) == dataset.n_records
     assert cells.n.min() >= 1
@@ -238,11 +261,11 @@ def assert_cell_table_invariants(dataset: Dataset) -> None:
     np.add.at(positives, cells.index, dataset.outcomes)
     assert dataset.cell_positives.tolist() == positives.tolist()
     assert len({tuple(cell) for cell in cells.columns.T.tolist()}) == n_cells
-    assert np.array_equal(cells.columns[:, cells.index].T, dataset.rows)
+    assert np.array_equal(cells.columns[:, cells.index].T, rows)
     assert np.bincount(cells.index, minlength=n_cells).tolist() == cells.n.tolist()
 
 
-def overflowing_dataset() -> Dataset:
+def overflowing_dataset() -> tuple[Dataset, np.ndarray]:
     """70 binary features: the product of cardinalities, 2**70, exceeds 2**63.
 
     Only the first features vary much, so a key that wrapped (dropping the
@@ -251,22 +274,23 @@ def overflowing_dataset() -> Dataset:
     rng = np.random.default_rng(70)
     rows = (rng.random((300, 70)) < np.r_[np.full(8, 0.5), np.full(62, 0.03)]).astype(int)
     schema = Schema(tuple((f"f{z}", ("v0", "v1")) for z in range(70)))
-    return Dataset(schema, rows, (rng.random(300) < 0.3).astype(np.int8))
+    return Dataset(schema, rows, (rng.random(300) < 0.3).astype(np.int8)), rows
 
 
 REGIMES = ["span < N", "span == N", "span > N", "key overflow"]
 
 
-def drawn_cells_dataset(regime: str, data) -> Dataset:
-    """A dataset whose key span (the product of its cardinalities) relates to its
-    record count as ``regime`` says, with few values per feature, mostly 0, so
-    that records share cells."""
+def drawn_cells_dataset(regime: str, data) -> tuple[Dataset, np.ndarray]:
+    """A dataset whose key span (one past the packed key of every feature's last
+    category) relates to its record count as ``regime`` says, with few values per
+    feature, mostly 0, so that records share cells; and its rows."""
     if regime == "key overflow":  # at least 2**64 keys
         cards = [data.draw(st.integers(2, 3)) for _ in range(64)]
     else:
         low = 2 if regime == "span > N" else 1
         cards = data.draw(st.lists(st.integers(low, 5), min_size=1, max_size=4))
-    span = int(np.prod(cards, dtype=object))
+    packing = tabular._Packing.of(cards)
+    span = 1 + sum((card - 1) << shift for card, (_, shift) in zip(cards, packing.fields))
     low, high = {
         "span < N": (span + 1, span + 300), "span == N": (span, span),
         "span > N": (1, span - 1), "key overflow": (1, 300),
@@ -275,13 +299,14 @@ def drawn_cells_dataset(regime: str, data) -> Dataset:
     rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
     rows = (rng.integers(0, cards, (n_records, len(cards)))
             * (rng.random((n_records, len(cards))) < 0.4)).astype(np.int32)
-    return Dataset(tabular._synthetic_schema(cards), rows, rng.integers(0, 2, n_records))
+    return Dataset(tabular._synthetic_schema(cards), rows, rng.integers(0, 2, n_records)), rows
 
 
-def assert_matches_unique_rows(dataset: Dataset) -> None:
+def assert_matches_unique_rows(dataset: Dataset, rows: np.ndarray) -> None:
     cells = dataset.cells
-    columns, index, n = unique_rows_cells(dataset.rows)
-    assert cells.columns.dtype == dataset.rows.dtype and cells.index.dtype == np.int32
+    columns, index, n = unique_rows_cells(rows)
+    assert cells.columns.dtype == np.min_scalar_type(max(dataset.schema.cardinalities()) - 1)
+    assert cells.index.dtype == np.int32
     assert np.array_equal(cells.columns, columns)
     assert np.array_equal(cells.index, index)
     assert np.array_equal(cells.n, n)
@@ -294,7 +319,7 @@ class TestCellTable:
         cards = tuple(data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=5)))
         n_records = data.draw(st.integers(2, 200))
         seed = data.draw(st.integers(0, 2**16))
-        assert_cell_table_invariants(random_dataset(np.random.default_rng(seed), n_records, cards))
+        assert_cell_table_invariants(*dataset_and_rows(seed, n_records, cards))
 
     @pytest.mark.parametrize("regime", REGIMES)
     @given(data=st.data())
@@ -302,7 +327,7 @@ class TestCellTable:
     def test_matches_unique_rows(self, regime, data):
         """np.unique over whole rows, whether the keys are counted in a table of every key
         (span <= N) or renumbered first (span > N, and before a key would wrap)."""
-        assert_matches_unique_rows(drawn_cells_dataset(regime, data))
+        assert_matches_unique_rows(*drawn_cells_dataset(regime, data))
 
     @pytest.mark.parametrize("regime", REGIMES)
     @given(data=st.data(), block=st.integers(1, 8))
@@ -311,22 +336,22 @@ class TestCellTable:
         """As above, with blocks of a few records, so that the records span several
         blocks; a key span above the block size makes the counting block grow to it."""
         with mock.patch.object(tabular, "_RECORD_BLOCK", block):
-            dataset = drawn_cells_dataset(regime, data)
-            assert_matches_unique_rows(dataset)
-            assert_cell_table_invariants(dataset)
+            drawn = drawn_cells_dataset(regime, data)
+            assert_matches_unique_rows(*drawn)
+            assert_cell_table_invariants(*drawn)
 
     @pytest.mark.parametrize("n_records, cards, block, dtype", [
-        (200, (2, 3), 16, np.uint8),        # span 6 below the block: 13 blocks
-        (500, (4, 5, 3), 8, np.uint8),      # span 60 above it: counted in blocks of 60
-        (3000, (300, 2, 3), 64, np.uint16),  # span 1,800: two counting blocks
+        (200, (2, 3), 16, np.uint8),        # span 7 below the block: 13 blocks
+        (500, (4, 5, 3), 8, np.uint8),      # span 115 above it: counted in blocks of 115
+        (3000, (300, 2, 3), 64, np.uint16),  # span 2,399: two counting blocks
     ], ids=["span_below_block", "span_above_block", "uint16"])
     def test_direct_keys_across_blocks(self, monkeypatch, n_records, cards, block, dtype):
         monkeypatch.setattr(tabular, "_RECORD_BLOCK", block)
         monkeypatch.setattr(tabular, "_renumbered", mock.Mock(side_effect=AssertionError))
-        dataset = random_dataset(np.random.default_rng(n_records), n_records, cards)
+        dataset, rows = dataset_and_rows(n_records, n_records, cards)
         assert dataset.rows.dtype == dtype
-        assert_matches_unique_rows(dataset)
-        assert_cell_table_invariants(dataset)
+        assert_matches_unique_rows(dataset, rows)
+        assert_cell_table_invariants(dataset, rows)
 
     def test_one_cell_per_pattern(self, tiny_dataset):
         assert len(tiny_dataset.cells.n) == 6
@@ -334,12 +359,12 @@ class TestCellTable:
         assert tiny_dataset.cell_positives.tolist() == [2, 1, 0, 0, 0, 0]
 
     def test_key_overflow_keeps_cells_apart(self):
-        dataset = overflowing_dataset()
-        assert_cell_table_invariants(dataset)
-        assert len(dataset.cells.n) == len({tuple(r) for r in dataset.rows.tolist()})
+        dataset, rows = overflowing_dataset()
+        assert_cell_table_invariants(dataset, rows)
+        assert len(dataset.cells.n) == len({tuple(r) for r in rows.tolist()})
 
     def test_counts_match_row_loop_past_key_overflow(self):
-        dataset = overflowing_dataset()
+        dataset, _ = overflowing_dataset()
         rng = np.random.default_rng(1)
         for _ in range(5):
             # v0 stays allowed, so the sparse features keep most records in
@@ -360,6 +385,107 @@ class TestCellTable:
             assert (panel.n_subset, panel.n_positive) == (
                 int(mask.sum()), int(dataset.outcomes[mask].sum())
             )
+
+
+def assert_cells_match_oracle(dataset: Dataset, rows: np.ndarray) -> None:
+    """The dataset's cells are those the rows-based build makes of ``rows``, bit for bit."""
+    want = reference_cell_table(rows, dataset.schema.cardinalities())
+    for name, got, expected in zip(CellTable._fields, dataset.cells, want):
+        assert got.dtype == expected.dtype and got.shape == expected.shape, name
+        assert np.array_equal(got, expected), name
+    assert all(row.flags.c_contiguous for row in dataset.cells.columns)
+
+
+def write_coded_csv(path, rows: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
+    """Write index k as the label ``v<k>``; the rows a loader reads back, whose
+    indices number each column's labels by first appearance."""
+    header = ",".join([*(f"f{z}" for z in range(rows.shape[1])), "y"])
+    path.write_text(header + "\n" + "".join(
+        ",".join([*(f"v{k}" for k in row), str(y)]) + "\n"
+        for row, y in zip(rows.tolist(), outcomes.tolist())
+    ))
+    read = np.empty_like(rows)
+    for z, column in enumerate(rows.T):
+        _, first, inverse = np.unique(column, return_index=True, return_inverse=True)
+        rank = np.empty(len(first), dtype=np.int64)
+        rank[np.argsort(first)] = np.arange(len(first))
+        read[:, z] = rank[inverse]
+    return read
+
+
+def assert_every_way_matches_oracle(tmp_path, rows: np.ndarray, cards: tuple[int, ...],
+                                    block_bytes: int, seed: int) -> None:
+    """Dataset(schema, rows, outcomes), generate_synthetic, the byte reader and the csv
+    module's reader each give the oracle's cells for the indices they were made of."""
+    rng = np.random.default_rng(seed)
+    outcomes = rng.integers(0, 2, len(rows))
+    assert_cells_match_oracle(Dataset(tabular._synthetic_schema(cards), rows, outcomes), rows)
+    spec = SyntheticSpec(len(rows), cards, 0.2, SubsetDescriptor.from_dict({0: [0]}), 2.0, seed)
+    assert_cells_match_oracle(generate_synthetic(spec)[0], synthetic_rows(spec))
+    path = tmp_path / "coded.csv"
+    read = write_coded_csv(path, rows, outcomes)
+    with mock.patch.object(tabular, "_BLOCK_BYTES", block_bytes):
+        plain = tabular._read_plain(path, "y")
+    records = tabular._read_records(path, "y")
+    assert plain is not None and plain == records
+    for dataset in (plain, records):
+        assert_cells_match_oracle(dataset, read)
+
+
+# total key bits, for keys of one int32 word, one int64 word and several uint64 words
+KEY_BITS = {"int32": (0, 31), "int64": (32, 63), "words": (64, 160)}
+
+
+class TestCellOracle:
+    """Every way of making a dataset packs its records into keys as it reads or draws
+    them; its cells must equal those that the rows-based build makes of the same rows."""
+
+    @pytest.mark.parametrize("bits", sorted(KEY_BITS))
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_every_way_matches_the_oracle(self, tmp_path_factory, bits, data):
+        low, high = KEY_BITS[bits]
+        width = lambda cards: sum((card - 1).bit_length() for card in cards)  # noqa: E731
+        cards = data.draw(st.lists(st.sampled_from([1, 2, 3, 4, 5, 9, 300]),
+                                   min_size=1, max_size=6))
+        while width(cards) < low:
+            cards.append(data.draw(st.sampled_from([2, 3, 5, 9, 300])))
+        assume(width(cards) <= high)
+        n_records, seed = data.draw(st.integers(1, 600)), data.draw(st.integers(0, 2**16))
+        rng = np.random.default_rng(seed)
+        # uniform, or mostly low indices, so that a high one first appears in a
+        # late block and widens its feature's field past a power of two there
+        skew = np.array([data.draw(st.booleans()) for _ in cards])
+        uniform = rng.integers(0, cards, (n_records, len(cards)))
+        late = np.minimum(rng.geometric(0.3, (n_records, len(cards))) - 1, np.array(cards) - 1)
+        rows = np.where(skew, late, uniform)
+        block_bytes = data.draw(st.sampled_from([64, 1024, tabular._BLOCK_BYTES]))
+        assert_every_way_matches_oracle(tmp_path_factory.getbasetemp(), rows, tuple(cards),
+                                        block_bytes, seed)
+
+    def test_wide_features_match_the_oracle(self, tmp_path):
+        # 70,000 records: one feature of 65,537 categories, one of a single
+        # category, one of 300, and twenty of five whose top three categories
+        # first appear at record 40,000. Read in 64 KiB blocks, the keys widen
+        # from one int32 word (past 31 bits) to an int64 word and then (past 63
+        # bits) to two uint64 words, with the last widening in a late block.
+        n_records = 70_000
+        at = np.arange(n_records)
+        fives = np.where(at[:, None] < 40_000, at[:, None] % 2, (at[:, None] + np.arange(20)) % 5)
+        rows = np.column_stack([at % 65_537, np.zeros(n_records, dtype=np.int64), at * 7 % 300,
+                                fives])
+        cards = (65_537, 1, 300) + (5,) * 20
+        packings = []
+        repacked = tabular._repacked
+
+        def spy(keys, old, new, stop):
+            packings.append((new.dtype.name, new.n_words))
+            return repacked(keys, old, new, stop)
+
+        with mock.patch.object(tabular, "_repacked", spy):
+            assert_every_way_matches_oracle(tmp_path, rows, cards, 1 << 16, 5)
+        assert packings[-1] == ("uint64", 2)
+        assert {("int32", 1), ("int64", 1)} <= set(packings)
 
 
 class TestDescriptor:
@@ -902,8 +1028,9 @@ class TestPlainPath:
         assert plain.schema.features[0][1] == tuple(labels)
 
     def test_working_memory_is_bounded(self, tmp_path):
-        # at the default block size the parse holds the table and less than
-        # 4 MiB besides, the masks, field ends and keys of about one block
+        # at the default block size the load holds the outcomes and the cells
+        # (whose index is the int32 keys the records were packed into) and less
+        # than 4 MiB besides, the masks, field ends and keys of about one block
         planted = SubsetDescriptor.from_dict({0: [0, 1], 1: [0, 1]})
         dataset, _ = generate_synthetic(SyntheticSpec(400_000, (4,) * 8, 0.05, planted, 3.0, 4))
         write_csv(dataset, tmp_path / "t.csv")
@@ -917,21 +1044,27 @@ class TestPlainPath:
         for z, ((_, labels), (_, want)) in enumerate(zip(plain.schema.features,
                                                           dataset.schema.features)):
             assert np.array_equal(np.array(labels)[plain.rows[:, z]], np.array(want)[dataset.rows[:, z]])
-        assert peak < plain.rows.nbytes + plain.outcomes.nbytes + 4 * 2**20
+        assert peak < plain.outcomes.nbytes + sum(array.nbytes for array in plain.cells) + 4 * 2**20
 
     def test_cell_build_memory_is_bounded(self):
-        # a key span of 4**8 <= N: the build holds the table it returns and
-        # less than 1.5 MiB besides, a block's keys and counts, no per-record key
+        # a key span of 4**8 <= N: the packed keys become the index in place, so
+        # the build holds the columns and counts it returns and less than
+        # 1.5 MiB besides, a block's counts, and no other per-record array
         planted = SubsetDescriptor.from_dict({0: [0, 1], 1: [0, 1]})
-        dataset, _ = generate_synthetic(SyntheticSpec(400_000, (4,) * 8, 0.05, planted, 3.0, 4))
+        spec = SyntheticSpec(400_000, (4,) * 8, 0.05, planted, 3.0, 4)
+        rows = synthetic_rows(spec)
+        keys, packing = tabular._packed(rows, spec.cardinalities)
         tracemalloc.start()
         try:
-            cells = dataset.cells
+            cells = tabular._cell_table(keys, packing, spec.cardinalities)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert_cell_table_invariants(dataset)
-        assert peak < sum(array.nbytes for array in cells) + 1.5 * 2**20
+        assert np.shares_memory(cells.index, keys)
+        dataset = generate_synthetic(spec)[0]
+        assert all(np.array_equal(got, want) for got, want in zip(cells, dataset.cells))
+        assert_cell_table_invariants(dataset, rows)
+        assert peak < cells.columns.nbytes + cells.n.nbytes + 1.5 * 2**20
 
     @pytest.mark.parametrize("data", [
         b"a,y\n" + b"x,1\n" * 50_000 + b"z" * 4_000 + b",0\n" + b"x,1\n" * 100,
@@ -978,9 +1111,9 @@ class TestPlainPath:
         ([str(i) for i in range(65_537)], np.uint32),     # through uint16 to uint32
     ], ids=["257_labels", "65537_labels"])
     def test_codes_widen_before_they_would_wrap(self, tmp_path, monkeypatch, labels, dtype):
-        # blocks of about 80 and 4,700 lines, so the table is widened after
-        # earlier blocks, and the column before it in the same block, have
-        # stored their codes in a narrower dtype
+        # blocks of about 80 and 4,700 lines, so the column's field widens
+        # after earlier blocks, and the column before it in the same block,
+        # have stored their codes in the narrower packing
         monkeypatch.setattr(tabular, "_BLOCK_BYTES", 1 << 10 if len(labels) < 1000 else 1 << 16)
         path = tmp_path / "t.csv"
         path.write_text("a,b,c,y\n" + "".join(
@@ -999,10 +1132,22 @@ class TestPlainPath:
     def test_table_is_held_once(self, tmp_path, monkeypatch):
         # 400k records of 8 features, the first with 4 or 300 categories.
         # Small blocks keep the parse's working set (about a dozen times the
-        # block) under 2 MiB, less than the 3.05 MiB uint8 table, so a second
-        # copy of the table shows. A widening holds the uint8 table and its
-        # uint16 successor at once, half the final table more, and no more.
+        # block) under 2 MiB, more than the 1.53 MiB of int32 keys, but a
+        # second copy of the keys still shows: the first feature's field
+        # widens in place, so the parse holds the keys, the outcomes and its
+        # working set, and no more. After the load the dataset holds its
+        # outcomes and cells alone. With 4 categories (a key span of 4**8 <= N)
+        # the cell build stays within the parse's bound; with 300 the keys are
+        # renumbered through np.unique, whose temporaries ROADMAP item 16 bounds.
         monkeypatch.setattr(tabular, "_BLOCK_BYTES", 1 << 16)
+        build = tabular._cell_table
+
+        def parsed(*args):  # the peak before the build, which then starts afresh
+            parse_peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+            return build(*args)
+
+        monkeypatch.setattr(tabular, "_cell_table", parsed)
         for labels, dtype in ((4, np.uint8), (300, np.uint16)):
             lines = "".join(
                 f"v{i % labels}," + ",".join(f"v{(i >> z) % 4}" for z in range(1, 8))
@@ -1010,16 +1155,36 @@ class TestPlainPath:
             )
             path = tmp_path / f"t{labels}.csv"
             path.write_text(",".join(f"f{z}" for z in range(8)) + ",y\n" + lines * 400)
+            parse_peaks = []
             tracemalloc.start()
             try:
                 dataset = tabular._read_plain(path, "y")
-                peak = tracemalloc.get_traced_memory()[1]
+                held, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert dataset.rows.dtype == dtype
-            table = dataset.rows.nbytes + dataset.outcomes.nbytes
-            widening = dataset.rows.nbytes // 2 if dtype != np.uint8 else 0
-            assert peak < table + widening + 2 * 2**20, labels
+            assert dataset.rows.dtype == dtype and dataset.cells.index.dtype == np.int32
+            assert parse_peaks[0] < dataset.cells.index.nbytes + dataset.outcomes.nbytes + 2 * 2**20
+            table = dataset.outcomes.nbytes + sum(array.nbytes for array in dataset.cells)
+            assert held < table + 2**17, labels
+            if labels == 4:
+                assert peak < table + 2 * 2**20
+
+    def test_load_holds_no_code_table(self, tmp_path):
+        # 400k records of 16 two-category features: their codes as an N x M
+        # uint8 table would take 6.1 MiB, the packed int32 index takes 1.5 MiB.
+        # The load holds the index, the outcomes and the other cell arrays and
+        # less than 2 MiB besides
+        spec = SyntheticSpec(400_000, (2,) * 16, 0.1, SubsetDescriptor.from_dict({0: [0]}), 2.0, 6)
+        write_csv(generate_synthetic(spec)[0], tmp_path / "t.csv")
+        tracemalloc.start()
+        try:
+            dataset = load_csv(tmp_path / "t.csv", "y")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dataset.n_records == 400_000 and dataset.cells.index.dtype == np.int32
+        table = dataset.outcomes.nbytes + sum(array.nbytes for array in dataset.cells)
+        assert peak < table + 2 * 2**20
 
 
 class TestSynthetic:
