@@ -66,9 +66,12 @@ def parallel_map(fn: Callable[[Any], Any], tasks: Sequence[Any], workers: int) -
 
     The pool has at most ``min(workers, len(tasks), os.cpu_count())``
     processes. ``fn`` reaches each worker once, through the pool initializer,
-    so the chunks of tasks do not carry it (nor the dataset bound in it).
-    Results come back in task order and every task is computed the same way
-    on any worker, so the output does not depend on the worker count. ``fn``
+    so the tasks do not carry it (nor the dataset bound in it). Each task
+    goes to the next free worker on its own: a task (a whole restart or
+    replicate search) takes far longer than its pickle, and chunks of
+    several tasks leave one worker with most of them. Results come back in
+    task order and every task is computed the same way on any worker, so
+    the output does not depend on the worker count. ``fn``
     must be picklable: a module-level function or a ``functools.partial`` of
     one. A worker count below 1 is refused.
     """
@@ -80,8 +83,7 @@ def parallel_map(fn: Callable[[Any], Any], tasks: Sequence[Any], workers: int) -
         from concurrent.futures import ProcessPoolExecutor  # a serial run never imports it
 
         with ProcessPoolExecutor(workers, initializer=_install, initargs=(fn,)) as pool:
-            chunksize = max(1, len(tasks) // (workers * 2))
-            return list(pool.map(_call_installed, tasks, chunksize=chunksize))
+            return list(pool.map(_call_installed, tasks))
     return [fn(t) for t in tasks]
 
 

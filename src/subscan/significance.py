@@ -2,10 +2,12 @@
 
 Each replicate redraws every outcome independently as Bernoulli(global mean)
 with the feature table fixed and sums the draws per cell (distinct feature
-pattern): the search reads outcomes only through these counts, so a replicate
-is a vector of per-cell positives, not a second dataset. It reruns every
-restart of the search (so the null distribution reflects the same maximization
-that produced the observed score) and records the best score. The p-value is
+pattern), a block of records at a time (``Dataset.drawn_cell_sums``): the
+search reads outcomes only through these counts, so a replicate is a vector
+of per-cell positives, not a second dataset, and holds no per-record array.
+It reruns every restart of the search (so the null distribution reflects the
+same maximization that produced the observed score) and records the best
+score. The p-value is
 
     p = (1 + #{replicate score >= observed}) / (1 + n_replicates)
 
@@ -51,8 +53,7 @@ def _replicate_score(dataset: Dataset, config: BootstrapConfig, replicate_index:
         seq = np.random.SeedSequence([config.scan_config.seed, replicate_index, attempt])
         outcome_seq, scan_seq = seq.spawn(2)
         rng = np.random.default_rng(outcome_seq)
-        positive = rng.random(dataset.n_records) < dataset.global_mean
-        positives = dataset.cell_sums(positive)
+        positives = dataset.drawn_cell_sums(rng, dataset.global_mean)
         if 0 < positives.sum() < dataset.n_records:  # else degenerate: redraw
             rep_config = replace(config.scan_config, seed=int(scan_seq.generate_state(1)[0]))
             return _search(dataset, positives, rep_config, workers=1)[1][0]

@@ -5,15 +5,17 @@ labels live only in the Schema. Each record's indices are packed into one
 integer key as the record is read or drawn, one bit field per feature, and
 the keys become the cell table: a dataset keeps no N x M table of indices
 past construction, and ``Dataset.rows`` rebuilds one from the cells on each
-access. The cells and the outcomes are read-only numpy arrays, so datasets
+access. A key of up to 16 bits is a uint16 word, so a record takes 3 bytes
+(its uint16 cell index and its int8 outcome) when the keys become the index
+in place. The cells and the outcomes are read-only numpy arrays, so datasets
 can be shared freely across parallel workers. Only this module reads them:
 the other modules see the data through ``CategoryCounter``, the one way a
 member set is counted (the scan keeps one
 per restart, ``scan.evaluate`` builds one per descriptor, the substitution
 stages keep one on the subgroup they perturb, and the relevance ranking builds
 one with no masks for each feature's marginal counts), and through
-``Dataset.cell_sums``, which tallies a bootstrap replicate's drawn outcomes
-per cell.
+``Dataset.drawn_cell_sums``, which draws a bootstrap replicate's outcomes a
+block of records at a time and tallies them per cell.
 
 Every count runs over cells, the distinct feature patterns of a dataset,
 weighted by their record and positive counts: the scan score depends on the
@@ -251,8 +253,31 @@ class Dataset:
         return self.cell_sums(self.outcomes.view(np.bool_))  # outcomes are 0/1 int8
 
     def cell_sums(self, flags: np.ndarray) -> np.ndarray:
-        """(C,) count per cell of the records that ``flags``, an (N,) bool mask, marks, as float64."""
+        """(C,) count per cell of the records that ``flags``, an (N,) bool mask, marks, as float64.
+
+        Any other ``flags`` raise ContractError: an integer array would index
+        the records instead of masking them.
+        """
+        if not (isinstance(flags, np.ndarray) and flags.dtype == np.bool_
+                and flags.shape == (self.n_records,)):
+            raise ContractError("flags must be an (N,) bool array")
         return np.bincount(self.cells.index[flags], minlength=len(self.cells.n)).astype(np.float64)
+
+    def drawn_cell_sums(self, rng: np.random.Generator, rate: float) -> np.ndarray:
+        """(C,) count per cell of the records drawn positive with probability ``rate``, as float64.
+
+        Record i is positive when the i-th of ``rng.random`` draws falls
+        below ``rate``. The draws are made a block of ``_RECORD_BLOCK``
+        records at a time (or of the cell count, when that is larger, since
+        each block's ``np.bincount`` costs O(cells)), which is the stream of
+        one ``rng.random(N)`` call without its N float64s and N-byte mask.
+        """
+        index, sums = self.cells.index, np.zeros(len(self.cells.n), dtype=np.intp)
+        block = max(_RECORD_BLOCK, len(sums))
+        for a in range(0, len(index), block):
+            part = index[a:a + block]
+            sums += np.bincount(part[rng.random(len(part)) < rate], minlength=len(sums))
+        return sums.astype(np.float64)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Dataset):
@@ -304,9 +329,10 @@ class _Packing(NamedTuple):
     h - 1 (none for h = 1). The fields follow feature order, the first in a
     word taking its top bits, and none is split between two words, so keys
     compared word by word compare records in the lexicographic order of
-    their indices. A key is one int32 word up to 31 bits, so that it can
-    become the int32 cell index in place, one int64 word up to 63 bits, and
-    past that a row of uint64 words of up to 64 bits each.
+    their indices. A key is one uint16 word up to 16 bits or one int32 word
+    up to 31 bits, so that it can become the cell index in place, one int64
+    word up to 63 bits, and past that a row of uint64 words of up to 64 bits
+    each.
     """
 
     widths: tuple[int, ...]              # bits a feature
@@ -317,7 +343,7 @@ class _Packing(NamedTuple):
     @classmethod
     def of(cls, cardinalities: Iterable[int]) -> _Packing:
         widths = tuple((card - 1).bit_length() for card in cardinalities)
-        room = 31 if sum(widths) <= 31 else 63 if sum(widths) <= 63 else 64
+        room = next((bits for bits in (16, 31, 63) if sum(widths) <= bits), 64)
         used, ends = [0], []  # bits taken in each word; (word, bits taken in it) after each field
         for width in widths:
             if used[-1] + width > room:
@@ -325,8 +351,8 @@ class _Packing(NamedTuple):
             used[-1] += width
             ends.append((len(used) - 1, used[-1]))
         fields = tuple((word, used[word] - end) for word, end in ends)
-        return cls(widths, fields, np.dtype({31: np.int32, 63: np.int64, 64: np.uint64}[room]),
-                   len(used))
+        dtype = {16: np.uint16, 31: np.int32, 63: np.int64, 64: np.uint64}[room]
+        return cls(widths, fields, np.dtype(dtype), len(used))
 
     def keys(self, n_records: int) -> np.ndarray:
         """(n_records, words) keys of all-zero fields."""
@@ -383,11 +409,13 @@ class CellTable(NamedTuple):
 
     Beside the outcomes, this is all a dataset keeps of its records. The
     columns' dtype is the smallest unsigned one that holds the widest
-    feature's category indices. All three arrays are read-only.
+    feature's category indices. The index is the records' keys renumbered in
+    place, so it is uint16 when they were (``_cell_table``), else int32. All
+    three arrays are read-only.
     """
 
     columns: np.ndarray  # (M, C) category indices, one contiguous row per feature
-    index: np.ndarray    # (N,) int32 cell of each record
+    index: np.ndarray    # (N,) uint16 or int32 cell of each record
     n: np.ndarray        # (C,) records per cell, as float64: the counter's bincount weights
 
 
@@ -409,17 +437,19 @@ def _renumbered(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _cell_table(keys: np.ndarray, packing: _Packing, cardinalities: tuple[int, ...]) -> CellTable:
     """Group records by their keys: the cells in key order, which is lexicographic.
 
-    When the keys are int32 and their span (one past the key of every
-    feature's last category) is at most the record count, the keys become
-    the cell index in place. They are counted a block of records at a time,
-    in blocks of at least ``span`` records since each ``np.bincount`` costs
-    O(span), and then each key becomes its cell. So the build holds no
-    per-record array besides the index. Other keys are renumbered densely
-    through ``np.unique`` (and its temporaries). Either way the cells'
-    columns are decoded from the distinct keys.
+    When the keys are one uint16 or int32 word and their span (one past the
+    key of every feature's last category) is at most the record count, the
+    keys become the cell index in place, of their dtype: a uint16 key has at
+    most 65,536 values, so a uint16 index holds every cell. They are counted
+    a block of records at a time, in blocks of at least ``span`` records
+    since each ``np.bincount`` costs O(span), and then each key becomes its
+    cell. So the build holds no per-record array besides the index. Other
+    keys are renumbered densely through ``np.unique`` (and its temporaries)
+    into an int32 index. Either way the cells' columns are decoded from the
+    distinct keys.
     """
     span = 1 + sum((card - 1) << shift for card, (_, shift) in zip(cardinalities, packing.fields))
-    if packing.dtype == np.int32 and span <= len(keys):
+    if packing.dtype in (np.uint16, np.int32) and span <= len(keys):
         index = keys.reshape(-1)
         n, block = np.zeros(span, dtype=np.intp), max(_RECORD_BLOCK, span)
         for a in range(0, len(index), block):
@@ -570,6 +600,10 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, SubsetDescriptor]:
 
     Deterministic for a given spec (including seed). Membership of the planted
     subgroup is defined by the descriptor, so scan recovery is well-posed.
+    Each feature's indices are drawn as one int32 array, which is packed
+    into the keys and dropped before the next draw; int32 keys are the first
+    draw shifted in place. The outcomes are drawn a block of records at a
+    time, the stream of one draw.
     """
     p_in = planted_outcome_rate(spec)
     schema = spec.schema()
@@ -582,6 +616,7 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, SubsetDescriptor]:
             keys = np.left_shift(codes, packing.fields[0][1], out=codes)[:, None]
         else:
             packing.store(keys, z, codes)
+        del codes  # before the next draw: the peak holds one draw beside the keys
 
     # in blocks: the stream of one draw, without its two float64 arrays as long as the data
     allowed, outcomes = _allowed_masks(schema, spec.planted), np.empty(spec.n_records, np.int8)
@@ -716,9 +751,10 @@ def _read_plain(path: Path, outcome_column: str) -> Dataset | None:
     the store that would overflow it, the field widens to the bits its
     labels need and the records parsed so far are re-packed, a block at a
     time: at most log2(cardinality) times a column. That is in place while
-    the keys keep their words; past 31 or 63 bits, or past another 64, the
-    keys move to wider words and the old and new keys of those records are
-    held at once. The keys of one int32 word become the int32 cell index.
+    the keys keep their words; the keys start as uint16 words, and past 16,
+    31 or 63 bits, or past another 64, they move to wider words and the old
+    and new keys of those records are held at once. Keys of one uint16 or
+    int32 word become the cell index in place.
     """
     try:
         with open(path, "rb") as fh:

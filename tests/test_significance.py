@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -7,18 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subscan import significance
+from subscan import significance, tabular
 from subscan.errors import ContractError, DegenerateDataError
-from subscan.scan import ScanConfig, scan
+from subscan.scan import ScanConfig, _search, scan
 from subscan.significance import (
     BootstrapConfig,
     _replicate_score,
     null_score_distribution,
     p_from_null_scores,
 )
-from subscan.tabular import Dataset, Schema
+from subscan.tabular import Dataset, Schema, SubsetDescriptor, SyntheticSpec, generate_synthetic
 
-from conftest import make_recovery_cohort
+from conftest import make_recovery_cohort, random_dataset
 
 
 def small_config(replicates: int = 20, seed: int = 1) -> BootstrapConfig:
@@ -164,3 +165,44 @@ def test_null_score_distribution_refuses_fewer_than_one_worker():
     dataset, _ = make_recovery_cohort(seed=1, n_records=200)
     with pytest.raises(ContractError, match="workers must be >= 1"):
         null_score_distribution(dataset, small_config(replicates=2), workers=0)
+
+
+def one_draw_null_scores(dataset: Dataset, config: BootstrapConfig) -> list[float]:
+    """Each replicate's score with its outcomes drawn as one ``rng.random(N)`` array."""
+    scores = []
+    for r in range(config.n_replicates):
+        outcome_seq, scan_seq = np.random.SeedSequence([config.scan_config.seed, r, 0]).spawn(2)
+        draws = np.random.default_rng(outcome_seq).random(dataset.n_records)
+        positives = dataset.cell_sums(draws < dataset.global_mean)
+        assert 0 < positives.sum() < dataset.n_records  # no redraw needed
+        rep_config = replace(config.scan_config, seed=int(scan_seq.generate_state(1)[0]))
+        scores.append(_search(dataset, positives, rep_config, workers=1)[1][0])
+    return scores
+
+
+class TestReplicateDraw:
+    """A replicate draws its outcomes a block of records at a time."""
+
+    def test_null_sample_equals_one_draw(self, monkeypatch):
+        # 2,000 records of 24 cells in blocks of 256 records: eight blocks
+        dataset = random_dataset(np.random.default_rng(3), 2_000, (3, 4, 2), 0.3)
+        monkeypatch.setattr(tabular, "_RECORD_BLOCK", 256)
+        config = small_config(replicates=8, seed=21)
+        got = null_score_distribution(dataset, config).tolist()
+        assert [s.hex() for s in got] == [s.hex() for s in one_draw_null_scores(dataset, config)]
+
+    def test_replicate_holds_no_record_sized_array(self):
+        # 400k records of 8 four-category features (65,408 cells): a draw of
+        # N float64s and an N-byte mask would take 3.6 MB; a replicate holds a
+        # block's draws and its cell-sized arrays, under 2 MiB
+        planted = SubsetDescriptor.from_dict({0: [0, 1], 1: [0, 1]})
+        dataset, _ = generate_synthetic(SyntheticSpec(400_000, (4,) * 8, 0.05, planted, 3.0, 4))
+        config = BootstrapConfig(n_replicates=1, scan_config=ScanConfig(n_restarts=1))
+        _replicate_score(dataset, config, 1)  # numpy's first-call allocations are not the draw's
+        tracemalloc.start()
+        try:
+            _replicate_score(dataset, config, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20

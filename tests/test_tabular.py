@@ -16,6 +16,7 @@ from scipy.stats import binomtest
 
 from oracles import (
     brute_membership,
+    index_dtype,
     membership,
     membership_mask,
     reference_cell_table,
@@ -139,6 +140,28 @@ class TestDataset:
         assert np.array_equal(sums, np.bincount(index, weights=flags, minlength=len(n)))
         assert np.array_equal(dataset.cell_sums(dataset.outcomes == 1), dataset.cell_positives)
 
+    @pytest.mark.parametrize("flags", [
+        lambda dataset: dataset.outcomes,  # int8 0/1, which would index records, not mask them
+        lambda dataset: dataset.outcomes[:-1] == 1,
+        lambda dataset: (dataset.outcomes == 1)[:, None],
+        lambda dataset: (dataset.outcomes == 1).tolist(),
+    ], ids=["int8_outcomes", "short", "column", "list"])
+    def test_cell_sums_refuse_other_flags(self, flags):
+        spec = SyntheticSpec(1_000, (3, 4), 0.2, SubsetDescriptor.from_dict({0: [0]}), 3.0, 2)
+        dataset = generate_synthetic(spec)[0]
+        with pytest.raises(ContractError, match=r"flags must be an \(N,\) bool array"):
+            dataset.cell_sums(flags(dataset))
+
+    @pytest.mark.parametrize("block", [7, 64, 1 << 16])
+    def test_drawn_cell_sums_are_one_draw(self, monkeypatch, block):
+        # 1,000 records of at most 60 cells: blocks of 7 records grow to the
+        # cell count, blocks of 64 are 16, and the default block holds them all
+        dataset, _ = dataset_and_rows(8, 1_000, (3, 4, 5))
+        monkeypatch.setattr(tabular, "_RECORD_BLOCK", block)
+        drawn = dataset.drawn_cell_sums(np.random.default_rng(9), 0.3)
+        one_draw = dataset.cell_sums(np.random.default_rng(9).random(1_000) < 0.3)
+        assert drawn.dtype == np.float64 and np.array_equal(drawn, one_draw)
+
     def test_featureless_table_rejected(self):
         # the restart search would crash at its first step, which takes a feature
         with pytest.raises(ContractError, match="N, M >= 1"):
@@ -252,7 +275,7 @@ def assert_cell_table_invariants(dataset: Dataset, rows: np.ndarray) -> None:
     n_cells = len(cells.n)
     assert cells.columns.shape == (dataset.schema.n_features, n_cells)
     assert cells.columns.dtype == np.min_scalar_type(max(dataset.schema.cardinalities()) - 1)
-    assert cells.index.dtype == np.int32
+    assert cells.index.dtype == index_dtype(dataset.schema.cardinalities(), dataset.n_records)
     assert all(row.flags.c_contiguous for row in cells.columns)
     assert int(cells.n.sum()) == dataset.n_records
     assert cells.n.min() >= 1
@@ -306,7 +329,7 @@ def assert_matches_unique_rows(dataset: Dataset, rows: np.ndarray) -> None:
     cells = dataset.cells
     columns, index, n = unique_rows_cells(rows)
     assert cells.columns.dtype == np.min_scalar_type(max(dataset.schema.cardinalities()) - 1)
-    assert cells.index.dtype == np.int32
+    assert cells.index.dtype == index_dtype(dataset.schema.cardinalities(), dataset.n_records)
     assert np.array_equal(cells.columns, columns)
     assert np.array_equal(cells.index, index)
     assert np.array_equal(cells.n, n)
@@ -340,17 +363,29 @@ class TestCellTable:
             assert_matches_unique_rows(*drawn)
             assert_cell_table_invariants(*drawn)
 
-    @pytest.mark.parametrize("n_records, cards, block, dtype", [
-        (200, (2, 3), 16, np.uint8),        # span 7 below the block: 13 blocks
-        (500, (4, 5, 3), 8, np.uint8),      # span 115 above it: counted in blocks of 115
-        (3000, (300, 2, 3), 64, np.uint16),  # span 2,399: two counting blocks
-    ], ids=["span_below_block", "span_above_block", "uint16"])
-    def test_direct_keys_across_blocks(self, monkeypatch, n_records, cards, block, dtype):
+    @pytest.mark.parametrize("n_records, cards, block, dtype, index", [
+        (200, (2, 3), 16, np.uint8, np.uint16),        # span 7 below the block: 13 blocks
+        (500, (4, 5, 3), 8, np.uint8, np.uint16),      # span 115 above it: counted in blocks of 115
+        (3000, (300, 2, 3), 64, np.uint16, np.uint16),  # span 2,399: two counting blocks
+        # 17 key bits, span 76,800: int32 keys, two counting blocks
+        (80_000, (300,) + (2,) * 8, 4096, np.uint16, np.int32),
+    ], ids=["span_below_block", "span_above_block", "uint16", "int32_index"])
+    def test_direct_keys_across_blocks(self, monkeypatch, n_records, cards, block, dtype, index):
         monkeypatch.setattr(tabular, "_RECORD_BLOCK", block)
         monkeypatch.setattr(tabular, "_renumbered", mock.Mock(side_effect=AssertionError))
         dataset, rows = dataset_and_rows(n_records, n_records, cards)
-        assert dataset.rows.dtype == dtype
+        assert dataset.rows.dtype == dtype and dataset.cells.index.dtype == index
         assert_matches_unique_rows(dataset, rows)
+        assert_cell_table_invariants(dataset, rows)
+
+    def test_every_uint16_cell(self):
+        # 8 four-category features, every pattern twice in a shuffled order:
+        # 65,536 cells, so that the uint16 index reaches its top value
+        at = np.random.default_rng(16).permutation(np.tile(np.arange(1 << 16), 2))
+        rows = (at[:, None] >> 2 * np.arange(7, -1, -1)) & 3
+        dataset = Dataset(tabular._synthetic_schema((4,) * 8), rows, at % 2)
+        assert dataset.cells.index.dtype == np.uint16 and int(dataset.cells.index.max()) == 65_535
+        assert_cells_match_oracle(dataset, rows)
         assert_cell_table_invariants(dataset, rows)
 
     def test_one_cell_per_pattern(self, tiny_dataset):
@@ -432,8 +467,8 @@ def assert_every_way_matches_oracle(tmp_path, rows: np.ndarray, cards: tuple[int
         assert_cells_match_oracle(dataset, read)
 
 
-# total key bits, for keys of one int32 word, one int64 word and several uint64 words
-KEY_BITS = {"int32": (0, 31), "int64": (32, 63), "words": (64, 160)}
+# total key bits, for keys of one uint16, int32 or int64 word and of several uint64 words
+KEY_BITS = {"uint16": (0, 16), "int32": (17, 31), "int64": (32, 63), "words": (64, 160)}
 
 
 class TestCellOracle:
@@ -486,6 +521,32 @@ class TestCellOracle:
             assert_every_way_matches_oracle(tmp_path, rows, cards, 1 << 16, 5)
         assert packings[-1] == ("uint64", 2)
         assert {("int32", 1), ("int64", 1)} <= set(packings)
+
+
+    def test_keys_move_to_int32_in_the_last_block(self, tmp_path, monkeypatch):
+        # 100k records of features of 256 and 128 labels after one of 2 labels:
+        # 16 key bits, until the first feature's third label, in the last
+        # block, takes it to 17 bits and a key span of 98,304 <= N, so that
+        # the uint16 keys move to int32 there and become the int32 index
+        n_records = 100_000
+        at = np.arange(n_records)
+        rows = np.column_stack([np.where(at < n_records - 50, at % 2, at % 3), at % 256,
+                                at * 7 % 128])
+        read = write_coded_csv(tmp_path / "t.csv", rows, at % 2)
+        moves = []
+        repacked = tabular._repacked
+
+        def spy(keys, old, new, stop):
+            moves.append((keys.dtype.name, new.dtype.name, stop))
+            return repacked(keys, old, new, stop)
+
+        monkeypatch.setattr(tabular, "_repacked", spy)
+        plain = tabular._read_plain(tmp_path / "t.csv", "y")
+        assert moves[-1] == ("uint16", "int32", n_records)
+        assert {(old, new) for old, new, _ in moves[:-1]} == {("uint16", "uint16")}
+        assert plain.cells.index.dtype == np.int32
+        assert_cells_match_oracle(plain, read)
+        assert plain == tabular._read_records(tmp_path / "t.csv", "y")
 
 
 class TestDescriptor:
@@ -1029,7 +1090,7 @@ class TestPlainPath:
 
     def test_working_memory_is_bounded(self, tmp_path):
         # at the default block size the load holds the outcomes and the cells
-        # (whose index is the int32 keys the records were packed into) and less
+        # (whose index is the uint16 keys the records were packed into) and less
         # than 4 MiB besides, the masks, field ends and keys of about one block
         planted = SubsetDescriptor.from_dict({0: [0, 1], 1: [0, 1]})
         dataset, _ = generate_synthetic(SyntheticSpec(400_000, (4,) * 8, 0.05, planted, 3.0, 4))
@@ -1132,13 +1193,15 @@ class TestPlainPath:
     def test_table_is_held_once(self, tmp_path, monkeypatch):
         # 400k records of 8 features, the first with 4 or 300 categories.
         # Small blocks keep the parse's working set (about a dozen times the
-        # block) under 2 MiB, more than the 1.53 MiB of int32 keys, but a
-        # second copy of the keys still shows: the first feature's field
-        # widens in place, so the parse holds the keys, the outcomes and its
-        # working set, and no more. After the load the dataset holds its
-        # outcomes and cells alone. With 4 categories (a key span of 4**8 <= N)
-        # the cell build stays within the parse's bound; with 300 the keys are
-        # renumbered through np.unique, whose temporaries ROADMAP item 16 bounds.
+        # block) under 2 MiB, more than the 0.76 MiB of uint16 keys (4
+        # categories, 16 key bits) or the 1.53 MiB of int32 keys (300, whose
+        # keys move to int32 in the first block), but a second copy of the
+        # keys still shows: the first feature's field widens in place, so the
+        # parse holds the keys, the outcomes and its working set, and no more.
+        # After the load the dataset holds its outcomes and cells alone. With
+        # 4 categories (a key span of 4**8 <= N) the cell build stays within
+        # the parse's bound; with 300 the keys are renumbered through
+        # np.unique, whose temporaries ROADMAP item 16 bounds.
         monkeypatch.setattr(tabular, "_BLOCK_BYTES", 1 << 16)
         build = tabular._cell_table
 
@@ -1148,7 +1211,7 @@ class TestPlainPath:
             return build(*args)
 
         monkeypatch.setattr(tabular, "_cell_table", parsed)
-        for labels, dtype in ((4, np.uint8), (300, np.uint16)):
+        for labels, dtype, index in ((4, np.uint8, np.uint16), (300, np.uint16, np.int32)):
             lines = "".join(
                 f"v{i % labels}," + ",".join(f"v{(i >> z) % 4}" for z in range(1, 8))
                 + f",{i % 2}\n" for i in range(1000)
@@ -1162,7 +1225,7 @@ class TestPlainPath:
                 held, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert dataset.rows.dtype == dtype and dataset.cells.index.dtype == np.int32
+            assert dataset.rows.dtype == dtype and dataset.cells.index.dtype == index
             assert parse_peaks[0] < dataset.cells.index.nbytes + dataset.outcomes.nbytes + 2 * 2**20
             table = dataset.outcomes.nbytes + sum(array.nbytes for array in dataset.cells)
             assert held < table + 2**17, labels
@@ -1171,7 +1234,7 @@ class TestPlainPath:
 
     def test_load_holds_no_code_table(self, tmp_path):
         # 400k records of 16 two-category features: their codes as an N x M
-        # uint8 table would take 6.1 MiB, the packed int32 index takes 1.5 MiB.
+        # uint8 table would take 6.1 MiB, the packed uint16 index 0.76 MiB.
         # The load holds the index, the outcomes and the other cell arrays and
         # less than 2 MiB besides
         spec = SyntheticSpec(400_000, (2,) * 16, 0.1, SubsetDescriptor.from_dict({0: [0]}), 2.0, 6)
@@ -1182,7 +1245,7 @@ class TestPlainPath:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert dataset.n_records == 400_000 and dataset.cells.index.dtype == np.int32
+        assert dataset.n_records == 400_000 and dataset.cells.index.dtype == np.uint16
         table = dataset.outcomes.nbytes + sum(array.nbytes for array in dataset.cells)
         assert peak < table + 2 * 2**20
 
