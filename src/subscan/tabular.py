@@ -409,9 +409,9 @@ class CellTable(NamedTuple):
 
     Beside the outcomes, this is all a dataset keeps of its records. The
     columns' dtype is the smallest unsigned one that holds the widest
-    feature's category indices. The index is the records' keys renumbered in
-    place, so it is uint16 when they were (``_cell_table``), else int32. All
-    three arrays are read-only.
+    feature's category indices. The index is the records' keys renumbered,
+    so it is uint16 when they were (``_cell_table``), else int32. All three
+    arrays are read-only.
     """
 
     columns: np.ndarray  # (M, C) category indices, one contiguous row per feature
@@ -420,18 +420,20 @@ class CellTable(NamedTuple):
 
 
 def _renumbered(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(distinct keys, each record's cell as int32, records per cell as float64), through a sort.
+    """(distinct keys, each record's cell, records per cell as float64), through a sort.
 
-    A key of several words is sorted as one void scalar of their big-endian
-    bytes, which compare as the words do, the first word first.
+    The cells are uint16 when the keys are, since a uint16 key has at most
+    65,536 values, else int32. A key of several words is sorted as one void
+    scalar of their big-endian bytes, which compare as the words do, the
+    first word first.
     """
-    words = keys.shape[1]
+    words, dtype = keys.shape[1], np.uint16 if keys.dtype == np.uint16 else np.int32
     if words > 1:
         keys = keys.astype(">u8").view(np.dtype((np.void, 8 * words)))
     distinct, index, n = np.unique(keys.reshape(-1), return_inverse=True, return_counts=True)
     if words > 1:
         distinct = distinct.view(">u8")
-    return distinct.reshape(-1, words), index.astype(np.int32), n.astype(np.float64)
+    return distinct.reshape(-1, words), index.astype(dtype), n.astype(np.float64)
 
 
 def _cell_table(keys: np.ndarray, packing: _Packing, cardinalities: tuple[int, ...]) -> CellTable:
@@ -445,8 +447,8 @@ def _cell_table(keys: np.ndarray, packing: _Packing, cardinalities: tuple[int, .
     since each ``np.bincount`` costs O(span), and then each key becomes its
     cell. So the build holds no per-record array besides the index. Other
     keys are renumbered densely through ``np.unique`` (and its temporaries)
-    into an int32 index. Either way the cells' columns are decoded from the
-    distinct keys.
+    into a uint16 index if they are uint16, else an int32 one. Either way the
+    cells' columns are decoded from the distinct keys.
     """
     span = 1 + sum((card - 1) << shift for card, (_, shift) in zip(cardinalities, packing.fields))
     if packing.dtype in (np.uint16, np.int32) and span <= len(keys):
@@ -569,6 +571,8 @@ class SyntheticSpec:
             raise ContractError("odds_multiplier must be finite and exceed 1")
         object.__setattr__(self, "cardinalities", tuple(int(h) for h in self.cardinalities))
         self.planted.validate_against(self.schema())
+        if self.planted.normalized(self.schema()).is_empty:  # then every record is inside it
+            raise ContractError("the planted subgroup constrains no feature: it holds every record")
 
     def schema(self) -> Schema:
         return _synthetic_schema(self.cardinalities)
@@ -981,37 +985,67 @@ def _decoded_codes(
 def write_csv(dataset: Dataset, path: str | Path, outcome_column: str = "y") -> None:
     """Serialize a dataset back to CSV; load_csv on the result reproduces it.
 
-    The file holds the bytes that the csv module writes for the same rows, and
-    the csv module writes each distinct field once: every category label as a
-    lone field whose line end gives way to a comma, and the outcomes ``0`` and
-    ``1`` with their line ends. Each column's fields are kept zero-padded in
-    the narrowest unsigned words that hold the longest (several 8-byte words
-    past 8 bytes), beside a 0/1 byte mask of their own bytes. A block of
-    records, about ``_BLOCK_BYTES`` of padded fields, is decoded from the
-    cells in one gather, then one gather per column into a packed record
-    array and one into its mask; the bytes the mask keeps are written.
-    Memory stays bounded whatever the dataset's size.
+    The file holds the bytes that the csv module writes for the same rows.
+    Records of one cell and outcome share their line, so each cell's line is
+    built once (``_cell_lines``), right-aligned in a row of bytes as wide as
+    the longest line and ending in the outcome ``0``'s ``0\\r\\n``. A block of
+    records, about ``_BLOCK_BYTES``, is then one gather of their cells' rows,
+    with the outcome added to each row's ``0``; when the lines differ in
+    width, a mask drops each row's left padding. Memory is the cells' lines,
+    O(cells x line width), plus one block: whatever the record count, but up
+    to a table as large as the file's lines when every record is its own cell.
     """
     if outcome_column in dataset.schema.feature_names:
         raise ContractError(f"outcome column {outcome_column!r} collides with a feature")
     for name, cats in dataset.schema.features:
         if "" in cats:  # an empty field, which load_csv reads as MISSING_LABEL
             raise ContractError(f"feature {name!r} has an empty category label")
-    tables = [
-        _field_table([line[:-2] + b"," for line in _csv_lines([label] for label in cats)])
-        for _, cats in dataset.schema.features
-    ] + [_field_table(_csv_lines([["0"], ["1"]]))]
-    record = np.dtype([(f"c{z}", t.dtype, t.shape[1:]) for z, (t, _) in enumerate(tables)])
-    step = max(1, _BLOCK_BYTES // record.itemsize)
+    lines, starts = _cell_lines(dataset.schema, dataset.cells.columns)
+    width, cells, outcomes = lines.shape[1], dataset.cells.index, dataset.outcomes.view(np.uint8)
+    step, padded = max(1, _BLOCK_BYTES // width), starts.any()
     with _atomic_bytes(path) as fh:
         fh.write(_csv_lines([[*dataset.schema.feature_names, outcome_column]])[0])
-        columns, cells, _ = dataset.cells
         for a in range(0, dataset.n_records, step):
-            codes = [*np.take(columns, cells[a:a + step], axis=1), dataset.outcomes[a:a + step]]
-            block, keep = np.empty(len(codes[-1]), record), np.empty(len(codes[-1]), record)
-            for name, (words, mask), index in zip(record.names, tables, codes):
-                block[name], keep[name] = words[index], mask[index]
-            fh.write(block.view(np.uint8)[keep.view(np.bool_)])
+            block = np.take(lines, cells[a:a + step], axis=0)
+            block[:, -3] += outcomes[a:a + step]  # "0" becomes "1"
+            if padded:
+                block = block[np.arange(width) >= starts[cells[a:a + step], None]]
+            fh.write(block)
+
+
+def _cell_lines(schema: Schema, columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lines, starts): each cell's CSV line, right-aligned in a row of bytes, and where it starts.
+
+    A line ends in ``0\\r\\n``, the outcome ``0`` with its line end, and the
+    rows are as wide as the longest line; a row's bytes before its line's
+    start are not the line's. The csv module writes each distinct field
+    once: every category label as a lone field whose line end gives way to a
+    comma. Each column's fields are kept zero-padded in the narrowest
+    unsigned words that hold the longest (several 8-byte words past 8
+    bytes), beside a 0/1 byte mask of their own bytes. A block of cells,
+    about ``_BLOCK_BYTES`` of padded fields, takes one gather per column into
+    a packed record array and one into its mask; the bytes the mask keeps
+    are the block's lines one after another, and each row is gathered from
+    them as the row's width of bytes that ends where its line does.
+    """
+    fields = [[line[:-2] + b"," for line in _csv_lines([label] for label in cats)]
+              for _, cats in schema.features]
+    tables = [_field_table(column) for column in fields]
+    record = np.dtype([(f"c{z}", t.dtype, t.shape[1:]) for z, (t, _) in enumerate(tables)])
+    # each cell's bytes before its outcome
+    size = sum(np.array(list(map(len, column)))[col] for column, col in zip(fields, columns))
+    width = int(size.max()) + 3
+    lines = np.tile(np.frombuffer(b"0\r\n".rjust(width), np.uint8), (len(size), 1))
+    step = max(1, _BLOCK_BYTES // record.itemsize)
+    for a in range(0, len(size), step):
+        ends = np.cumsum(size[a:a + step])  # of each line in the block's bytes
+        block, keep = np.empty(len(ends), record), np.empty(len(ends), record)
+        for name, (words, mask), col in zip(record.names, tables, columns[:, a:a + step]):
+            block[name], keep[name] = words[col], mask[col]
+        # the block's lines one after another, after a row's width of zeros
+        kept = np.pad(block.view(np.uint8)[keep.view(np.bool_)], (width - 3, 0))
+        lines[a:a + step, :-3] = np.lib.stride_tricks.sliding_window_view(kept, width - 3)[ends]
+    return lines, (width - 3 - size).astype(np.min_scalar_type(width))
 
 
 def _csv_lines(rows: Iterable[Iterable]) -> list[bytes]:

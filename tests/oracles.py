@@ -132,15 +132,12 @@ def _renumbered(key: np.ndarray) -> tuple[np.ndarray, int]:
     return key, len(distinct)
 
 
-def index_dtype(cardinalities: tuple[int, ...], n_records: int) -> np.dtype:
+def index_dtype(cardinalities: tuple[int, ...]) -> np.dtype:
     """The dtype of the package's cell index: uint16 when a record's packed key
-    (a field of the bits of card - 1 a feature, the first feature on top) fits
-    16 bits and the key span, one past the key of every feature's last
-    category, is at most the record count; else int32."""
+    (a field of the bits of card - 1 a feature) fits 16 bits, whether the
+    keys are counted in place or renumbered through a sort; else int32."""
     widths = [(card - 1).bit_length() for card in cardinalities]
-    shifts = [sum(widths[z + 1:]) for z in range(len(widths))]
-    span = 1 + sum((card - 1) << shift for card, shift in zip(cardinalities, shifts))
-    return np.dtype(np.uint16 if sum(widths) <= 16 and span <= n_records else np.int32)
+    return np.dtype(np.uint16 if sum(widths) <= 16 else np.int32)
 
 
 def reference_cell_table(rows: np.ndarray, cardinalities: tuple[int, ...]) -> CellTable:
@@ -189,7 +186,7 @@ def reference_cell_table(rows: np.ndarray, cardinalities: tuple[int, ...]) -> Ce
     columns = np.empty((rows.shape[1], len(n)), dtype=rows.dtype)
     for z in range(rows.shape[1]):
         columns[z] = rows[representative, z]
-    return CellTable(columns, index.astype(index_dtype(cardinalities, len(rows))), n)
+    return CellTable(columns, index.astype(index_dtype(cardinalities)), n)
 
 
 def brute_membership(rows, constraints: dict[int, set[int]]) -> set[int]:

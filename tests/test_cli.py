@@ -113,6 +113,18 @@ class TestSynth:
                  "--odds-multiplier", "2", "--planted", planted, "--out", str(tmp_path)], capsys)
         assert not (tmp_path / "cohort.csv").exists()
 
+    @pytest.mark.parametrize("cards, planted", [("2,3", "f0=v0|v1"), ("1,3", "f0=v0"),
+                                                ("2,3", "f0=v1|v0;f1=v2|v0|v1")])
+    def test_planted_descriptor_that_constrains_nothing_rejected(self, tmp_path, capsys, cards,
+                                                                  planted):
+        # every record would be "planted": the cohort's mean would be the lifted rate
+        out = tmp_path / "fresh"
+        err = refused(["synth", "--n", "2000", "--cardinalities", cards, "--base-rate", "0.05",
+                       "--odds-multiplier", "3", "--planted", planted, "--seed", "1",
+                       "--out", str(out)], capsys)
+        assert "constrains no feature" in err
+        assert not out.exists()
+
     def test_repeated_planted_feature_named(self, tmp_path, capsys):
         err = refused(["synth", "--n", "100", "--cardinalities", "2,3", "--base-rate", "0.1",
                        "--odds-multiplier", "2", "--planted", "f1=v0;f0=v0; f0=v1",

@@ -67,6 +67,31 @@ def written_cohorts(draw):
     return schema, rows, outcomes, outcome, draw(st.integers(1, 256))
 
 
+# labels of a feature's categories, by kind: one width, "v0" to "v39", ones the csv
+# module quotes (a quote, a comma, a line end) and ones of 2- to 4-byte UTF-8 characters
+LABEL_KINDS = {
+    "fixed": lambda k: f"v{k:02d}",
+    "mixed": lambda k: f"v{k}",
+    "quoted": lambda k: ['q"{}', "a,{}", "l\n{}", "{}\r"][k % 4].format(k),
+    "utf8": lambda k: ["é{}", "日本{}", "😀{}", "{}ü"][k % 4].format(k),
+}
+
+
+@st.composite
+def cell_line_cohorts(draw):
+    """(dataset, write_csv's block budget in bytes): features of up to 40 labels of one
+    kind each, and up to 400 records, so that a cohort of many wide features has
+    about as many cells as records."""
+    kinds = draw(st.lists(st.sampled_from(sorted(LABEL_KINDS)), min_size=1, max_size=6))
+    cards = [draw(st.integers(1, 40)) for _ in kinds]
+    schema = Schema(tuple((f"f{z}", tuple(LABEL_KINDS[kind](k) for k in range(card)))
+                          for z, (kind, card) in enumerate(zip(kinds, cards))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    n_records = draw(st.integers(1, 400))
+    rows = rng.integers(0, cards, (n_records, len(cards)))
+    return Dataset(schema, rows, rng.integers(0, 2, n_records)), draw(st.integers(1, 300))
+
+
 def row_loop_bytes(dataset: Dataset, outcome: str) -> bytes:
     """The file as the csv module writes it one record at a time: write_csv's reference."""
     text = io.StringIO(newline="")
@@ -275,7 +300,7 @@ def assert_cell_table_invariants(dataset: Dataset, rows: np.ndarray) -> None:
     n_cells = len(cells.n)
     assert cells.columns.shape == (dataset.schema.n_features, n_cells)
     assert cells.columns.dtype == np.min_scalar_type(max(dataset.schema.cardinalities()) - 1)
-    assert cells.index.dtype == index_dtype(dataset.schema.cardinalities(), dataset.n_records)
+    assert cells.index.dtype == index_dtype(dataset.schema.cardinalities())
     assert all(row.flags.c_contiguous for row in cells.columns)
     assert int(cells.n.sum()) == dataset.n_records
     assert cells.n.min() >= 1
@@ -329,7 +354,7 @@ def assert_matches_unique_rows(dataset: Dataset, rows: np.ndarray) -> None:
     cells = dataset.cells
     columns, index, n = unique_rows_cells(rows)
     assert cells.columns.dtype == np.min_scalar_type(max(dataset.schema.cardinalities()) - 1)
-    assert cells.index.dtype == index_dtype(dataset.schema.cardinalities(), dataset.n_records)
+    assert cells.index.dtype == index_dtype(dataset.schema.cardinalities())
     assert np.array_equal(cells.columns, columns)
     assert np.array_equal(cells.index, index)
     assert np.array_equal(cells.n, n)
@@ -386,6 +411,17 @@ class TestCellTable:
         dataset = Dataset(tabular._synthetic_schema((4,) * 8), rows, at % 2)
         assert dataset.cells.index.dtype == np.uint16 and int(dataset.cells.index.max()) == 65_535
         assert_cells_match_oracle(dataset, rows)
+        assert_cell_table_invariants(dataset, rows)
+
+    def test_renumbered_uint16_keys_keep_their_dtype(self, monkeypatch):
+        # 16 two-category features: a key span of 65,536 past the 50,000
+        # records, so the keys are renumbered through a sort, into a uint16 index
+        renumbered = mock.Mock(side_effect=tabular._renumbered)
+        monkeypatch.setattr(tabular, "_renumbered", renumbered)
+        dataset, rows = dataset_and_rows(16, 50_000, (2,) * 16)
+        assert renumbered.call_count == 1
+        assert dataset.cells.index.dtype == np.uint16 and len(dataset.cells.n) > 30_000
+        assert_matches_unique_rows(dataset, rows)
         assert_cell_table_invariants(dataset, rows)
 
     def test_one_cell_per_pattern(self, tiny_dataset):
@@ -455,8 +491,12 @@ def assert_every_way_matches_oracle(tmp_path, rows: np.ndarray, cards: tuple[int
     rng = np.random.default_rng(seed)
     outcomes = rng.integers(0, 2, len(rows))
     assert_cells_match_oracle(Dataset(tabular._synthetic_schema(cards), rows, outcomes), rows)
-    spec = SyntheticSpec(len(rows), cards, 0.2, SubsetDescriptor.from_dict({0: [0]}), 2.0, seed)
-    assert_cells_match_oracle(generate_synthetic(spec)[0], synthetic_rows(spec))
+    # a cohort plants its subgroup on a feature of two categories or more (outcomes only)
+    planted = next((z for z, card in enumerate(cards) if card > 1), None)
+    if planted is not None:
+        spec = SyntheticSpec(len(rows), cards, 0.2, SubsetDescriptor.from_dict({planted: [0]}),
+                             2.0, seed)
+        assert_cells_match_oracle(generate_synthetic(spec)[0], synthetic_rows(spec))
     path = tmp_path / "coded.csv"
     read = write_coded_csv(path, rows, outcomes)
     with mock.patch.object(tabular, "_BLOCK_BYTES", block_bytes):
@@ -874,6 +914,36 @@ class TestLoadCsv:
             write_csv(dataset, path, outcome)
         assert path.read_bytes() == row_loop_bytes(dataset, outcome)
 
+    @settings(max_examples=100, deadline=None)
+    @given(case=cell_line_cohorts())
+    @example(case=(  # fixed-width lines, every record its own cell, one cell a block
+        Dataset(tabular._synthetic_schema((10,) * 6), np.arange(300)[:, None] // 10 ** np.arange(6)
+                % 10, np.arange(300) % 2), 1))
+    def test_write_csv_from_cell_lines_matches_row_loop(self, tmp_path_factory, case):
+        """Each cell's line built a block of cells at a time, and the records
+        written a block at a time from them, with and without left padding."""
+        dataset, block_bytes = case
+        path = tmp_path_factory.getbasetemp() / "cell_lines.csv"
+        with mock.patch.object(tabular, "_BLOCK_BYTES", block_bytes):
+            write_csv(dataset, path, "y")
+        assert path.read_bytes() == row_loop_bytes(dataset, "y")
+
+    def test_write_csv_memory_with_a_cell_a_record(self, tmp_path):
+        # 50k x 10 features of 5 categories: about as many cells as records, so
+        # the cells' lines are about the size of the file; the bound is twice
+        # them plus eight blocks
+        dataset, _ = dataset_and_rows(10, 50_000, (5,) * 10)
+        tracemalloc.start()
+        try:
+            write_csv(dataset, tmp_path / "t.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        width = max(map(len, (tmp_path / "t.csv").read_bytes().splitlines(keepends=True)[1:]))
+        cells = len(dataset.cells.n)
+        assert cells > 0.99 * dataset.n_records
+        assert peak < 2 * cells * width + 8 * tabular._BLOCK_BYTES
+
     def test_write_csv_memory_does_not_grow_with_records(self, tmp_path):
         # blocks of about 1 MiB of bytes, against 8.2 MiB at 1M x 8 for the
         # csv module fed 65,536 records at a time as Python label strings
@@ -1270,6 +1340,14 @@ class TestSynthetic:
         for planted in ({2: [0]}, {0: [2]}):
             with pytest.raises(ContractError, match="out of range"):
                 SyntheticSpec(100, (2, 2), 0.1, SubsetDescriptor.from_dict(planted), 2.0, 0)
+
+    @pytest.mark.parametrize("cards, planted", [
+        ((2, 3), {0: [0, 1]}), ((1, 3), {0: [0]}), ((2, 3), {0: [1, 0], 1: [2, 0, 1]}),
+        ((2, 3), {}),
+    ], ids=["every_category", "one_category_feature", "every_feature", "empty"])
+    def test_planted_subgroup_of_every_record_rejected(self, cards, planted):
+        with pytest.raises(ContractError, match="constrains no feature"):
+            SyntheticSpec(100, cards, 0.1, SubsetDescriptor.from_dict(planted), 2.0, 0)
 
     def test_probability_overflow_rejected(self):
         spec = SyntheticSpec(
