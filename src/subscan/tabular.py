@@ -45,7 +45,7 @@ import os
 from collections.abc import Iterable, Iterator, Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property, partial, reduce
 from pathlib import Path
 from types import SimpleNamespace
 from typing import IO, NamedTuple
@@ -249,19 +249,9 @@ class Dataset:
 
     @cached_property
     def cell_positives(self) -> np.ndarray:
-        """(C,) positive records per cell."""
-        return self.cell_sums(self.outcomes.view(np.bool_))  # outcomes are 0/1 int8
-
-    def cell_sums(self, flags: np.ndarray) -> np.ndarray:
-        """(C,) count per cell of the records that ``flags``, an (N,) bool mask, marks, as float64.
-
-        Any other ``flags`` raise ContractError: an integer array would index
-        the records instead of masking them.
-        """
-        if not (isinstance(flags, np.ndarray) and flags.dtype == np.bool_
-                and flags.shape == (self.n_records,)):
-            raise ContractError("flags must be an (N,) bool array")
-        return np.bincount(self.cells.index[flags], minlength=len(self.cells.n)).astype(np.float64)
+        """(C,) positive records per cell, as float64."""
+        cells = self.cells.index[self.outcomes.view(np.bool_)]  # outcomes are 0/1 int8
+        return np.bincount(cells, minlength=len(self.cells.n)).astype(np.float64)
 
     def drawn_cell_sums(self, rng: np.random.Generator, rate: float) -> np.ndarray:
         """(C,) count per cell of the records drawn positive with probability ``rate``, as float64.
@@ -603,7 +593,9 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, SubsetDescriptor]:
     """Draw a cohort per the spec; returns the dataset and the planted descriptor.
 
     Deterministic for a given spec (including seed). Membership of the planted
-    subgroup is defined by the descriptor, so scan recovery is well-posed.
+    subgroup is defined by the descriptor, so scan recovery is well-posed. The
+    descriptor is returned normalized: a feature the spec constrains to all
+    its categories plants nothing, and is left out.
     Each feature's indices are drawn as one int32 array, which is packed
     into the keys and dropped before the next draw; int32 keys are the first
     draw shifted in place. The outcomes are drawn a block of records at a
@@ -611,6 +603,7 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, SubsetDescriptor]:
     """
     p_in = planted_outcome_rate(spec)
     schema = spec.schema()
+    planted = spec.planted.normalized(schema)
     rng = np.random.default_rng(spec.seed)
     packing = _Packing.of(spec.cardinalities)
     keys = None if packing.dtype == np.int32 else packing.keys(spec.n_records)
@@ -623,14 +616,14 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, SubsetDescriptor]:
         del codes  # before the next draw: the peak holds one draw beside the keys
 
     # in blocks: the stream of one draw, without its two float64 arrays as long as the data
-    allowed, outcomes = _allowed_masks(schema, spec.planted), np.empty(spec.n_records, np.int8)
+    allowed, outcomes = _allowed_masks(schema, planted), np.empty(spec.n_records, np.int8)
     for a in range(0, spec.n_records, _RECORD_BLOCK):
         inside = np.ones(min(_RECORD_BLOCK, spec.n_records - a), dtype=bool)
         for f, ok in allowed.items():
             inside &= ok[packing.codes(keys[a:a + _RECORD_BLOCK], f)]
         p = np.where(inside, p_in, spec.base_rate)
         outcomes[a:a + _RECORD_BLOCK] = rng.random(len(p)) < p
-    return Dataset(schema, _Packed(keys, packing), _frozen(outcomes)), spec.planted
+    return Dataset(schema, _Packed(keys, packing), _frozen(outcomes)), planted
 
 
 def load_csv(path: str | Path, outcome_column: str) -> Dataset:
@@ -987,7 +980,8 @@ def write_csv(dataset: Dataset, path: str | Path, outcome_column: str = "y") -> 
 
     The file holds the bytes that the csv module writes for the same rows.
     Records of one cell and outcome share their line, so each cell's line is
-    built once (``_cell_lines``), right-aligned in a row of bytes as wide as
+    built once (``_cell_lines``) by joining its labels' csv fields with
+    numpy's string concatenation, right-aligned in a row of bytes as wide as
     the longest line and ending in the outcome ``0``'s ``0\\r\\n``. A block of
     records, about ``_BLOCK_BYTES``, is then one gather of their cells' rows,
     with the outcome added to each row's ``0``; when the lines differ in
@@ -1018,34 +1012,24 @@ def _cell_lines(schema: Schema, columns: np.ndarray) -> tuple[np.ndarray, np.nda
 
     A line ends in ``0\\r\\n``, the outcome ``0`` with its line end, and the
     rows are as wide as the longest line; a row's bytes before its line's
-    start are not the line's. The csv module writes each distinct field
-    once: every category label as a lone field whose line end gives way to a
-    comma. Each column's fields are kept zero-padded in the narrowest
-    unsigned words that hold the longest (several 8-byte words past 8
-    bytes), beside a 0/1 byte mask of their own bytes. A block of cells,
-    about ``_BLOCK_BYTES`` of padded fields, takes one gather per column into
-    a packed record array and one into its mask; the bytes the mask keeps
-    are the block's lines one after another, and each row is gathered from
-    them as the row's width of bytes that ends where its line does.
+    start are spaces. The csv module writes each distinct field once: every
+    category label as a lone field whose line end gives way to a comma. Each
+    column's fields are an ``S`` array, and a block of cells, about
+    ``_BLOCK_BYTES`` of lines, joins its columns' gathered fields and the
+    ``0\\r\\n`` with ``np.char.add`` and right-aligns the result with
+    ``np.char.rjust``. Every field ends in its comma, so the ``S`` dtype's
+    stripping of trailing NUL bytes never cuts a NUL byte of a label.
     """
-    fields = [[line[:-2] + b"," for line in _csv_lines([label] for label in cats)]
+    fields = [np.array([line[:-2] + b"," for line in _csv_lines([label] for label in cats)])
               for _, cats in schema.features]
-    tables = [_field_table(column) for column in fields]
-    record = np.dtype([(f"c{z}", t.dtype, t.shape[1:]) for z, (t, _) in enumerate(tables)])
     # each cell's bytes before its outcome
-    size = sum(np.array(list(map(len, column)))[col] for column, col in zip(fields, columns))
+    size = sum(np.char.str_len(column)[col] for column, col in zip(fields, columns))
     width = int(size.max()) + 3
-    lines = np.tile(np.frombuffer(b"0\r\n".rjust(width), np.uint8), (len(size), 1))
-    step = max(1, _BLOCK_BYTES // record.itemsize)
+    lines, step = np.empty(len(size), f"S{width}"), max(1, _BLOCK_BYTES // width)
     for a in range(0, len(size), step):
-        ends = np.cumsum(size[a:a + step])  # of each line in the block's bytes
-        block, keep = np.empty(len(ends), record), np.empty(len(ends), record)
-        for name, (words, mask), col in zip(record.names, tables, columns[:, a:a + step]):
-            block[name], keep[name] = words[col], mask[col]
-        # the block's lines one after another, after a row's width of zeros
-        kept = np.pad(block.view(np.uint8)[keep.view(np.bool_)], (width - 3, 0))
-        lines[a:a + step, :-3] = np.lib.stride_tricks.sliding_window_view(kept, width - 3)[ends]
-    return lines, (width - 3 - size).astype(np.min_scalar_type(width))
+        block = [column[col] for column, col in zip(fields, columns[:, a:a + step])]
+        lines[a:a + step] = np.char.rjust(reduce(np.char.add, [*block, b"0\r\n"]), width)
+    return lines.view((np.uint8, width)), (width - 3 - size).astype(np.min_scalar_type(width))
 
 
 def _csv_lines(rows: Iterable[Iterable]) -> list[bytes]:
@@ -1053,22 +1037,6 @@ def _csv_lines(rows: Iterable[Iterable]) -> list[bytes]:
     lines: list[str] = []
     csv.writer(SimpleNamespace(write=lines.append)).writerows(rows)  # one write a row
     return [line.encode("utf-8") for line in lines]
-
-
-def _field_table(fields: list[bytes]) -> tuple[np.ndarray, np.ndarray]:
-    """(words, mask): the fields zero-padded into words, and a 0/1 byte for each of their bytes.
-
-    A row per field, of one unsigned word of 1, 2, 4 or 8 bytes or of several
-    8-byte words, the fewest bytes that hold the longest field; the mask marks
-    the field's own bytes, so a field may hold NUL bytes of its own.
-    """
-    width = max(map(len, fields))
-    size = 1 << (width - 1).bit_length() if width <= 8 else 8 * -(-width // 8)
-    shape = (len(fields), size // 8) if size > 8 else (len(fields),)
-    dtype = np.dtype(f"u{min(size, 8)}")
-    words = b"".join(f.ljust(size, b"\0") for f in fields)
-    mask = b"".join((b"\1" * len(f)).ljust(size, b"\0") for f in fields)
-    return np.frombuffer(words, dtype).reshape(shape), np.frombuffer(mask, dtype).reshape(shape)
 
 
 @contextmanager

@@ -112,6 +112,16 @@ def membership(dataset: Dataset, descriptor: SubsetDescriptor) -> np.ndarray:
     return np.flatnonzero(membership_mask(dataset, descriptor))
 
 
+def cell_sums(dataset: Dataset, flags: np.ndarray) -> np.ndarray:
+    """(C,) count per cell of the records that ``flags``, an (N,) bool mask, marks, as float64.
+
+    The tally of ``Dataset.cell_positives`` over any mask, such as a
+    replicate's outcomes drawn as one array.
+    """
+    counts = np.bincount(dataset.cells.index[flags], minlength=len(dataset.cells.n))
+    return counts.astype(np.float64)
+
+
 def unique_rows_cells(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(columns, index, n) of a cell table: the distinct rows in lexicographic order.
 

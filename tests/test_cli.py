@@ -125,6 +125,17 @@ class TestSynth:
         assert "constrains no feature" in err
         assert not out.exists()
 
+    def test_vacuous_planted_constraint_left_out_of_planted_json(self, tmp_path):
+        # f1=v0|v1|v2 names every f1 category, so the planted subgroup is f0=v0 alone
+        args = ["synth", "--n", "2000", "--cardinalities", "2,3", "--base-rate", "0.05",
+                "--odds-multiplier", "3", "--seed", "1"]
+        assert run(args + ["--planted", "f0=v0;f1=v0|v1|v2", "--out", str(tmp_path / "a")]) == 0
+        assert run(args + ["--planted", "f0=v0", "--out", str(tmp_path / "b")]) == 0
+        payload = json.loads((tmp_path / "a" / "planted.json").read_text())
+        assert payload["planted_descriptor"] == {"f0": ["v0"]}
+        assert ((tmp_path / "a" / "cohort.csv").read_bytes()
+                == (tmp_path / "b" / "cohort.csv").read_bytes())
+
     def test_repeated_planted_feature_named(self, tmp_path, capsys):
         err = refused(["synth", "--n", "100", "--cardinalities", "2,3", "--base-rate", "0.1",
                        "--odds-multiplier", "2", "--planted", "f1=v0;f0=v0; f0=v1",

@@ -15,6 +15,7 @@ from oracles import (
     BudgetError,
     StepAudit,
     best_category_subset_score,
+    cell_sums,
     exhaustive_scan,
     membership_mask,
     record_run_restart,
@@ -337,7 +338,7 @@ class TestRestartScore:
         replicate = Dataset(dataset.schema, dataset.rows, draw)
         seq = np.random.SeedSequence(seed)
         for positives, counted in ((dataset.cell_positives, dataset),
-                                   (dataset.cell_sums(draw), replicate)):
+                                   (cell_sums(dataset, draw), replicate)):
             score, included = _run_restart(dataset, positives, config, seq)
             panel, _ = evaluate(counted, SubsetDescriptor(tuple(enumerate(included))))
             assert score.hex() == panel.score.hex()

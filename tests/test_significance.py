@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import cell_sums
 from subscan import significance, tabular
 from subscan.errors import ContractError, DegenerateDataError
 from subscan.scan import ScanConfig, _search, scan
@@ -173,7 +174,7 @@ def one_draw_null_scores(dataset: Dataset, config: BootstrapConfig) -> list[floa
     for r in range(config.n_replicates):
         outcome_seq, scan_seq = np.random.SeedSequence([config.scan_config.seed, r, 0]).spawn(2)
         draws = np.random.default_rng(outcome_seq).random(dataset.n_records)
-        positives = dataset.cell_sums(draws < dataset.global_mean)
+        positives = cell_sums(dataset, draws < dataset.global_mean)
         assert 0 < positives.sum() < dataset.n_records  # no redraw needed
         rep_config = replace(config.scan_config, seed=int(scan_seq.generate_state(1)[0]))
         scores.append(_search(dataset, positives, rep_config, workers=1)[1][0])
