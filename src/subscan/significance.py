@@ -1,10 +1,11 @@
 """Empirical significance of scan scores via parametric bootstrap.
 
 Each replicate redraws every outcome independently as Bernoulli(global mean)
-with the feature table fixed and sums the draws per cell (distinct feature
-pattern), a block of records at a time (``Dataset.drawn_cell_sums``): the
-search reads outcomes only through these counts, so a replicate is a vector
-of per-cell positives, not a second dataset, and holds no per-record array.
+with the feature table fixed. The search reads outcomes only through their
+sums per cell (distinct feature pattern), and a cell's sum of n such draws is
+Binomial(n, global mean), so a replicate draws one count per cell
+(``Dataset.drawn_cell_sums``): a vector of per-cell positives, not a second
+dataset, at O(cells) whatever the record count.
 It reruns every restart of the search (so the null distribution reflects the
 same maximization that produced the observed score) and records the best
 score. The p-value is

@@ -14,8 +14,8 @@ member set is counted (the scan keeps one
 per restart, ``scan.evaluate`` builds one per descriptor, the substitution
 stages keep one on the subgroup they perturb, and the relevance ranking builds
 one with no masks for each feature's marginal counts), and through
-``Dataset.drawn_cell_sums``, which draws a bootstrap replicate's outcomes a
-block of records at a time and tallies them per cell.
+``Dataset.drawn_cell_sums``, which draws a bootstrap replicate's positives
+per cell, one Binomial draw over each cell's record count.
 
 Every count runs over cells, the distinct feature patterns of a dataset,
 weighted by their record and positive counts: the scan score depends on the
@@ -220,7 +220,7 @@ class Dataset:
                         f"category index out of range in feature {schema.features[z][0]!r}: "
                         f"rows hold values outside the range [0, {card})"
                     )
-            rows = _packed(rows, cardinalities)
+            rows = _packed(rows.T, cardinalities)
         elif rows.packing != _Packing.of(cardinalities):
             raise ContractError("packed records do not fit the schema")
         outcomes = _integers(outcomes, "outcomes")
@@ -256,18 +256,11 @@ class Dataset:
     def drawn_cell_sums(self, rng: np.random.Generator, rate: float) -> np.ndarray:
         """(C,) count per cell of the records drawn positive with probability ``rate``, as float64.
 
-        Record i is positive when the i-th of ``rng.random`` draws falls
-        below ``rate``. The draws are made a block of ``_RECORD_BLOCK``
-        records at a time (or of the cell count, when that is larger, since
-        each block's ``np.bincount`` costs O(cells)), which is the stream of
-        one ``rng.random(N)`` call without its N float64s and N-byte mask.
+        A cell's count of n independent Bernoulli(``rate``) records is one
+        Binomial(n, ``rate``) draw, so a draw is one ``rng.binomial`` over
+        the cells' record counts: O(cells), whatever the record count.
         """
-        index, sums = self.cells.index, np.zeros(len(self.cells.n), dtype=np.intp)
-        block = max(_RECORD_BLOCK, len(sums))
-        for a in range(0, len(index), block):
-            part = index[a:a + block]
-            sums += np.bincount(part[rng.random(len(part)) < rate], minlength=len(sums))
-        return sums.astype(np.float64)
+        return rng.binomial(self.cells.n.astype(np.int64), rate).astype(np.float64)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Dataset):
@@ -369,12 +362,12 @@ class _Packed(NamedTuple):
     packing: _Packing
 
 
-def _packed(rows: np.ndarray, cardinalities: tuple[int, ...]) -> _Packed:
-    """An (N, M) array of category indices, packed a block of records at a time."""
+def _packed(columns: np.ndarray | list[list[int]], cardinalities: tuple[int, ...]) -> _Packed:
+    """Category indices, one column a feature ((M, N)), packed a block of records at a time."""
     packing = _Packing.of(cardinalities)
-    keys = packing.keys(len(rows))
-    for z in range(len(cardinalities)):
-        packing.store(keys, z, rows[:, z])
+    keys = packing.keys(len(columns[0]))
+    for z, column in enumerate(columns):
+        packing.store(keys, z, column)
     return _Packed(keys, packing)
 
 
@@ -682,7 +675,7 @@ def _read_records(path: Path, outcome_column: str) -> Dataset:
                 raise LoadError(f"{path}: file is empty, header row required") from None
             y_col, feature_cols = _columns(path, header, outcome_column)
             codes: list[dict[str, int]] = [{} for _ in feature_cols]
-            rows: list[list[int]] = []
+            columns: list[list[int]] = [[] for _ in feature_cols]  # each feature's codes
             outcomes: list[int] = []
             for r, record in enumerate(reader, start=1):
                 if len(record) != len(header):
@@ -696,16 +689,16 @@ def _read_records(path: Path, outcome_column: str) -> Dataset:
                         f"non-binary outcome value {record[y_col]!r}"
                     )
                 outcomes.append(_OUTCOMES[raw_y])
-                rows.append([_code(codes[j], record[col]) for j, col in enumerate(feature_cols)])
+                for column, labels, col in zip(columns, codes, feature_cols):
+                    column.append(_code(labels, record[col]))
     except (OSError, UnicodeDecodeError, csv.Error) as e:  # a directory, not UTF-8, bad CSV
         raise LoadError(f"{path}: cannot read as a UTF-8 CSV file ({e})") from None
 
-    if not rows:
+    if not outcomes:
         raise LoadError(f"{path}: no data rows")
     schema = Schema(tuple((header[col], tuple(codes[j])) for j, col in enumerate(feature_cols)))
-    rows_array = np.array(rows, dtype=_code_dtype(schema.cardinalities()))
     outcomes_array = np.array(outcomes, dtype=np.int8)
-    return Dataset(schema, _packed(rows_array, schema.cardinalities()), _frozen(outcomes_array))
+    return Dataset(schema, _packed(columns, schema.cardinalities()), _frozen(outcomes_array))
 
 
 _BLOCK_BYTES = 1 << 18  # the byte reader reads, and write_csv builds, this much at a time

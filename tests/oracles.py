@@ -122,6 +122,15 @@ def cell_sums(dataset: Dataset, flags: np.ndarray) -> np.ndarray:
     return counts.astype(np.float64)
 
 
+def record_drawn_cell_sums(dataset: Dataset, rng: np.random.Generator, rate: float) -> np.ndarray:
+    """(C,) positives per cell of a replicate drawn a record at a time, as float64.
+
+    Record i is positive when the i-th of N ``rng.random`` draws falls below
+    ``rate``: the per-record law that ``Dataset.drawn_cell_sums`` draws per cell.
+    """
+    return cell_sums(dataset, rng.random(dataset.n_records) < rate)
+
+
 def unique_rows_cells(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(columns, index, n) of a cell table: the distinct rows in lexicographic order.
 

@@ -808,7 +808,8 @@ PINNED = {
         ], False, {"f0": ["v2"], "f1": ["v0", "v1", "v2"]}),
         "alpha": ([
             ("f0", ("v1",), "v2", "0x1.b5980e4532ce8p+1"),
-        ], True, {"f0": ["v0", "v2"], "f1": ["v0", "v1", "v2"]}),
+            ("f0", ("v0",), "v2", "0x0.0p+0"),
+        ], True, {"f0": ["v2"], "f1": ["v0", "v1", "v2"]}),
         "reordered": ([
             ("f1", ("v0",), "v3", "0x1.35aebfff17da8p+4"),
             ("f1", ("v2",), "v3", "0x1.60f4f34061b68p+2"),

@@ -251,13 +251,21 @@ class TestCellEngine:
 
 def record_null_scores(dataset: Dataset, config: BootstrapConfig) -> list[float]:
     """The record engine's scan of a full Dataset that carries each replicate's
-    outcomes, drawn here from the replicate's stream."""
+    outcomes: its per-cell counts, drawn here from the replicate's stream, as
+    that many positive records of each cell, the first in record order."""
+    n = dataset.cells.n.astype(np.int64)
+    order = np.argsort(dataset.cells.index, kind="stable")  # the records cell by cell
+    cell = dataset.cells.index[order]
+    rank = np.arange(dataset.n_records) - (np.cumsum(n) - n)[cell]  # each one's place in its cell
     records = []
     for r in range(config.n_replicates):
         seq = np.random.SeedSequence([config.scan_config.seed, r, 0])
         outcome_seq, scan_seq = seq.spawn(2)
-        draws = np.random.default_rng(outcome_seq).random(dataset.n_records)
-        replicate = Dataset(dataset.schema, dataset.rows, draws < dataset.global_mean)
+        counts = np.random.default_rng(outcome_seq).binomial(n, dataset.global_mean)
+        outcomes = np.empty(dataset.n_records, dtype=bool)
+        outcomes[order] = rank < counts[cell]
+        replicate = Dataset(dataset.schema, dataset.rows, outcomes)
+        assert np.array_equal(replicate.cell_positives, counts)
         assert 0 < replicate.n_positive < replicate.n_records  # no redraw needed
         rep_config = replace(config.scan_config, seed=int(scan_seq.generate_state(1)[0]))
         records.append(with_record_engine(scan, replicate, rep_config).panel.score)

@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import cell_sums
-from subscan import significance, tabular
+from oracles import record_drawn_cell_sums
+from subscan import significance
 from subscan.errors import ContractError, DegenerateDataError
-from subscan.scan import ScanConfig, _search, scan
+from subscan.scan import ScanConfig, scan
 from subscan.significance import (
     BootstrapConfig,
     _replicate_score,
@@ -153,8 +153,9 @@ class TestDegenerateRedraw:
         for rep in range(50):
             seq = np.random.SeedSequence([config.scan_config.seed, rep, 0])
             outcome_seq, _ = seq.spawn(2)
-            y = (np.random.default_rng(outcome_seq).random(2) < 0.5).astype(int)
-            if y.sum() in (0, 2):
+            rng = np.random.default_rng(outcome_seq)
+            positives = dataset.drawn_cell_sums(rng, dataset.global_mean)
+            if positives.sum() in (0, 2):
                 monkeypatch.setattr(significance, "_MAX_REDRAWS", 1)
                 with pytest.raises(DegenerateDataError):
                     _replicate_score(dataset, config, rep)
@@ -168,42 +169,52 @@ def test_null_score_distribution_refuses_fewer_than_one_worker():
         null_score_distribution(dataset, small_config(replicates=2), workers=0)
 
 
-def one_draw_null_scores(dataset: Dataset, config: BootstrapConfig) -> list[float]:
-    """Each replicate's score with its outcomes drawn as one ``rng.random(N)`` array."""
-    scores = []
-    for r in range(config.n_replicates):
-        outcome_seq, scan_seq = np.random.SeedSequence([config.scan_config.seed, r, 0]).spawn(2)
-        draws = np.random.default_rng(outcome_seq).random(dataset.n_records)
-        positives = cell_sums(dataset, draws < dataset.global_mean)
-        assert 0 < positives.sum() < dataset.n_records  # no redraw needed
-        rep_config = replace(config.scan_config, seed=int(scan_seq.generate_state(1)[0]))
-        scores.append(_search(dataset, positives, rep_config, workers=1)[1][0])
-    return scores
+def replicate_peak(dataset: Dataset) -> int:
+    """The ``tracemalloc`` peak, in bytes, of one replicate's draw and 1-restart search."""
+    config = BootstrapConfig(n_replicates=1, scan_config=ScanConfig(n_restarts=1))
+    _replicate_score(dataset, config, 1)  # numpy's first-call allocations are not the draw's
+    tracemalloc.start()
+    try:
+        _replicate_score(dataset, config, 0)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestReplicateDraw:
-    """A replicate draws its outcomes a block of records at a time."""
+    """A replicate draws its positives per cell, under the law of a draw per record."""
 
-    def test_null_sample_equals_one_draw(self, monkeypatch):
-        # 2,000 records of 24 cells in blocks of 256 records: eight blocks
+    def test_per_cell_draw_matches_per_record_draw(self):
+        # 2,000 records of 24 cells, 4,000 replicates each way. Both draw each
+        # cell's count as Binomial(n, mu), so each cell's mean and variance
+        # agree within 5 standard errors of their difference, taken from that
+        # law's second and fourth central moments
         dataset = random_dataset(np.random.default_rng(3), 2_000, (3, 4, 2), 0.3)
-        monkeypatch.setattr(tabular, "_RECORD_BLOCK", 256)
-        config = small_config(replicates=8, seed=21)
-        got = null_score_distribution(dataset, config).tolist()
-        assert [s.hex() for s in got] == [s.hex() for s in one_draw_null_scores(dataset, config)]
+        n, mu, reps = dataset.cells.n, dataset.global_mean, 4_000
+        rng = np.random.default_rng(17)
+        per_cell = np.array([dataset.drawn_cell_sums(rng, mu) for _ in range(reps)])
+        per_record = np.array([record_drawn_cell_sums(dataset, rng, mu) for _ in range(reps)])
+        assert len(n) == 24 and per_cell.dtype == np.float64
+        assert (per_cell == np.round(per_cell)).all() and (0 <= per_cell).all() and (per_cell <= n).all()
+        var = n * mu * (1 - mu)
+        fourth = var * (1 + 3 * (n - 2) * mu * (1 - mu))
+        assert (abs(per_cell.mean(0) - per_record.mean(0)) < 5 * np.sqrt(2 * var / reps)).all()
+        assert (abs(per_cell.var(0, ddof=1) - per_record.var(0, ddof=1))
+                < 5 * np.sqrt(2 * (fourth - var**2) / reps)).all()
+
+    def test_replicate_memory_is_per_cell(self):
+        # 1M records of 5,040 cells: a replicate holds cell-sized arrays, under
+        # 0.25 MiB, where a 65,536-record block of float64 draws took 0.5 MiB
+        planted = SubsetDescriptor.from_dict({0: [0, 1], 1: [0]})
+        spec = SyntheticSpec(1_000_000, (7, 2, 5, 6, 3, 4), 0.05, planted, 3.0, 4)
+        dataset, _ = generate_synthetic(spec)
+        assert len(dataset.cells.n) == 5_040
+        assert replicate_peak(dataset) < 0.25 * 2**20
 
     def test_replicate_holds_no_record_sized_array(self):
         # 400k records of 8 four-category features (65,408 cells): a draw of
-        # N float64s and an N-byte mask would take 3.6 MB; a replicate holds a
-        # block's draws and its cell-sized arrays, under 2 MiB
+        # N float64s and an N-byte mask would take 3.6 MB; a replicate holds
+        # its cell-sized arrays, under 2 MiB
         planted = SubsetDescriptor.from_dict({0: [0, 1], 1: [0, 1]})
         dataset, _ = generate_synthetic(SyntheticSpec(400_000, (4,) * 8, 0.05, planted, 3.0, 4))
-        config = BootstrapConfig(n_replicates=1, scan_config=ScanConfig(n_restarts=1))
-        _replicate_score(dataset, config, 1)  # numpy's first-call allocations are not the draw's
-        tracemalloc.start()
-        try:
-            _replicate_score(dataset, config, 0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 * 2**20
+        assert replicate_peak(dataset) < 2 * 2**20
